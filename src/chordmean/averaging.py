@@ -27,7 +27,7 @@ from .geometry import (
     ellipse_chord_roots,
     plane_section,
 )
-from .poisson import SolveReport, fixed_sum
+from .poisson import SolveReport, fixed_sum, half_rule_report
 
 
 @dataclass(frozen=True)
@@ -155,12 +155,8 @@ def _oracle(data: BoundaryData, p: np.ndarray) -> float | None:
 
 
 def _average(domain, data, p, dq: DirectionQuadrature) -> ChordAverageResult:
-    value = fixed_sum(dq.weights * _interpolant_values(domain, data, p, dq.directions))
-    half = dq.half_resolution()
-    value_half = fixed_sum(half.weights * _interpolant_values(domain, data, p,
-                                                              half.directions))
-    report = SolveReport(value=value, error_estimate=abs(value - value_half),
-                         nodes_used=len(dq))
+    report = half_rule_report(
+        dq, lambda q: (_interpolant_values(domain, data, p, q.directions),))
     return ChordAverageResult(report=report, oracle_value=_oracle(data, p))
 
 
@@ -252,14 +248,11 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
     if normal_dq.dim != 3:
         raise DimMismatch("normal quadrature must be 3-dimensional")
 
-    def average(dq):
-        vals = np.array([_section_value(ball, data, p, nu, inner_resolution,
-                                        inner_solver)
-                         for nu in dq.directions])
-        return fixed_sum(dq.weights * vals)
+    def section_values(dq):
+        return (np.array([_section_value(ball, data, p, nu, inner_resolution,
+                                         inner_solver)
+                          for nu in dq.directions]),)
 
-    value = average(normal_dq)
-    half = average(normal_dq.half_resolution())
-    report = SolveReport(value=value, error_estimate=abs(value - half),
-                         nodes_used=len(normal_dq) * inner_resolution)
+    report = half_rule_report(normal_dq, section_values,
+                              nodes_used=len(normal_dq) * inner_resolution)
     return ChordAverageResult(report=report, oracle_value=_oracle(data, p))

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BadBracket, BadDegree, DegenerateInterval, DimMismatch, GradientRequired
 from .boundary import BoundaryData
 from .geometry import BallDomain, DirectionQuadrature, ball_chord_roots
-from .poisson import SolveReport, fixed_sum
+from .poisson import half_rule_report
 from .averaging import ChordAverageResult, _oracle
 
 MAX_MONOMIAL_DEGREE = 12
@@ -127,11 +127,7 @@ def solve_biharmonic(ball: BallDomain, data: BoundaryData, P,
         dfb = np.sum(np.asarray(data.gradient(q2), dtype=float) * dirs, axis=-1)
         alpha, beta, gamma, delta = _shifted_coefficients(a, b, fa, fb, dfa, dfb)
         s0 = -0.5 * (a + b)
-        c_at_p = ((alpha * s0 + beta) * s0 + gamma) * s0 + delta
-        return fixed_sum(dq_.weights * c_at_p)
+        return (((alpha * s0 + beta) * s0 + gamma) * s0 + delta,)
 
-    value = values(dq)
-    half = values(dq.half_resolution())
-    report = SolveReport(value=value, error_estimate=abs(value - half),
-                         nodes_used=len(dq))
+    report = half_rule_report(dq, values)
     return ChordAverageResult(report=report, oracle_value=_oracle(data, p))

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -68,9 +69,19 @@ def _floats(text: str, name: str, count: int | None = None) -> list[float]:
         vals = [float(t) for t in str(text).split(",") if t != ""]
     except ValueError as exc:
         raise ConfigError(f"could not parse {name}={text!r} as numbers") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{name}={text!r} has a non-finite number")
     if count is not None and len(vals) != count:
         raise ConfigError(f"{name} needs {count} comma-separated numbers")
     return vals
+
+
+def _parse(convert, text: str, what: str):
+    """``convert(text)``, with a malformed value reported as a ConfigError."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: cannot read {text!r} as {convert.__name__}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +111,10 @@ def parse_poly(dim: int, spec: str) -> HarmonicPolynomial:
         fields = part.split(",")
         if len(fields) not in (2, 3):
             raise ConfigError(f"bad polynomial term {part!r}")
-        m = int(fields[0])
-        k = fields[1].strip() if dim == 2 else int(fields[1])
-        coeff = float(fields[2]) if len(fields) == 3 else 1.0
+        what = f"polynomial term {part!r}"
+        m = _parse(int, fields[0], what)
+        k = fields[1].strip() if dim == 2 else _parse(int, fields[1], what)
+        coeff = _parse(float, fields[2], what) if len(fields) == 3 else 1.0
         terms.append((m, k, coeff))
     return HarmonicPolynomial(dim, terms)
 
@@ -122,11 +134,11 @@ def parse_cap(dim: int, spec: str, vertex) -> CapSpec:
             raise ConfigError(f"bad cap spec {spec!r}")
     if "axis" not in fields or "half" not in fields:
         raise ConfigError("cap spec needs axis=... and half=...")
-    axis = np.array([float(v) for v in fields["axis"]])
+    axis = np.array([_parse(float, v, "cap axis") for v in fields["axis"]])
     if axis.size != dim:
         raise ConfigError(f"cap axis needs {dim} components")
     axis = axis / np.linalg.norm(axis)
-    half = float(fields["half"][0])
+    half = _parse(float, fields["half"][0], "cap half-angle")
     nappe = fields.get("nappe", ["plus"])[0].strip()
     return CapSpec(vertex=vertex, axis=axis, half_angle=half, nappe=nappe)
 
@@ -172,7 +184,8 @@ def parse_data(dim: int, spec, point) -> BoundaryData:
         disk = BallDomain(center=np.zeros(2), radius=1.0)
         return cap_indicator(arc_cap(disk, point, t1, t2), disk)
     if kind == "const":
-        return constant_data(float(rest))
+        (value,) = _floats(rest, "const", 1)
+        return constant_data(value)
     raise ConfigError(f"unknown data spec {spec!r}")
 
 
@@ -343,6 +356,7 @@ def cmd_measure(args) -> int:
                                                 "half_angle": args.half_angle}),
                              offset, 0.0, offset])
     elif check == "moment":
+        _require(args, "w", "degree")
         w_vals = _floats(args.w, "--w")
         w = complex(w_vals[0], w_vals[1] if len(w_vals) > 1 else 0.0)
         got = subtended_moment(w, args.degree)
@@ -350,6 +364,7 @@ def cmd_measure(args) -> int:
         rows.append(["moment", json.dumps({"w": args.w, "degree": args.degree}),
                      got, expected, abs(got - expected)])
     elif check in ("star-angle", "prop81"):
+        _require(args, "a", "arc")
         t1, t2 = _floats(args.arc, "--arc", 2)
         lhs, rhs, defect = star_angle_measure_check(args.a, (t1, t2))
         rows.append([check, json.dumps({"a": args.a, "arc": [t1, t2]}),
@@ -366,7 +381,7 @@ _HERMITE_KEYS = ("m", "a", "b", "format")
 
 def cmd_hermite(args) -> int:
     _require(args, "m", "a", "b")
-    ms = [int(v) for v in str(args.m).split(",")]
+    ms = [_parse(int, v, "--m") for v in str(args.m).split(",")]
     a_vals = _floats(args.a, "--a")
     b_vals = _floats(args.b, "--b")
     rows = []
@@ -384,7 +399,7 @@ _BROWNIAN_KEYS = ("dim", "point", "cap", "arc", "n", "seed", "format", "threads"
 
 
 def cmd_brownian(args) -> int:
-    _require(args, "point")
+    _require(args, "point", "seed")
     point = _floats(args.point, "--point")
     dim = args.dim or len(point)
     ball = BallDomain(center=np.zeros(dim), radius=1.0)
@@ -580,6 +595,8 @@ def main(argv=None) -> int:
     args.threads = int(threads) if threads else 1
     try:
         _apply_config_file(args)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError("--seed must be a non-negative integer")
         if getattr(args, "format", None) is None:
             args.format = "csv"
         return args.func(args)

@@ -6,6 +6,7 @@ sequence of reals. Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,12 +42,14 @@ def philox_stream(seed: int, stream: int) -> np.random.Generator:
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Coerce to a 1-D float array, optionally checking the dimension."""
+    """Coerce to a finite 1-D float array, optionally checking the dimension."""
     p = np.asarray(x, dtype=float).reshape(-1)
     if dim is not None and p.size != dim:
         raise DimMismatch(f"expected a {dim}-vector, got length {p.size}")
     if p.size not in (1, 2, 3):
         raise DimMismatch(f"only dimensions 1..3 are supported, got {p.size}")
+    if not all(map(math.isfinite, p.tolist())):
+        raise BadParameter(f"point {p} has a non-finite coordinate")
     return p
 
 
@@ -354,7 +357,11 @@ def ray_hit_star(domain: StarDomain2D, P, e):
 
 @dataclass(frozen=True)
 class DirectionQuadrature:
-    """Weighted unit directions representing the normalized sphere measure."""
+    """Weighted unit directions representing the normalized sphere measure.
+
+    Rules from the builders are shared: building the same rule again returns
+    the same object, and its arrays are read-only.
+    """
 
     directions: np.ndarray          # (N, dim)
     weights: np.ndarray             # (N,), sums to 1
@@ -370,20 +377,50 @@ class DirectionQuadrature:
     def __len__(self) -> int:
         return self.directions.shape[0]
 
+    @property
+    def half_nodes(self) -> slice | None:
+        """Which of this rule's own nodes form its half rule: a prefix for the
+        Monte Carlo schemes, every other node for uniform angles with even N,
+        None for the Gauss product (its half rule has other polar nodes)."""
+        if self.scheme in _MC_SCHEMES:
+            return slice(0, self._prefix_half())
+        if self.scheme == "uniform_angle_2d":
+            return every_other_node(len(self), self.resolution)
+        return None
+
+    def _prefix_half(self) -> int:
+        if self.scheme == "monte_carlo":
+            return max(len(self) // 2, 1)
+        return 6 * max(len(self) // 12, 1)      # keep whole rotated axis sets
+
     def half_resolution(self) -> "DirectionQuadrature":
         """Coarser companion rule used for a-posteriori error estimates."""
-        if self.scheme == "monte_carlo":
-            n = max(len(self) // 2, 1)
-            return DirectionQuadrature(self.directions[:n],
-                                       np.full(n, 1.0 / n), self.scheme,
-                                       n, self.seed, None)
-        if self.scheme == "monte_carlo_design":
-            n = 6 * max(len(self) // 12, 1)   # keep whole rotated axis sets
-            return DirectionQuadrature(self.directions[:n],
-                                       np.full(n, 1.0 / n), self.scheme,
-                                       n // 6, self.seed, None)
-        n = max(self.resolution // 2, 2)
-        return _build(self.dim, self.scheme, n, self.seed)
+        if self.scheme in _MC_SCHEMES:
+            n = self._prefix_half()
+            resolution = n if self.scheme == "monte_carlo" else n // 6
+            return read_only(DirectionQuadrature(self.directions[:n], np.full(n, 1.0 / n),
+                                                 self.scheme, resolution, self.seed, None))
+        return _build(self.dim, self.scheme, max(self.resolution // 2, 2), self.seed)
+
+
+_MC_SCHEMES = ("monte_carlo", "monte_carlo_design")
+
+
+def every_other_node(n: int, resolution: int) -> slice | None:
+    """Half-rule nodes of an N-point equal-angle rule: for even N >= 4 the
+    N/2-point rule's angles are bit for bit the even-indexed ones."""
+    if n == resolution and n % 2 == 0 and n >= 4:
+        return slice(None, None, 2)
+    return None
+
+
+def read_only(rule):
+    """Mark a rule's arrays read-only, so a shared rule cannot be altered."""
+    for field in ("directions", "points", "weights"):
+        arr = getattr(rule, field, None)
+        if arr is not None:
+            arr.flags.writeable = False
+    return rule
 
 
 def _uniform_angle_2d(n: int) -> DirectionQuadrature:
@@ -456,7 +493,17 @@ def _monte_carlo_design(n_rotations: int, seed: int) -> DirectionQuadrature:
                                n_rotations, seed)
 
 
+# Built rules are shared: the builders return the same read-only rule for the
+# same key from a small least-recently-used cache.
+RULE_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _build(dim, scheme, resolution, seed) -> DirectionQuadrature:
+    return read_only(_construct(dim, scheme, resolution, seed))
+
+
+def _construct(dim, scheme, resolution, seed) -> DirectionQuadrature:
     if scheme == "uniform_angle_2d":
         if dim != 2:
             raise BadParameter("uniform_angle_2d requires dim=2")
@@ -487,10 +534,13 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
     monte_carlo_design (3-D): ``resolution`` random rotations of the
         icosahedral axis set (6 directions each); unbiased, variance-reduced
         for plane averaging.
+
+    The rule is shared, not copied: the last RULE_CACHE_SIZE rules built are
+    kept by (dim, scheme, resolution, seed), and their arrays are read-only.
     """
     if resolution < 4:
         raise BadResolution("direction resolution must be at least 4")
-    if scheme in ("monte_carlo", "monte_carlo_design") and seed is None:
+    if scheme in _MC_SCHEMES and seed is None:
         raise MissingSeed("Monte Carlo schemes require a seed")
     return _build(dim, scheme, resolution, seed)
 

@@ -1,13 +1,22 @@
 """Poisson-kernel reference solvers: the ground truth the chord solvers are
 checked against, plus the 1-D interval solution and cap harmonic measures.
 
-All reductions use exactly rounded fixed-order summation (math.fsum) so runs
-are bit-reproducible.
+All reductions go through ``fixed_sum``: the exactly rounded sum, equal to
+``math.fsum`` bit for bit and independent of the order of the values, so runs
+are bit-reproducible.  It splits the values exactly into parts that numpy
+adds without rounding and rounds once at the end; small arrays and the
+special cases go to ``math.fsum`` itself.
+
+Every solve reports |full - half| as its error estimate through
+``half_rule_report``; rules whose half rule is a subset of their own nodes
+evaluate the integrand once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +29,13 @@ from .errors import (
     XOutsideInterval,
 )
 from .boundary import BoundaryData, CapSpec, cap_indicator
-from .geometry import BallDomain, as_point
+from .geometry import (
+    RULE_CACHE_SIZE,
+    BallDomain,
+    as_point,
+    every_other_node,
+    read_only,
+)
 
 # Default node counts: modest for smooth data, large for indicator data
 # (deterministic rules see O(1/N) edge error on indicators).
@@ -30,9 +45,80 @@ MEASURE_RES_2D = 2 ** 16
 MEASURE_RES_3D = 256
 
 
+# fixed_sum: below _FSUM_CUTOFF values math.fsum is as fast.  _CHUNK values
+# are reduced at a time, so the temporaries stay in cache; each fold takes
+# 52 - log2(_CHUNK) = 39 bits of every value, and what _MAX_FOLDS folds leave
+# goes to math.fsum value by value.
+_FSUM_CUTOFF = 1024
+_CHUNK = 8192
+_MAX_FOLDS = 4
+_MIN_SPLIT_EXP = -1022          # 1.5 * 2^k must be a normal float
+# All |values| below 2^1020 / size: no partial sum of fsum or of the folds
+# can overflow, and 1.5 * 2^k stays below 2^1023.
+_OVERFLOW_EXP = 1020
+
+
+def _fold(chunk: np.ndarray, top: int, parts: list) -> None:
+    """Append to ``parts`` floats whose exact sum is the chunk's exact sum.
+
+    With |x| < 2^top for every x and the chunk at most 2^span values long,
+    sigma = 1.5 * 2^k for k = top + span + 1 splits each x exactly into
+    q = (x + sigma) - sigma, a multiple of 2^(k-52) with |q| <= 2^top, and
+    the remainder x - q.  Every partial sum of the q's is a multiple of
+    2^(k-52) below 2^(k-1), so np.sum adds them exactly in any order; the
+    remainders, below 2^(k-53), are split again with k lowered by 52 - span.
+    """
+    span = (chunk.size - 1).bit_length()
+    k = top + span + 1
+    rest = chunk
+    for _ in range(_MAX_FOLDS):
+        if k < _MIN_SPLIT_EXP:
+            break
+        sigma = math.ldexp(1.5, k)
+        q = rest + sigma
+        q -= sigma
+        parts.append(float(np.sum(q)))
+        rest = rest - q
+        if not rest.any():
+            return
+        k -= 52 - span
+    parts.extend(rest[rest != 0.0].tolist())
+
+
 def fixed_sum(values: np.ndarray) -> float:
-    """Exactly rounded sum in a fixed order (compensated, reproducible)."""
-    return math.fsum(np.asarray(values, dtype=float).tolist())
+    """Exactly rounded sum of all the values: ``math.fsum`` bit for bit.
+
+    The values are summed by exact pre-rounding (Demmel & Nguyen, "Fast
+    Reproducible Floating-Point Summation", ARITH 2013): in chunks of 8192,
+    adding and subtracting a power-of-two multiple splits every value into a
+    high part on a common grid, which ``np.sum`` adds without rounding, and
+    an exact remainder, which is split again.  ``math.fsum`` then rounds the
+    few exact partial sums once.  The result is therefore independent of the
+    order of the values.
+
+    ``math.fsum`` itself is used, with its results and exceptions, for fewer
+    than 1024 values, for non-finite input, for an exactly zero total (the
+    sign of zero) and where a partial sum could overflow.
+    """
+    arr = np.asarray(values, dtype=float).reshape(-1)
+    if arr.size < _FSUM_CUTOFF:
+        return math.fsum(arr.tolist())
+    parts: list[float] = []
+    for start in range(0, arr.size, _CHUNK):
+        chunk = arr[start:start + _CHUNK]
+        largest = max(float(chunk.max()), -float(chunk.min()))
+        if not math.isfinite(largest):                  # inf or nan
+            return math.fsum(arr.tolist())
+        if largest == 0.0:
+            continue
+        top = math.frexp(largest)[1]                    # largest < 2^top
+        if top + arr.size.bit_length() >= _OVERFLOW_EXP:
+            return math.fsum(arr.tolist())
+        _fold(chunk, top, parts)
+    total = math.fsum(parts)
+    if total == 0.0:
+        return math.fsum(arr.tolist())
+    return total
 
 
 @dataclass(frozen=True)
@@ -49,9 +135,39 @@ class SolveReport:
     clamp_applied: float = 0.0
 
 
+def half_rule_report(rule, factors, nodes_used: int | None = None) -> SolveReport:
+    """The integral over ``rule`` with |full - half rule| as its error estimate.
+
+    ``factors(q)`` returns the integrand on the nodes of rule ``q`` as a tuple
+    of per-node arrays, and each integral is fixed_sum(q.weights * f1 * f2 ...)
+    multiplied in that order.  When the half rule's nodes are some of the
+    rule's own (``rule.half_nodes``), its values are taken from the full
+    evaluation instead of being computed again.
+    """
+    values = factors(rule)
+    value = _weighted_sum(rule.weights, values)
+    half = rule.half_resolution()
+    nested = rule.half_nodes
+    if nested is None:
+        half_values = factors(half)
+    else:
+        half_values = tuple(v if np.ndim(v) == 0 else v[nested] for v in values)
+    error = abs(value - _weighted_sum(half.weights, half_values))
+    return SolveReport(value=value, error_estimate=error,
+                       nodes_used=len(rule) if nodes_used is None else nodes_used)
+
+
+def _weighted_sum(weights: np.ndarray, factors) -> float:
+    return fixed_sum(functools.reduce(operator.mul, factors, weights))
+
+
 @dataclass(frozen=True)
 class BoundaryQuadrature:
-    """Boundary nodes with weights w.r.t. surface measure (sum 2*pi*R / 4*pi*R^2)."""
+    """Boundary nodes with weights w.r.t. surface measure (sum 2*pi*R / 4*pi*R^2).
+
+    Rules from ``build_boundary_quadrature`` are shared: the same scheme,
+    resolution and ball geometry give the same object, with read-only arrays.
+    """
 
     ball: BallDomain
     points: np.ndarray            # (N, dim)
@@ -61,6 +177,15 @@ class BoundaryQuadrature:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def half_nodes(self) -> slice | None:
+        """Which of this rule's own nodes form its half rule: every other
+        node of a uniform circle with even N, else None (Gauss polar nodes
+        differ between resolutions)."""
+        if self.scheme == "uniform_circle":
+            return every_other_node(len(self), self.resolution)
+        return None
 
     def half_resolution(self) -> "BoundaryQuadrature":
         return build_boundary_quadrature(self.ball, self.scheme,
@@ -88,6 +213,17 @@ def _gauss_sphere(ball: BallDomain, n_polar: int) -> BoundaryQuadrature:
     return BoundaryQuadrature(ball, pts, weights, "gauss_sphere", n_polar)
 
 
+@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
+def _boundary_rule(scheme: str, n: int, center: tuple, radius: float
+                   ) -> BoundaryQuadrature:
+    # The rule keeps its own ball, so a caller's later change to its ball's
+    # center array cannot reach the shared rule.
+    ball = BallDomain(center=np.array(center), radius=radius)
+    ball.center.flags.writeable = False
+    build = _uniform_circle if scheme == "uniform_circle" else _gauss_sphere
+    return read_only(build(ball, n))
+
+
 def build_boundary_quadrature(ball: BallDomain, scheme: str | None = None,
                               resolution: int | None = None) -> BoundaryQuadrature:
     """Surface quadrature of the ball boundary.
@@ -95,6 +231,10 @@ def build_boundary_quadrature(ball: BallDomain, scheme: str | None = None,
     uniform_circle (2-D): ``resolution`` equally spaced points.
     gauss_sphere (3-D): ``resolution`` Gauss-Legendre polar nodes times
         2*resolution uniform azimuths.
+
+    The rule is shared, not copied: the last RULE_CACHE_SIZE rules built are
+    kept by (scheme, resolution, center, radius), never by the ball object,
+    and their arrays are read-only.
     """
     if scheme is None:
         scheme = "uniform_circle" if ball.dim == 2 else "gauss_sphere"
@@ -104,15 +244,15 @@ def build_boundary_quadrature(ball: BallDomain, scheme: str | None = None,
         n = resolution if resolution is not None else SMOOTH_RES_2D
         if n < 2:
             raise BadResolution("need at least 2 boundary nodes")
-        return _uniform_circle(ball, n)
-    if scheme == "gauss_sphere":
+    elif scheme == "gauss_sphere":
         if ball.dim != 3:
             raise BadParameter("gauss_sphere requires a 3-D ball")
         n = resolution if resolution is not None else SMOOTH_RES_3D
         if n < 2:
             raise BadResolution("need at least 2 polar nodes")
-        return _gauss_sphere(ball, n)
-    raise BadParameter(f"unknown boundary scheme {scheme!r}")
+    else:
+        raise BadParameter(f"unknown boundary scheme {scheme!r}")
+    return _boundary_rule(scheme, n, tuple(ball.center.tolist()), float(ball.radius))
 
 
 def measure_quadrature(ball: BallDomain) -> BoundaryQuadrature:
@@ -156,15 +296,9 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
                                 or not np.array_equal(bq.ball.center, ball.center)):
         raise BadParameter("boundary quadrature was built for a different ball")
 
-    def integrate(q: BoundaryQuadrature) -> float:
-        f = np.asarray(data.value(q.points), dtype=float)
-        k = kernel_values(ball, p, q.points)
-        return fixed_sum(q.weights * f * k)
-
-    value = integrate(bq)
-    half = integrate(bq.half_resolution())
-    return SolveReport(value=value, error_estimate=abs(value - half),
-                       nodes_used=len(bq))
+    return half_rule_report(
+        bq, lambda q: (np.asarray(data.value(q.points), dtype=float),
+                       kernel_values(ball, p, q.points)))
 
 
 def dirichlet_1d(a: float, b: float, fa: float, fb: float, x: float) -> float:

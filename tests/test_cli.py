@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -219,3 +223,27 @@ def test_parse_helpers():
     assert dom.kind == "conformal"
     with pytest.raises(Exception):
         parse_poly(2, "nonsense")
+
+
+@pytest.mark.parametrize("argv", [
+    ["brownian", "--point=0.1,0", "--arc=0,1", "--n=1000"],          # no --seed
+    ["measure", "--check=moment", "--w=0.2"],                         # no --degree
+    ["solve", "--data=harm:a,re", "--point=0.1,0"],
+    ["solve", "--dim=3", "--data=harm:2,x", "--point=0.1,0,0"],
+    ["solve", "--data=const:one", "--point=0.1,0"],
+    ["solve", "--data=const:nan", "--point=0.1,0"],
+    ["measure", "--check=star-angle", "--arc=0,1"],                   # no --a
+    ["brownian", "--seed=-1", "--point=0.1,0", "--arc=0,1", "--n=1000"],
+    ["measure", "--check=cap", "--point=0.1,0", "--cap=axis=1,z,half=0.5"],
+    ["hermite", "--m=four", "--a=-1", "--b=1"],
+    ["solve", "--dim=2", "--data=harm:2,re", "--point=nan,0"],
+    ["solve", "--dim=2", "--data=harm:2,re", "--point=0,inf"],
+])
+def test_config_errors_exit_2_without_traceback(argv):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "chordmean", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -1,0 +1,94 @@
+"""fixed_sum is math.fsum bit for bit: results, signed zeros and exceptions."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chordmean import poisson
+from chordmean.poisson import fixed_sum
+
+CUTOFF = poisson._FSUM_CUTOFF
+CHUNK = poisson._CHUNK
+SIZES = [0, 1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+         2 * CHUNK + 3]
+
+
+def outcome(fn, x):
+    """The float's hex (so the sign of zero counts), or the exception raised."""
+    try:
+        return fn(x).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def reference(x):
+    return math.fsum(np.asarray(x).ravel().tolist())
+
+
+def assert_same(x):
+    assert outcome(fixed_sum, x) == outcome(reference, x)
+
+
+@st.composite
+def float_arrays(draw):
+    """Arrays mixing magnitudes from subnormals up to 1e300, of one sign or
+    both, with optional exact cancellation, signed zeros, and 2-D or strided
+    layouts."""
+    size = draw(st.sampled_from(SIZES))
+    lo = draw(st.integers(-1074, 997))
+    hi = draw(st.integers(lo, 997))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(lo, hi + 1, size))
+    if draw(st.booleans()):                 # one sign: no cancellation at all
+        x = np.abs(x)
+    if draw(st.booleans()):                 # x, -x pairs cancel exactly
+        x = np.concatenate([x, -x[: rng.integers(0, size + 1)]])
+        rng.shuffle(x)
+    if draw(st.booleans()):
+        x[rng.random(x.size) < 0.2] = -0.0
+    layout = draw(st.sampled_from(["flat", "2d", "strided"]))
+    if layout == "2d" and x.size % 2 == 0:
+        x = x.reshape(-1, 2)
+    elif layout == "strided":
+        x = np.repeat(x, 3)[::3]
+    return x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(float_arrays())
+def test_fixed_sum_matches_fsum(x):
+    assert_same(x)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_fixed_sum_signed_zeros(size):
+    assert_same(np.full(size, -0.0))
+    assert_same(np.zeros(size))
+    x = np.linspace(-1.0, 1.0, size)
+    assert_same(np.concatenate([x, -x]))
+
+
+@pytest.mark.parametrize("size", [CUTOFF - 1, CHUNK + 1])
+def test_fixed_sum_special_values(size):
+    base = np.linspace(-1.0, 1.0, size)
+    for special in ([math.inf], [math.nan], [-math.inf], [math.inf, -math.inf],
+                    [1.7e308, 1.7e308],
+                    [1e308, 1e308, -1e308, -1e308, 1.0]):
+        x = np.concatenate([base, special])
+        assert_same(x)
+        assert_same(x[::-1])
+    assert_same(np.full(size, 1.7e308))
+    assert_same(np.full(size, 2.0 ** -1074))
+
+
+def test_fixed_sum_wide_and_tiny_ranges():
+    # Spans wider than the folds cover, and values too small to split, leave
+    # exact remainders that are summed value by value.
+    rng = np.random.default_rng(5)
+    n = 3 * CHUNK + 7
+    for lo, hi in ((-1000, 900), (-1074, -1030), (-1074, -900), (-60, 60)):
+        x = np.ldexp(rng.standard_normal(n), rng.integers(lo, hi, n))
+        assert_same(x)
+        assert_same(np.concatenate([x, -x[::2]]))

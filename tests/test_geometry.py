@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import chordmean as cm
 from chordmean.averaging import star_hits_batch
-from chordmean.geometry import ball_chord_roots, philox_stream
+from chordmean.geometry import as_point, ball_chord_roots, philox_stream
 
 
 def test_chord_through_offset_ball():
@@ -61,6 +61,21 @@ def test_chord_involution_swaps_roots_exactly():
     bwd = cm.chord_through(ball, (0.2, 0.4), -e)
     assert_array_equal(fwd.q1, bwd.q2)
     assert_array_equal(fwd.q2, bwd.q1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_rejected(bad):
+    ball = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 64)
+    data = cm.harmonic_poly(2, 2, "re").boundary_data()
+    with pytest.raises(cm.BadParameter):
+        as_point((bad, 0.0))
+    with pytest.raises(cm.BadParameter):
+        cm.solve_harmonic(ball, data, (0.0, bad), dq)
+    with pytest.raises(cm.BadParameter):
+        cm.BallDomain(center=(bad, 0.0, 0.0), radius=1.0)
+    with pytest.raises(cm.BadParameter):
+        cm.Ellipse2D(center=(0.0, 0.0), semi_axes=(1.5, 1.0)).require_interior((bad, 0.0))
 
 
 def test_chord_preconditions():

@@ -1,0 +1,130 @@
+"""Shared read-only quadrature rules and the nested full-plus-half estimate."""
+
+import numpy as np
+import pytest
+
+import chordmean as cm
+from chordmean.geometry import RULE_CACHE_SIZE, DirectionQuadrature, _build
+from chordmean.poisson import BoundaryQuadrature, build_boundary_quadrature
+
+
+def test_rules_are_shared_and_read_only():
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 256)
+    assert cm.build_direction_quadrature(2, "uniform_angle_2d", 256) is dq
+    mc = cm.build_direction_quadrature(3, "monte_carlo", 64, seed=3)
+    assert cm.build_direction_quadrature(3, "monte_carlo", 64, seed=3) is mc
+    assert cm.build_direction_quadrature(3, "monte_carlo", 64, seed=4) is not mc
+    ball = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
+    bq = build_boundary_quadrature(ball, resolution=16)
+    same = cm.BallDomain(center=np.zeros(3), radius=1.0)
+    assert build_boundary_quadrature(same, resolution=16) is bq
+    for arr in (dq.directions, dq.weights, mc.half_resolution().weights,
+                bq.points, bq.weights, bq.ball.center):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_boundary_rules_follow_ball_geometry():
+    base = build_boundary_quadrature(cm.BallDomain(center=(0.0, 0.0), radius=1.0),
+                                     resolution=64)
+    moved = build_boundary_quadrature(cm.BallDomain(center=(0.5, 0.0), radius=1.0),
+                                      resolution=64)
+    scaled = build_boundary_quadrature(cm.BallDomain(center=(0.0, 0.0), radius=2.0),
+                                       resolution=64)
+    assert moved is not base and scaled is not base
+    np.testing.assert_array_equal(moved.points, base.points + [0.5, 0.0])
+    np.testing.assert_array_equal(scaled.weights, 2.0 * base.weights)
+
+
+def test_rule_cache_is_bounded():
+    for n in range(4, 4 + 2 * RULE_CACHE_SIZE):
+        cm.build_direction_quadrature(2, "uniform_angle_2d", n)
+    assert _build.cache_info().currsize <= RULE_CACHE_SIZE
+
+
+def test_nested_half_nodes_are_the_half_rule():
+    disk = cm.BallDomain(center=(0.2, -0.1), radius=1.5)
+    for n in (4, 64, 4096):
+        bq = build_boundary_quadrature(disk, resolution=n)
+        assert np.array_equal(bq.points[bq.half_nodes], bq.half_resolution().points)
+        dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
+        assert np.array_equal(dq.directions[dq.half_nodes],
+                              dq.half_resolution().directions)
+    assert build_boundary_quadrature(disk, resolution=255).half_nodes is None
+    assert cm.build_direction_quadrature(3, "gauss_product_3d", 8).half_nodes is None
+    assert build_boundary_quadrature(cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0),
+                                     resolution=8).half_nodes is None
+
+
+@pytest.fixture
+def separate_halves(monkeypatch):
+    """Make every rule evaluate its half rule on its own nodes, as a rule
+    whose half is not nested does."""
+    def disable():
+        for cls in (DirectionQuadrature, BoundaryQuadrature):
+            monkeypatch.setattr(cls, "half_nodes", property(lambda self: None))
+    return disable
+
+
+def _disk_case():
+    disk = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
+    data = cm.harmonic_poly(2, 5, "im").boundary_data()
+    return disk, data, np.array([0.31, -0.42])
+
+
+def _solves():
+    disk, data, p = _disk_case()
+    u = cm.almansi_assemble(cm.harmonic_poly(2, 3, "re"), cm.harmonic_poly(2, 2, "im"))
+    ball = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
+    hp3 = cm.harmonic_poly(3, 3, 1).boundary_data()
+    p3 = np.array([0.2, -0.1, 0.3])
+    uniform = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096)
+    return {
+        "harmonic": lambda: cm.solve_harmonic(disk, data, p, uniform).report,
+        "harmonic_mc": lambda: cm.solve_harmonic(
+            ball, hp3, p3, cm.build_direction_quadrature(3, "monte_carlo", 1001,
+                                                         seed=8)).report,
+        "biharmonic": lambda: cm.solve_biharmonic(disk, u.boundary_data(), p,
+                                                  uniform).report,
+        "poisson_even": lambda: cm.poisson_solve(
+            disk, data, p, build_boundary_quadrature(disk, resolution=4096)),
+        "poisson_odd": lambda: cm.poisson_solve(
+            disk, data, p, build_boundary_quadrature(disk, resolution=4095)),
+        "star": lambda: cm.solve_on_domain(
+            cm.StarDomain2D.conformal(0.25), data, np.array([0.1, 0.2]),
+            cm.build_direction_quadrature(2, "uniform_angle_2d", 1024)).report,
+        "cross_section": lambda: cm.cross_section_solve(
+            ball, hp3, p3,
+            cm.build_direction_quadrature(3, "monte_carlo_design", 11, seed=2),
+            inner_resolution=64).report,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_solves()))
+def test_nested_half_is_bit_identical(name, separate_halves):
+    nested = _solves()[name]()
+    separate_halves()
+    separate = _solves()[name]()
+    assert nested.value.hex() == separate.value.hex()
+    assert nested.error_estimate.hex() == separate.error_estimate.hex()
+    assert nested.nodes_used == separate.nodes_used
+
+
+def test_nested_half_evaluates_the_data_once():
+    disk, data, p = _disk_case()
+    seen = []
+
+    def value(pts):
+        seen.append(len(pts))
+        return data.value(pts)
+
+    counted = cm.BoundaryData(value, data.gradient, data.smoothness)
+    cm.poisson_solve(disk, counted, p, build_boundary_quadrature(disk, resolution=4096))
+    assert seen == [4096]
+    seen.clear()
+    cm.poisson_solve(disk, counted, p, build_boundary_quadrature(disk, resolution=4095))
+    assert seen == [4095, 2047]
+    seen.clear()
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 512)
+    cm.solve_harmonic(disk, counted, p, dq)
+    assert seen == [512, 512]          # both chord endpoints, full rule only
