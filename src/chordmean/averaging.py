@@ -10,12 +10,11 @@ solution is the converse diagnostic.  A cross-section variant averages exact
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DimMismatch, NotStarShapedFromP
+from .errors import BadParameter, BadResolution, DimMismatch
 from .boundary import BoundaryData
 from .geometry import (
     BallDomain,
@@ -23,9 +22,11 @@ from .geometry import (
     DirectionQuadrature,
     Ellipse2D,
     StarDomain2D,
+    _circle_nodes,
     ball_chord_roots,
-    ellipse_chord_roots,
-    plane_section,
+    interior_point,
+    plane_sections,
+    star_hits_batch,  # noqa: F401  (also looked up as averaging.star_hits_batch)
 )
 from .poisson import SolveReport, fixed_sum, half_rule_report
 
@@ -57,90 +58,9 @@ def chord_interpolant(chord: Chord, data: BoundaryData) -> float:
     return (chord.r1 * f2 + chord.r2 * f1) / (chord.r1 + chord.r2)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized chord machinery
-# ---------------------------------------------------------------------------
-
-_STAR_SCAN = 512
-_STAR_BISECT = 64
-_STAR_POLISH = 4
-
-
-def _rho_values(domain: StarDomain2D, thetas: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(domain.boundary_radius(thetas), dtype=float)
-        if vals.shape == thetas.shape:
-            return vals
-    except Exception:
-        pass
-    flat = np.array([float(domain.boundary_radius(t)) for t in thetas.ravel()])
-    return flat.reshape(thetas.shape)
-
-
-def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
-                    ) -> np.ndarray:
-    """Forward ray/boundary hit distances for each direction row.
-
-    Bracketing scan followed by vectorized bisection and secant polish.
-    Raises NotStarShapedFromP when any ray sees zero or multiple crossings.
-    """
-    n = dirs.shape[0]
-    t_upper = 1.2 * (float(np.linalg.norm(p)) + domain._rho_max)
-    ts = np.linspace(0.0, t_upper, _STAR_SCAN + 1)
-
-    def g(t):
-        # t: (..., n) distances per direction
-        pts = p + t[..., np.newaxis] * dirs
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        theta = np.arctan2(pts[..., 1], pts[..., 0])
-        return r - _rho_values(domain, theta)
-
-    gs = g(ts[:, np.newaxis] * np.ones(n))
-    signs = np.where(gs >= 0.0, 1.0, -1.0)
-    crossings = np.sum(np.abs(np.diff(signs, axis=0)) > 0, axis=0)
-    if np.any(crossings != 1):
-        bad = int(np.argmax(crossings != 1))
-        raise NotStarShapedFromP(
-            f"ray along {dirs[bad]} crosses the boundary {int(crossings[bad])} times")
-    first = np.argmax(np.diff(signs, axis=0) != 0, axis=0)
-    lo = ts[first]
-    hi = ts[first + 1]
-    glo = gs[first, np.arange(n)]
-    ghi = gs[first + 1, np.arange(n)]
-
-    for _ in range(_STAR_BISECT):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        neg = (gm < 0.0)
-        lo = np.where(neg, mid, lo)
-        glo = np.where(neg, gm, glo)
-        hi = np.where(neg, hi, mid)
-        ghi = np.where(neg, ghi, gm)
-    t = 0.5 * (lo + hi)
-    for _ in range(_STAR_POLISH):
-        denom = ghi - glo
-        sec = np.where(denom != 0.0, lo - glo * (hi - lo) / np.where(denom == 0, 1, denom),
-                       t)
-        t = np.clip(sec, lo, hi)
-    return t
-
-
-def _chord_roots(domain, p: np.ndarray, dirs: np.ndarray):
-    """Per-direction chord parameters (a < 0 < b) for any supported domain."""
-    if isinstance(domain, BallDomain):
-        return ball_chord_roots(domain, p, dirs)
-    if isinstance(domain, Ellipse2D):
-        return ellipse_chord_roots(domain, p, dirs)
-    if isinstance(domain, StarDomain2D):
-        b = star_hits_batch(domain, p, dirs)
-        a = -star_hits_batch(domain, p, -dirs)
-        return a, b
-    raise BadParameter(f"unsupported domain type {type(domain).__name__}")
-
-
 def _interpolant_values(domain, data: BoundaryData, p: np.ndarray,
                         dirs: np.ndarray) -> np.ndarray:
-    a, b = _chord_roots(domain, p, dirs)
+    a, b = domain.chord_roots(p, dirs)
     f1 = np.asarray(data.value(p + a[:, np.newaxis] * dirs), dtype=float)
     f2 = np.asarray(data.value(p + b[:, np.newaxis] * dirs), dtype=float)
     r1 = -a
@@ -191,12 +111,7 @@ def chord_interpolant_max(domain, data: BoundaryData, P,
 
     A discrete stand-in (lower bound) for the sup over all chords; dominates
     the chord average computed with the same node set."""
-    if isinstance(domain, BallDomain):
-        p = domain.require_interior(P)
-    elif isinstance(domain, (Ellipse2D, StarDomain2D)):
-        p = domain.require_interior(P)
-    else:
-        raise BadParameter(f"unsupported domain type {type(domain).__name__}")
+    p = interior_point(domain, P)
     return float(np.max(_interpolant_values(domain, data, p, dq.directions)))
 
 
@@ -204,30 +119,34 @@ def chord_interpolant_max(domain, data: BoundaryData, P,
 # Cross-section solver (planes through P in a 3-ball)
 # ---------------------------------------------------------------------------
 
-def _section_value(ball: BallDomain, data: BoundaryData, p: np.ndarray,
-                   nu: np.ndarray, inner_resolution: int,
-                   inner_solver: str) -> float:
-    sec = plane_section(ball, p, nu)
-    m = inner_resolution
-    phis = 2.0 * math.pi * np.arange(m) / m
+_UNIT_DISK = BallDomain(center=np.zeros(2), radius=1.0)
+
+
+def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
+                    normals: np.ndarray, circle: np.ndarray,
+                    inner_solver: str) -> np.ndarray:
+    """Exact 2-D solve at p in the section of the ball by each plane through p
+    with a normal row, using the inner circle's nodes in every section."""
+    secs = plane_sections(ball, p, normals)
+    z = secs.base2d / secs.radius[:, np.newaxis]        # p in each unit section
+
+    def values(xi):             # data at unit-section points xi (K or 1, m, 2)
+        pts = secs.to_3d(xi)
+        f = np.asarray(data.value(pts.reshape(-1, 3)), dtype=float)
+        return f.reshape(pts.shape[:-1])
+
     if inner_solver == "poisson":
-        pts3 = sec.boundary_points(phis)
-        f = np.asarray(data.value(pts3), dtype=float)
-        z0 = complex(sec.base2d[0], sec.base2d[1]) / sec.radius
-        zs = np.exp(1j * phis)
-        density = (1.0 - abs(z0) ** 2) / np.abs(z0 - zs) ** 2
-        return fixed_sum(f * density) / m
-    if inner_solver == "chords":
-        dirs2 = np.column_stack([np.cos(phis), np.sin(phis)])
-        disk = sec.as_disk2d()
-        a, b = ball_chord_roots(disk, sec.base2d, dirs2)
-        q1 = sec.to_3d(sec.base2d + a[:, np.newaxis] * dirs2)
-        q2 = sec.to_3d(sec.base2d + b[:, np.newaxis] * dirs2)
-        f1 = np.asarray(data.value(q1), dtype=float)
-        f2 = np.asarray(data.value(q2), dtype=float)
-        ell = ((-a) * f2 + b * f1) / (b - a)
-        return fixed_sum(ell) / m
-    raise BadParameter("inner_solver must be 'poisson' or 'chords'")
+        f = values(circle[np.newaxis])
+        z0 = z[:, 0] + 1j * z[:, 1]
+        zs = circle[:, 0] + 1j * circle[:, 1]
+        terms = f * ((1.0 - np.abs(z0) ** 2)[:, np.newaxis]
+                     / np.abs(z0[:, np.newaxis] - zs) ** 2)
+    else:
+        a, b = ball_chord_roots(_UNIT_DISK, z, circle)
+        f1 = values(z[:, np.newaxis] + a[..., np.newaxis] * circle)
+        f2 = values(z[:, np.newaxis] + b[..., np.newaxis] * circle)
+        terms = ((-a) * f2 + b * f1) / (b - a)
+    return np.array([fixed_sum(row) for row in terms]) / len(circle)
 
 
 def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
@@ -247,12 +166,14 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
     p = ball.require_interior(P)
     if normal_dq.dim != 3:
         raise DimMismatch("normal quadrature must be 3-dimensional")
+    if inner_solver not in ("poisson", "chords"):
+        raise BadParameter("inner_solver must be 'poisson' or 'chords'")
+    if inner_resolution < 1:
+        raise BadResolution("inner_resolution must be at least 1")
+    circle = _circle_nodes(inner_resolution)
 
-    def section_values(dq):
-        return (np.array([_section_value(ball, data, p, nu, inner_resolution,
-                                         inner_solver)
-                          for nu in dq.directions]),)
-
-    report = half_rule_report(normal_dq, section_values,
-                              nodes_used=len(normal_dq) * inner_resolution)
+    report = half_rule_report(
+        normal_dq, lambda dq: (_section_values(ball, data, p, dq.directions, circle,
+                                               inner_solver),),
+        nodes_used=len(normal_dq) * inner_resolution)
     return ChordAverageResult(report=report, oracle_value=_oracle(data, p))

@@ -249,7 +249,22 @@ def linear_data(coeffs, const: float = 0.0) -> BoundaryData:
 # Harmonic polynomials
 # ---------------------------------------------------------------------------
 
-class HarmonicPolynomial:
+class _PolynomialData:
+    """Exact value and gradient of the polynomial ``_poly`` (partials ``_grads``)."""
+
+    def value(self, pts):
+        return self._poly(pts)
+
+    def gradient(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        return np.stack([g(pts) for g in self._grads], axis=-1)
+
+    def boundary_data(self) -> BoundaryData:
+        return BoundaryData(self.value, self.gradient, "c1",
+                            exact_solution=self.value)
+
+
+class HarmonicPolynomial(_PolynomialData):
     """Linear combination of tabulated harmonic basis polynomials."""
 
     def __init__(self, dim: int, terms):
@@ -272,13 +287,6 @@ class HarmonicPolynomial:
     def degree(self) -> int:
         return max((m for m, _, _ in self.terms), default=0)
 
-    def value(self, pts):
-        return self._poly(pts)
-
-    def gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.stack([g(pts) for g in self._grads], axis=-1)
-
     def __add__(self, other: "HarmonicPolynomial") -> "HarmonicPolynomial":
         if self.dim != other.dim:
             raise DimMismatch("cannot add polynomials of different dimension")
@@ -286,10 +294,6 @@ class HarmonicPolynomial:
 
     def __rmul__(self, s: float) -> "HarmonicPolynomial":
         return HarmonicPolynomial(self.dim, [(m, k, s * c) for m, k, c in self.terms])
-
-    def boundary_data(self) -> BoundaryData:
-        return BoundaryData(self.value, self.gradient, "c1",
-                            exact_solution=self.value)
 
 
 def harmonic_poly(dim: int, m: int, k) -> HarmonicPolynomial:
@@ -305,7 +309,7 @@ def harmonic_poly(dim: int, m: int, k) -> HarmonicPolynomial:
 # Biharmonic polynomials (ball-adapted two-harmonic form)
 # ---------------------------------------------------------------------------
 
-class BiharmonicPolynomial:
+class BiharmonicPolynomial(_PolynomialData):
     """u = h1 + (|x|^2 - 1) h2 with h1, h2 harmonic; u is biharmonic.
 
     On the unit sphere the trace is h1 and the gradient is grad h1 + 2 x h2;
@@ -325,17 +329,6 @@ class BiharmonicPolynomial:
                 _Poly(self.dim, {(0,) * self.dim: -1.0}))
         self._poly = h1._poly.plus(r2_minus_1.times(h2._poly))
         self._grads = [self._poly.partial(j) for j in range(self.dim)]
-
-    def value(self, pts):
-        return self._poly(pts)
-
-    def gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.stack([g(pts) for g in self._grads], axis=-1)
-
-    def boundary_data(self) -> BoundaryData:
-        return BoundaryData(self.value, self.gradient, "c1",
-                            exact_solution=self.value)
 
 
 def almansi_assemble(h1: HarmonicPolynomial, h2: HarmonicPolynomial

@@ -26,6 +26,7 @@ from .geometry import (
     BallDomain,
     ball_chord_roots,
     philox_stream,
+    plane_sections,
 )
 from .poisson import cap_measure_poisson
 
@@ -122,23 +123,11 @@ def exits_plane_batch(ball: BallDomain, p: np.ndarray,
     """n samples of the plane traveler: uniform normal, then the exact in-plane
     disk exit, mapped back through the section frame.  Returns (points, normals)."""
     normals = _uniform_directions(rng, n, 3)
-    d_signed = (ball.center - p) @ normals.T
-    center3d = ball.center - d_signed[:, np.newaxis] * normals
-    radius = np.sqrt(ball.radius ** 2 - d_signed ** 2)
-    # per-row deterministic frame (Gram-Schmidt of the smallest-|component| axis)
-    idx = np.argmin(np.abs(normals), axis=1)
-    rows = np.arange(n)
-    u = -normals[rows, idx][:, np.newaxis] * normals
-    u[rows, idx] += 1.0
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(normals, u)
-    base = p - center3d
-    z0 = (np.sum(base * u, axis=1) + 1j * np.sum(base * v, axis=1)) / radius
+    secs = plane_sections(ball, p, normals)
+    z0 = (secs.base2d[:, 0] + 1j * secs.base2d[:, 1]) / secs.radius
     zeta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
     t = (zeta + z0) / (1.0 + np.conj(z0) * zeta)
-    exits = center3d + radius[:, np.newaxis] * (t.real[:, np.newaxis] * u
-                                                + t.imag[:, np.newaxis] * v)
-    return exits, normals
+    return secs.to_3d(np.column_stack([t.real, t.imag])), normals
 
 
 def exits_line_batch(ball: BallDomain, p: np.ndarray,

@@ -2,8 +2,9 @@
 
 Every output starts with a metadata block (tool version, effective config,
 seed) so a run can be reproduced byte for byte.  Floats print with 17
-significant digits.  Exit codes: 0 success, 2 config error, 3 numerical
-error, 4 selftest failure.
+significant digits.  Exit codes: 0 success, 2 config error (a bad option, or
+an input the library rejects: errors.INPUT_ERRORS), 3 numerical error,
+4 selftest failure.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import ChordMeanError, ConfigError
-from .geometry import BallDomain, Ellipse2D, StarDomain2D, build_direction_quadrature
+from .errors import INPUT_ERRORS, ChordMeanError, ConfigError
+from .geometry import (MEASURE_RES_2D, MEASURE_RES_3D, SMOOTH_RES_2D, SMOOTH_RES_3D,
+                       BallDomain, Ellipse2D, StarDomain2D, build_direction_quadrature)
 from .boundary import (
     BoundaryData,
     CapSpec,
@@ -44,8 +45,6 @@ from .brownian import compare_exit_distributions
 from . import selftest as selftest_mod
 
 NONBALL_THRESHOLD = 1e-3
-INDICATOR_N_2D = 2 ** 16
-INDICATOR_N_3D = 256
 
 # options whose values may start with '-' (argparse needs the '=' form)
 _VALUE_OPTS = ("--point", "--arc", "--axis", "--w", "--a", "--b", "--m",
@@ -233,7 +232,7 @@ def emit(args, meta: dict, columns: list[str], rows: list[list]) -> None:
 
 _SOLVE_KEYS = ("operator", "dim", "domain", "data", "point", "n", "scheme",
                "seed", "normal_scheme", "normal_n", "inner", "inner_solver",
-               "format", "threads")
+               "format")
 
 
 def _require(args, *names):
@@ -249,7 +248,7 @@ def cmd_solve(args) -> int:
     if len(point) != dim:
         raise ConfigError(f"--point needs {dim} coordinates")
     domain = parse_domain(dim, args.domain)
-    if getattr(domain, "dim", dim) != dim:
+    if domain.dim != dim:
         raise ConfigError("domain dimension does not match --dim")
     data = parse_data(dim, args.data, np.asarray(point))
 
@@ -262,9 +261,9 @@ def cmd_solve(args) -> int:
     n = args.n
     if n is None:
         if data.smoothness == "indicator":
-            n = INDICATOR_N_2D if dim == 2 else INDICATOR_N_3D
+            n = MEASURE_RES_2D if dim == 2 else MEASURE_RES_3D
         else:
-            n = 4096 if dim == 2 else 64
+            n = SMOOTH_RES_2D if dim == 2 else SMOOTH_RES_3D
     dq = build_direction_quadrature(dim, scheme, n, seed=args.seed)
 
     operator = args.operator or "harmonic"
@@ -304,7 +303,7 @@ def cmd_solve(args) -> int:
 
 
 _MEASURE_KEYS = ("check", "dim", "point", "axis", "half_angle", "nappe", "arc",
-                 "backend", "w", "degree", "a", "n", "format", "threads")
+                 "backend", "w", "degree", "a", "n", "format")
 
 
 def cmd_measure(args) -> int:
@@ -395,7 +394,7 @@ def cmd_hermite(args) -> int:
     return 0
 
 
-_BROWNIAN_KEYS = ("dim", "point", "cap", "arc", "n", "seed", "format", "threads")
+_BROWNIAN_KEYS = ("dim", "point", "cap", "arc", "n", "seed", "format")
 
 
 def cmd_brownian(args) -> int:
@@ -583,16 +582,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(_merge_negative_values(argv))
-    threads = os.environ.get("CHORDMEAN_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: CHORDMEAN_THREADS={threads!r} is not a positive integer",
-                  file=sys.stderr)
-            return 2
-    args.threads = int(threads) if threads else 1
     try:
         _apply_config_file(args)
         if getattr(args, "seed", None) is not None and args.seed < 0:
@@ -600,7 +589,7 @@ def main(argv=None) -> int:
         if getattr(args, "format", None) is None:
             args.format = "csv"
         return args.func(args)
-    except ConfigError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChordMeanError as exc:

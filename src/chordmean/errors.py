@@ -87,3 +87,9 @@ class ConfigError(ChordMeanError, ValueError):
 
 class NumericalError(ChordMeanError, RuntimeError):
     """A numerical routine failed during a CLI run."""
+
+
+# Errors that reject what the caller asked for rather than report a failed
+# computation; the command line treats them as config errors (exit 2).
+INPUT_ERRORS = (ConfigError, BadParameter, BadResolution, BadIndex, UnsupportedDegree,
+                PointNotInterior, MissingSeed, DimMismatch)

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (
     BadParameter,
     BadResolution,
-    ConvergenceFailure,
     DegenerateDirection,
     DimMismatch,
     MissingSeed,
@@ -26,6 +25,14 @@ from .errors import (
 
 INTERIOR_MARGIN = 1e-9          # required relative distance to the boundary
 UNIT_TOL = 1e-9                 # tolerance on |e| = 1 for user-supplied directions
+
+# Default node counts (2-D: directions or circle points; 3-D: polar nodes of
+# the Gauss product): modest for smooth data, large for indicator data
+# (deterministic rules see O(1/N) edge error on indicators).
+SMOOTH_RES_2D = 4096
+SMOOTH_RES_3D = 64
+MEASURE_RES_2D = 2 ** 16
+MEASURE_RES_3D = 256
 
 # Philox sub-stream indices (key = [seed, stream]) so every consumer of a seed
 # draws from a disjoint counter-based stream.
@@ -105,6 +112,9 @@ class BallDomain:
             raise PointNotInterior(f"point {p} is not strictly inside the ball")
         return p
 
+    def chord_roots(self, p: np.ndarray, dirs: np.ndarray):
+        return ball_chord_roots(self, p, dirs)
+
 
 @dataclass(frozen=True)
 class Ellipse2D:
@@ -139,6 +149,9 @@ class Ellipse2D:
             raise PointNotInterior(f"point {p} is not strictly inside the ellipse")
         return p
 
+    def chord_roots(self, p: np.ndarray, dirs: np.ndarray):
+        return ellipse_chord_roots(self, p, dirs)
+
     def boundary_point(self, theta: float) -> np.ndarray:
         a, b = self.semi_axes
         return self.center + np.array([a * math.cos(theta), b * math.sin(theta)])
@@ -152,7 +165,8 @@ class StarDomain2D:
 
     Two kinds:
       * ``radial``    -- boundary given in polar form r = rho(theta) by a
-        strictly positive 2*pi-periodic callable plus a Lipschitz bound.
+        strictly positive 2*pi-periodic callable plus a Lipschitz bound;
+        a rho that does not take arrays of angles is applied elementwise.
       * ``conformal`` -- image of the unit disk under q(z) = a z^2 + z + a
         with 0 < a < 1/2 (univalent); its boundary has the polar form
         r(theta) = 1 + 2 a cos(theta).
@@ -164,7 +178,13 @@ class StarDomain2D:
             if rho is None or lipschitz is None:
                 raise BadParameter("radial star domain needs rho and a Lipschitz bound")
             thetas = np.linspace(0.0, 2.0 * math.pi, _STAR_GRID, endpoint=False)
-            vals = np.array([float(rho(t)) for t in thetas])
+            try:
+                vals = np.asarray(rho(thetas), dtype=float)
+            except (TypeError, ValueError):
+                vals = None
+            if vals is None or vals.shape != thetas.shape:
+                rho = _elementwise(rho)
+                vals = rho(thetas)
             if not np.all(vals > 0.0):
                 raise BadParameter("rho must be strictly positive on [0, 2pi)")
             self._rho = rho
@@ -195,6 +215,7 @@ class StarDomain2D:
         return 2
 
     def boundary_radius(self, theta):
+        """rho at an angle or, elementwise, at an array of angles."""
         return self._rho(theta)
 
     def boundary_point(self, theta: float) -> np.ndarray:
@@ -221,6 +242,18 @@ class StarDomain2D:
         if r >= rho * (1.0 - margin):
             raise PointNotInterior(f"point {p} is not strictly inside the star domain")
         return p
+
+    def chord_roots(self, p: np.ndarray, dirs: np.ndarray):
+        b = star_hits_batch(self, p, dirs)
+        return -star_hits_batch(self, p, -dirs), b
+
+
+def _elementwise(rho):
+    """A scalar-only rho, applied to every element of an array of angles."""
+    def rho_array(theta):
+        theta = np.asarray(theta, dtype=float)
+        return np.array([float(rho(t)) for t in theta.ravel()]).reshape(theta.shape)
+    return rho_array
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +290,16 @@ def ball_chord_roots(ball: BallDomain, p: np.ndarray, dirs: np.ndarray):
     """Roots (a, b) of |p + t e - c|^2 = R^2 for each row e of ``dirs``.
 
     Vectorized core; assumes p strictly interior and unit rows.
-    a < 0 < b and a*b = |p - c|^2 - R^2 for every direction.
+    a < 0 < b and a*b = |p - c|^2 - R^2 for every direction.  A (K, dim)
+    ``p`` holds one base point per row and gives (K, N) roots.
     """
     d = p - ball.center
-    beta = dirs @ d
-    gamma = float(d @ d) - ball.radius ** 2
+    if d.ndim == 1:
+        beta = dirs @ d
+        gamma = float(d @ d) - ball.radius ** 2
+    else:
+        beta = d @ dirs.T
+        gamma = np.sum(d * d, axis=1, keepdims=True) - ball.radius ** 2
     s = np.sqrt(beta * beta - gamma)
     return -beta - s, -beta + s
 
@@ -278,77 +316,89 @@ def ellipse_chord_roots(ellipse: Ellipse2D, p: np.ndarray, dirs: np.ndarray):
     return (-beta - s) / alpha, (-beta + s) / alpha
 
 
+_STAR_SCAN = 512
+_STAR_BISECT = 64
+_STAR_POLISH = 4
+
+
+def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
+                    ) -> np.ndarray:
+    """Forward ray/boundary hit distances for each direction row.
+
+    Bracketing scan followed by vectorized bisection and secant polish.
+    Raises NotStarShapedFromP when any ray sees zero or multiple crossings.
+    """
+    n = dirs.shape[0]
+    t_upper = 1.2 * (float(np.linalg.norm(p)) + domain._rho_max)
+    ts = np.linspace(0.0, t_upper, _STAR_SCAN + 1)
+
+    def g(t):
+        # t: (..., n) distances per direction
+        pts = p + t[..., np.newaxis] * dirs
+        r = np.hypot(pts[..., 0], pts[..., 1])
+        theta = np.arctan2(pts[..., 1], pts[..., 0])
+        return r - domain.boundary_radius(theta)
+
+    gs = g(ts[:, np.newaxis] * np.ones(n))
+    signs = np.where(gs >= 0.0, 1.0, -1.0)
+    crossings = np.sum(np.abs(np.diff(signs, axis=0)) > 0, axis=0)
+    if np.any(crossings != 1):
+        bad = int(np.argmax(crossings != 1))
+        raise NotStarShapedFromP(
+            f"ray along {dirs[bad]} crosses the boundary {int(crossings[bad])} times")
+    first = np.argmax(np.diff(signs, axis=0) != 0, axis=0)
+    lo = ts[first]
+    hi = ts[first + 1]
+    glo = gs[first, np.arange(n)]
+    ghi = gs[first + 1, np.arange(n)]
+
+    for _ in range(_STAR_BISECT):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        neg = (gm < 0.0)
+        lo = np.where(neg, mid, lo)
+        glo = np.where(neg, gm, glo)
+        hi = np.where(neg, hi, mid)
+        ghi = np.where(neg, ghi, gm)
+    t = 0.5 * (lo + hi)
+    for _ in range(_STAR_POLISH):
+        denom = ghi - glo
+        sec = np.where(denom != 0.0, lo - glo * (hi - lo) / np.where(denom == 0, 1, denom),
+                       t)
+        t = np.clip(sec, lo, hi)
+    return t
+
+
+def interior_point(domain, P) -> np.ndarray:
+    """P checked to lie strictly inside ``domain``, a ball, ellipse or star domain.
+
+    Every domain type offers ``dim``, ``require_interior(P)`` and
+    ``chord_roots(p, dirs)``: the chord parameters a < 0 < b along each unit
+    row of ``dirs``.
+    """
+    if not isinstance(domain, (BallDomain, Ellipse2D, StarDomain2D)):
+        raise BadParameter(f"unsupported domain type {type(domain).__name__}")
+    return domain.require_interior(P)
+
+
 def chord_through(domain, P, e) -> Chord:
     """Chord of ``domain`` through interior point P along unit direction e."""
     e = check_unit(e)
-    if isinstance(domain, BallDomain):
-        p = domain.require_interior(P)
-        a, b = ball_chord_roots(domain, p, e[np.newaxis, :])
-    elif isinstance(domain, Ellipse2D):
-        p = domain.require_interior(P)
-        a, b = ellipse_chord_roots(domain, p, e[np.newaxis, :])
-    else:
-        raise BadParameter("chord_through supports BallDomain and Ellipse2D")
+    p = interior_point(domain, P)
+    a, b = domain.chord_roots(p, e[np.newaxis, :])
     a, b = float(a[0]), float(b[0])
     if not a < 0.0 < b:
         raise PointNotInterior("chord roots do not bracket the base point")
     return Chord(base=p, direction=e, t_neg=a, t_pos=b)
 
 
-_RAY_SCAN = 512
-_RAY_MAX_ITER = 200
-_RAY_TOL = 1e-12
-
-
 def ray_hit_star(domain: StarDomain2D, P, e):
-    """First boundary hit of the ray {P + t e : t > 0} of a 2-D star domain.
-
-    Scans for sign changes of |P + t e| - rho(angle) along the ray and refines
-    the unique crossing by bisection with secant acceleration.  Raises
-    NotStarShapedFromP when the scan sees zero or several crossings.
-    """
+    """First boundary hit of the ray {P + t e : t > 0} of a 2-D star domain,
+    as (hit point, t): one row of ``star_hits_batch``."""
     e = check_unit(e)
     p = domain.require_interior(P)
-
-    def g(t):
-        x = p + t * e
-        r = math.hypot(x[0], x[1])
-        return r - float(domain.boundary_radius(math.atan2(x[1], x[0])))
-
-    t_upper = 1.2 * (float(np.linalg.norm(p)) + domain._rho_max)
-    ts = np.linspace(0.0, t_upper, _RAY_SCAN + 1)
-    gs = np.array([g(t) for t in ts])
-    signs = np.sign(gs)
-    signs[signs == 0.0] = 1.0
-    crossings = np.nonzero(np.diff(signs))[0]
-    if len(crossings) != 1:
-        raise NotStarShapedFromP(
-            f"ray crosses the boundary {len(crossings)} times; expected exactly 1")
-    i = crossings[0]
-    lo, hi = float(ts[i]), float(ts[i + 1])
-    glo, ghi = float(gs[i]), float(gs[i + 1])
-
-    for _ in range(_RAY_MAX_ITER):
-        if hi - lo <= _RAY_TOL * max(hi, 1.0):
-            break
-        # secant candidate, clipped into the bracket; fall back to bisection
-        denom = ghi - glo
-        t = lo - glo * (hi - lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        gt = g(t)
-        if gt == 0.0:
-            lo = hi = t
-            break
-        if (gt < 0.0) == (glo < 0.0):
-            lo, glo = t, gt
-        else:
-            hi, ghi = t, gt
-    else:
-        raise ConvergenceFailure("ray/boundary intersection did not converge")
-
-    t_star = 0.5 * (lo + hi)
-    return p + t_star * e, t_star
+    t = float(star_hits_batch(domain, p, e[np.newaxis, :])[0])
+    return p + t * e, t
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +473,16 @@ def read_only(rule):
     return rule
 
 
-def _uniform_angle_2d(n: int) -> DirectionQuadrature:
+def _circle_nodes(n: int) -> np.ndarray:
+    """n equally spaced unit vectors (cos t, sin t), t = 2 pi k / n."""
     thetas = 2.0 * math.pi * np.arange(n) / n
-    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    return DirectionQuadrature(dirs, np.full(n, 1.0 / n), "uniform_angle_2d", n)
+    return np.column_stack([np.cos(thetas), np.sin(thetas)])
 
 
-def _gauss_product_3d(n_polar: int) -> DirectionQuadrature:
+def _gauss_product_nodes(n_polar: int):
+    """Unit directions of the Gauss product: n_polar Gauss-Legendre polar
+    nodes (outer) times m = 2*n_polar equal azimuths (inner).  Returns the
+    directions, the Legendre weights and m."""
     x, w = np.polynomial.legendre.leggauss(n_polar)
     m = 2 * n_polar
     phi = 2.0 * math.pi * np.arange(m) / m
@@ -438,6 +491,15 @@ def _gauss_product_3d(n_polar: int) -> DirectionQuadrature:
     dirs[:, 0] = np.outer(sin_t, np.cos(phi)).ravel()
     dirs[:, 1] = np.outer(sin_t, np.sin(phi)).ravel()
     dirs[:, 2] = np.repeat(x, m)
+    return dirs, w, m
+
+
+def _uniform_angle_2d(n: int) -> DirectionQuadrature:
+    return DirectionQuadrature(_circle_nodes(n), np.full(n, 1.0 / n), "uniform_angle_2d", n)
+
+
+def _gauss_product_3d(n_polar: int) -> DirectionQuadrature:
+    dirs, w, m = _gauss_product_nodes(n_polar)
     weights = np.repeat(w / 2.0, m) / m
     return DirectionQuadrature(dirs, weights, "gauss_product_3d", n_polar,
                                exactness=2 * n_polar - 1)
@@ -549,8 +611,8 @@ def default_direction_quadrature(dim: int, resolution: int | None = None
                                  ) -> DirectionQuadrature:
     """Deterministic default: uniform angles in 2-D, Gauss product in 3-D."""
     if dim == 2:
-        return build_direction_quadrature(2, "uniform_angle_2d", resolution or 4096)
-    return build_direction_quadrature(3, "gauss_product_3d", resolution or 64)
+        return build_direction_quadrature(2, "uniform_angle_2d", resolution or SMOOTH_RES_2D)
+    return build_direction_quadrature(3, "gauss_product_3d", resolution or SMOOTH_RES_3D)
 
 
 # ---------------------------------------------------------------------------
@@ -587,17 +649,51 @@ class SectionDisk:
     frame: np.ndarray               # (2, 3), rows are the in-plane axes
     base2d: np.ndarray
 
-    def to_3d(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        return self.center3d + xi @ self.frame
-
     def boundary_points(self, phis: np.ndarray) -> np.ndarray:
         """3-D points of the section's boundary circle at the given angles."""
         circ = self.radius * np.column_stack([np.cos(phis), np.sin(phis)])
         return self.center3d + circ @ self.frame
 
-    def as_disk2d(self) -> BallDomain:
-        return BallDomain(center=np.zeros(2), radius=self.radius)
+
+@dataclass(frozen=True)
+class PlaneSections:
+    """Sections of a 3-ball by K planes through one interior point, row k
+    for normal k: centers (K, 3), radii (K,), in-plane axes u and v (K, 3)
+    and the point's in-plane coordinates ``base2d`` (K, 2)."""
+
+    center3d: np.ndarray
+    radius: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    base2d: np.ndarray
+
+    def to_3d(self, xi: np.ndarray) -> np.ndarray:
+        """3-D points of in-plane coordinates xi (K, ..., 2) scaled by each
+        section's radius: center + radius * (xi_0 u + xi_1 v), per row k."""
+        rows = (slice(None),) + (np.newaxis,) * (xi.ndim - 2)
+        return self.center3d[rows] + self.radius[rows + (np.newaxis,)] * (
+            xi[..., 0:1] * self.u[rows] + xi[..., 1:2] * self.v[rows])
+
+
+def plane_sections(ball: BallDomain, p: np.ndarray, normals: np.ndarray
+                   ) -> PlaneSections:
+    """Sections of a 3-ball by the planes through p with the unit normal rows.
+
+    Vectorized core; assumes p strictly interior and unit rows.
+    """
+    d_signed = (ball.center - p) @ normals.T
+    center3d = ball.center - d_signed[:, np.newaxis] * normals
+    radius = np.sqrt(ball.radius ** 2 - d_signed ** 2)
+    # per-row deterministic frame (Gram-Schmidt of the smallest-|component| axis)
+    idx = np.argmin(np.abs(normals), axis=1)
+    rows = np.arange(normals.shape[0])
+    u = -normals[rows, idx][:, np.newaxis] * normals
+    u[rows, idx] += 1.0
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(normals, u)
+    base = p - center3d
+    base2d = np.column_stack([np.sum(base * u, axis=1), np.sum(base * v, axis=1)])
+    return PlaneSections(center3d, radius, u, v, base2d)
 
 
 def plane_section(ball: BallDomain, P, normal) -> SectionDisk:
@@ -606,15 +702,6 @@ def plane_section(ball: BallDomain, P, normal) -> SectionDisk:
         raise DimMismatch("plane_section requires a 3-dimensional ball")
     nu = check_unit(normal)
     p = ball.require_interior(P)
-    d_signed = float((ball.center - p) @ nu)
-    center3d = ball.center - d_signed * nu
-    radius = math.sqrt(ball.radius ** 2 - d_signed ** 2)
-    # deterministic frame: Gram-Schmidt of the smallest-|component| axis
-    k = int(np.argmin(np.abs(nu)))
-    u = -nu[k] * nu
-    u[k] += 1.0
-    u /= np.linalg.norm(u)
-    v = np.cross(nu, u)
-    frame = np.vstack([u, v])
-    base2d = frame @ (p - center3d)
-    return SectionDisk(center3d=center3d, radius=radius, frame=frame, base2d=base2d)
+    secs = plane_sections(ball, p, nu[np.newaxis, :])
+    return SectionDisk(center3d=secs.center3d[0], radius=float(secs.radius[0]),
+                       frame=np.vstack([secs.u[0], secs.v[0]]), base2d=secs.base2d[0])

@@ -13,11 +13,13 @@ import numpy as np
 from .errors import BadParameter, EmptyCap, NumericalError, PNotInterior
 from .boundary import CapSpec, cap_indicator
 from .geometry import (
+    MEASURE_RES_2D,
+    MEASURE_RES_3D,
     BallDomain,
     Chord,
     DirectionQuadrature,
     ball_chord_roots,
-    build_direction_quadrature,
+    default_direction_quadrature,
     mobius_involution,
 )
 from .poisson import (
@@ -28,14 +30,9 @@ from .poisson import (
     measure_quadrature,
 )
 
-MEASURE_DIRECTIONS_2D = 2 ** 16
-MEASURE_DIRECTIONS_3D = 256          # polar count of the Gauss product rule
-
 
 def _measure_directions(dim: int) -> DirectionQuadrature:
-    if dim == 2:
-        return build_direction_quadrature(2, "uniform_angle_2d", MEASURE_DIRECTIONS_2D)
-    return build_direction_quadrature(3, "gauss_product_3d", MEASURE_DIRECTIONS_3D)
+    return default_direction_quadrature(dim, MEASURE_RES_2D if dim == 2 else MEASURE_RES_3D)
 
 
 def metric_ratio(chord: Chord) -> float:
@@ -156,7 +153,7 @@ def subtended_moment(w, poly_degree: int,
     if not 0 <= poly_degree <= 8:
         raise BadParameter("moment degree must lie in 0..8")
     if dq is None:
-        dq = build_direction_quadrature(2, "uniform_angle_2d", 4096)
+        dq = default_direction_quadrature(2)
     p = np.array([wc.real, wc.imag])
     disk = BallDomain(center=np.zeros(2), radius=1.0)
     _, b = ball_chord_roots(disk, p, dq.directions)

@@ -30,19 +30,18 @@ from .errors import (
 )
 from .boundary import BoundaryData, CapSpec, cap_indicator
 from .geometry import (
+    MEASURE_RES_2D,
+    MEASURE_RES_3D,
     RULE_CACHE_SIZE,
+    SMOOTH_RES_2D,
+    SMOOTH_RES_3D,
     BallDomain,
+    _circle_nodes,
+    _gauss_product_nodes,
     as_point,
     every_other_node,
     read_only,
 )
-
-# Default node counts: modest for smooth data, large for indicator data
-# (deterministic rules see O(1/N) edge error on indicators).
-SMOOTH_RES_2D = 4096
-SMOOTH_RES_3D = 64
-MEASURE_RES_2D = 2 ** 16
-MEASURE_RES_3D = 256
 
 
 # fixed_sum: below _FSUM_CUTOFF values math.fsum is as fast.  _CHUNK values
@@ -193,21 +192,13 @@ class BoundaryQuadrature:
 
 
 def _uniform_circle(ball: BallDomain, n: int) -> BoundaryQuadrature:
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    pts = ball.center + ball.radius * np.column_stack([np.cos(thetas), np.sin(thetas)])
+    pts = ball.center + ball.radius * _circle_nodes(n)
     w = np.full(n, 2.0 * math.pi * ball.radius / n)
     return BoundaryQuadrature(ball, pts, w, "uniform_circle", n)
 
 
 def _gauss_sphere(ball: BallDomain, n_polar: int) -> BoundaryQuadrature:
-    x, w = np.polynomial.legendre.leggauss(n_polar)
-    m = 2 * n_polar
-    phi = 2.0 * math.pi * np.arange(m) / m
-    sin_t = np.sqrt(1.0 - x * x)
-    dirs = np.empty((n_polar * m, 3))
-    dirs[:, 0] = np.outer(sin_t, np.cos(phi)).ravel()
-    dirs[:, 1] = np.outer(sin_t, np.sin(phi)).ravel()
-    dirs[:, 2] = np.repeat(x, m)
+    dirs, w, m = _gauss_product_nodes(n_polar)
     pts = ball.center + ball.radius * dirs
     weights = np.repeat(w, m) * (2.0 * math.pi / m) * ball.radius ** 2
     return BoundaryQuadrature(ball, pts, weights, "gauss_sphere", n_polar)

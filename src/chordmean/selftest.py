@@ -17,6 +17,7 @@ from .geometry import (
     BallDomain,
     Ellipse2D,
     build_direction_quadrature,
+    default_direction_quadrature,
     philox_stream,
 )
 from .boundary import (
@@ -119,8 +120,7 @@ def check_3_annihilation() -> CheckResult:
     axes = {2: np.array([0.6, 0.8]), 3: np.array([0.6, 0.64, 0.48])}
     worst = 0.0
     for dim in (2, 3):
-        dq = (build_direction_quadrature(2, "uniform_angle_2d", 4096) if dim == 2
-              else build_direction_quadrature(3, "gauss_product_3d", 64))
+        dq = default_direction_quadrature(dim)
         origin = np.zeros(dim)
         for offset in (0.0, 0.3, 0.7):
             ball = BallDomain(center=offset * axes[dim], radius=1.0)
@@ -218,8 +218,7 @@ def check_6_biharmonic() -> CheckResult:
     worst_cubic = 0.0
     for dim in (2, 3):
         ball = BallDomain(center=np.zeros(dim), radius=1.0)
-        dq = (build_direction_quadrature(2, "uniform_angle_2d", 4096) if dim == 2
-              else build_direction_quadrature(3, "gauss_product_3d", 64))
+        dq = default_direction_quadrature(dim)
         pts = _interior_points(rng, dim, 50, 0.9)
         for (m1, k1), (m2, k2) in _ALMANSI_PAIRS[dim]:
             u = almansi_assemble(harmonic_poly(dim, m1, k1), harmonic_poly(dim, m2, k2))
@@ -522,7 +521,6 @@ def check_15_selftest_contract() -> CheckResult:
     covered = tuple(r.criterion for r in results) == QUICK_IDS
     passed = all(r.passed for r in results) and dt < 60.0 and covered \
         and FULL_IDS == tuple(range(1, 15))
-    worst = max((r.defect / r.tolerance for r in results), default=0.0)
     return CheckResult(15, "selftest coverage and runtime", passed, dt, 60.0, dt,
                        f"quick subset {QUICK_IDS} in {dt:.1f}s; "
                        f"full list covers criteria 1-14")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -175,6 +177,54 @@ def test_cross_section_inner_chord_solver_agrees():
     a = cm.cross_section_solve(BALL, data, p, ndq, 256, inner_solver="poisson")
     b = cm.cross_section_solve(BALL, data, p, ndq, 256, inner_solver="chords")
     assert abs(a.value - b.value) <= 1e-8
+
+
+def test_cross_section_matches_per_section_loop():
+    # reference: one plane_section and one Poisson sum per normal
+    data = cm.harmonic_poly(3, 4, 1).boundary_data()
+    ndq = cm.build_direction_quadrature(3, "monte_carlo_design", 4, seed=9)
+    p, m = (0.1, -0.3, 0.2), 128
+    phis = 2.0 * math.pi * np.arange(m) / m
+    values = []
+    for nu in ndq.directions:
+        sec = cm.plane_section(BALL, p, nu)
+        z0 = complex(sec.base2d[0], sec.base2d[1]) / sec.radius
+        density = (1.0 - abs(z0) ** 2) / np.abs(z0 - np.exp(1j * phis)) ** 2
+        values.append(math.fsum(data.value(sec.boundary_points(phis)) * density) / m)
+    res = cm.cross_section_solve(BALL, data, p, ndq, m)
+    ref = math.fsum(ndq.weights * np.array(values))
+    assert abs(res.value - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("inner_solver", ["poisson", "chords"])
+def test_cross_section_scalar_callable_data(inner_solver):
+    hp = cm.harmonic_poly(3, 3, 2)
+    scalar = cm.from_callable(lambda x: float(hp.value(x)))
+    ndq = cm.build_direction_quadrature(3, "gauss_product_3d", 6)
+    p = (0.3, -0.2, 0.25)
+    a = cm.cross_section_solve(BALL, hp.boundary_data(), p, ndq, 64, inner_solver)
+    b = cm.cross_section_solve(BALL, scalar, p, ndq, 64, inner_solver)
+    assert abs(a.value - b.value) <= 1e-12
+    assert abs(a.report.error_estimate - b.report.error_estimate) <= 1e-12
+
+
+def test_scalar_only_radial_star_solves():
+    star = cm.StarDomain2D.radial(lambda t: 1.0 + 0.2 * math.cos(2.0 * t), lipschitz=0.4)
+    thetas = np.linspace(0.0, 6.0, 7)
+    assert_allclose(star.boundary_radius(thetas), 1.0 + 0.2 * np.cos(2.0 * thetas),
+                    rtol=0.0, atol=1e-15)
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 256)
+    res = cm.solve_on_domain(star, cm.linear_data([0.5, -1.5], 0.25), (0.2, 0.1), dq)
+    assert abs(res.value - (0.1 - 0.15 + 0.25)) <= 1e-12
+
+
+def test_cross_section_rejects_bad_inner_rule():
+    ndq = cm.build_direction_quadrature(3, "gauss_product_3d", 4)
+    data = cm.constant_data(1.0)
+    with pytest.raises(cm.BadParameter):
+        cm.cross_section_solve(BALL, data, (0.1, 0.0, 0.0), ndq, 64, inner_solver="fft")
+    with pytest.raises(cm.BadResolution):
+        cm.cross_section_solve(BALL, data, (0.1, 0.0, 0.0), ndq, 0)
 
 
 def test_cross_section_requires_3d():

@@ -238,6 +238,16 @@ def test_parse_helpers():
     ["hermite", "--m=four", "--a=-1", "--b=1"],
     ["solve", "--dim=2", "--data=harm:2,re", "--point=nan,0"],
     ["solve", "--dim=2", "--data=harm:2,re", "--point=0,inf"],
+    ["solve", "--data=harm:2,re", "--point=0.1,0", "--n=0"],          # BadResolution
+    ["solve", "--data=harm:2,xx", "--point=0.1,0"],                   # BadIndex
+    ["solve", "--data=harm:9,re", "--point=0.1,0"],                   # UnsupportedDegree
+    ["measure", "--check=moment", "--w=0.2", "--degree=99"],          # BadParameter
+    ["solve", "--data=harm:2,re", "--point=2,0"],                     # PointNotInterior
+    ["solve", "--data=harm:2,re", "--point=0.1,0", "--scheme=mc"],    # MissingSeed
+    ["solve", "--dim=3", "--domain=ball:0,0,0,-1", "--data=harm:2,0",
+     "--point=0.1,0,0"],                                              # BadParameter
+    ["measure", "--check=cap", "--dim=3", "--point=0.1,0",
+     "--half-angle=0.5"],                                             # DimMismatch
 ])
 def test_config_errors_exit_2_without_traceback(argv):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import chordmean as cm
 from chordmean.averaging import star_hits_batch
-from chordmean.geometry import as_point, ball_chord_roots, philox_stream
+from chordmean.geometry import as_point, ball_chord_roots, philox_stream, plane_sections
 
 
 def test_chord_through_offset_ball():
@@ -139,16 +139,61 @@ def test_ray_hit_star_detects_multiple_crossings():
     assert_allclose(dist, 0.05, atol=1e-10)
 
 
-def test_star_hits_batch_matches_scalar():
+def test_star_hits_batch_solves_boundary_equation():
     star = cm.StarDomain2D.conformal(0.35)
     rng = np.random.default_rng(2)
     dirs = rng.standard_normal((40, 2))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     p = np.array([0.3, -0.2])
     batch = star_hits_batch(star, p, dirs)
-    for e, t in zip(dirs, batch):
-        _, t_scalar = cm.ray_hit_star(star, p, e)
-        assert abs(t - t_scalar) <= 1e-10
+    hits = p + batch[:, np.newaxis] * dirs
+    rho = star.boundary_radius(np.arctan2(hits[:, 1], hits[:, 0]))
+    assert np.max(np.abs(np.hypot(hits[:, 0], hits[:, 1]) - rho)) <= 1e-12
+
+
+def _boundary_residual(domain, q):
+    """How far the rows of q are from the boundary of ``domain``."""
+    if isinstance(domain, cm.BallDomain):
+        return np.abs(np.linalg.norm(q - domain.center, axis=1) - domain.radius)
+    if isinstance(domain, cm.Ellipse2D):
+        return np.abs(np.sum(((q - domain.center) / domain.semi_axes) ** 2, axis=1) - 1.0)
+    rho = domain.boundary_radius(np.arctan2(q[:, 1], q[:, 0]))
+    return np.abs(np.hypot(q[:, 0], q[:, 1]) - rho)
+
+
+_PROTOCOL_DOMAINS = {
+    "disk": (cm.BallDomain(center=(0.0, 0.0), radius=1.0), (0.3, -0.4)),
+    "ball3d": (cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0), (0.2, 0.5, -0.3)),
+    "offcentre": (cm.BallDomain(center=(0.4, -1.2, 0.7), radius=1.7), (0.9, -0.5, 1.1)),
+    "ellipse": (cm.Ellipse2D(center=(0.2, -0.1), semi_axes=(1.5, 0.8)), (0.7, 0.2)),
+    "conformal": (cm.StarDomain2D.conformal(0.3), (0.2, -0.1)),
+    "radial": (cm.StarDomain2D.radial(lambda t: 1.0 + 0.2 * np.cos(3.0 * t), 0.6),
+               (-0.1, 0.15)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROTOCOL_DOMAINS))
+def test_domain_protocol_chord_roots(name):
+    domain, point = _PROTOCOL_DOMAINS[name]
+    p = domain.require_interior(point)
+    rng = np.random.default_rng(8)
+    dirs = rng.standard_normal((64, domain.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    a, b = domain.chord_roots(p, dirs)
+    assert np.all(a < 0.0) and np.all(b > 0.0)
+    for t in (a, b):
+        assert np.max(_boundary_residual(domain, p + t[:, np.newaxis] * dirs)) <= 1e-12
+    for k in (0, 17, 63):
+        chord = cm.chord_through(domain, point, dirs[k])
+        assert_allclose([chord.t_neg, chord.t_pos], [a[k], b[k]], rtol=0.0, atol=1e-13)
+
+
+def test_non_domains_are_rejected():
+    with pytest.raises(cm.BadParameter):
+        cm.chord_through((0.0, 0.0), (0.0, 0.0), (1.0, 0.0))
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 64)
+    with pytest.raises(cm.BadParameter):
+        cm.chord_interpolant_max("disk", cm.constant_data(1.0), (0.0, 0.0), dq)
 
 
 def test_star_domain_validation():
@@ -283,6 +328,19 @@ def test_plane_section_properties():
         pts = sec.boundary_points(np.linspace(0.0, 2.0 * math.pi, 7))
         assert np.max(np.abs(np.linalg.norm(pts - ball.center, axis=1)
                              - ball.radius)) <= 1e-10
+
+
+def test_plane_sections_rows_match_plane_section():
+    ball = cm.BallDomain(center=(0.2, -0.1, 0.4), radius=1.3)
+    p = np.array([0.5, 0.3, 0.1])
+    normals = cm.build_direction_quadrature(3, "monte_carlo_design", 20, seed=5).directions
+    secs = plane_sections(ball, p, normals)
+    for k, nu in enumerate(normals):
+        one = cm.plane_section(ball, p, nu)
+        for batch, single in ((secs.center3d[k], one.center3d), (secs.radius[k], one.radius),
+                              (np.vstack([secs.u[k], secs.v[k]]), one.frame),
+                              (secs.base2d[k], one.base2d)):
+            assert_allclose(batch, single, rtol=0.0, atol=1e-15)
 
 
 def test_plane_section_requires_interior():
