@@ -28,7 +28,7 @@ from .geometry import (
     plane_sections,
     star_hits_batch,  # noqa: F401  (also looked up as averaging.star_hits_batch)
 )
-from .poisson import SolveReport, fixed_sum, half_rule_report
+from .poisson import SolveReport, fixed_sum, half_rule_report, kernel_values
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,7 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
         return f.reshape(pts.shape[:-1])
 
     if inner_solver == "poisson":
-        f = values(circle[np.newaxis])
-        z0 = z[:, 0] + 1j * z[:, 1]
-        zs = circle[:, 0] + 1j * circle[:, 1]
-        terms = f * ((1.0 - np.abs(z0) ** 2)[:, np.newaxis]
-                     / np.abs(z0[:, np.newaxis] - zs) ** 2)
+        terms = values(circle[np.newaxis]) * kernel_values(_UNIT_DISK, z, circle)
     else:
         a, b = ball_chord_roots(_UNIT_DISK, z, circle)
         f1 = values(z[:, np.newaxis] + a[..., np.newaxis] * circle)

@@ -27,8 +27,9 @@ from .geometry import (
     ball_chord_roots,
     philox_stream,
     plane_sections,
+    uniform_directions,
 )
-from .poisson import cap_measure_poisson
+from .poisson import cap_measure_poisson, kernel_values
 
 REJECTION_BUDGET_PER_SAMPLE = 10 ** 6
 RHO_SOFT_LIMIT = 0.8
@@ -61,9 +62,11 @@ class ExperimentReport:
     seed: int
 
 
-def _uniform_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    g = rng.standard_normal((n, dim))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+def _disk_exits(z0, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n exact exits, as complex numbers, from z0 in the unit disk: the
+    pushforward of a uniform angle under the disk automorphism sending 0 to z0."""
+    zeta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    return (zeta + z0) / (1.0 + np.conj(z0) * zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +78,11 @@ def exits_full_batch(ball: BallDomain, p: np.ndarray, rng: np.random.Generator,
     """n exact samples of the full traveler's exit law; returns (points, acceptance rate).
 
     Rejection sampling: uniform boundary proposals accepted in proportion to
-    the exit density, whose maximum over the boundary is
+    the exit density (``kernel_values``), whose maximum over the boundary is
     (1 + rho) / (1 - rho)^(dim-1) at rho = |p - c|/R (relative to uniform).
     """
     dim = ball.dim
-    xs = (p - ball.center) / ball.radius
-    rho = float(np.linalg.norm(xs))
+    rho = float(np.linalg.norm((p - ball.center) / ball.radius))
     max_density = (1.0 + rho) / (1.0 - rho) ** (dim - 1)
     budget = REJECTION_BUDGET_PER_SAMPLE * max(n, 1)
     out = np.empty((n, dim))
@@ -89,11 +91,9 @@ def exits_full_batch(ball: BallDomain, p: np.ndarray, rng: np.random.Generator,
     accepted_total = 0
     while filled < n:
         chunk = min(int((n - filled) * max_density * 1.2) + 64, 4_000_000)
-        dirs = _uniform_directions(rng, chunk, dim)
+        dirs = uniform_directions(rng, chunk, dim)
         u = rng.random(chunk)
-        dist2 = np.sum((dirs - xs) ** 2, axis=1)
-        density = (1.0 - rho * rho) / dist2 ** (dim / 2.0)
-        accepted = dirs[u * max_density <= density]
+        accepted = dirs[u * max_density <= kernel_values(ball, p, dirs)]
         take = min(len(accepted), n - filled)
         out[filled:filled + take] = accepted[:take]
         filled += take
@@ -112,9 +112,7 @@ def exits_disk_exact_batch(ball: BallDomain, p: np.ndarray,
     automorphism sending 0 to the (normalized) start point."""
     if ball.dim != 2:
         raise BadParameter("the exact disk sampler is 2-D only")
-    z0 = complex(*((p - ball.center) / ball.radius))
-    zeta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-    t = (zeta + z0) / (1.0 + np.conj(z0) * zeta)
+    t = _disk_exits(complex(*((p - ball.center) / ball.radius)), rng, n)
     return ball.center + ball.radius * np.column_stack([t.real, t.imag])
 
 
@@ -122,11 +120,9 @@ def exits_plane_batch(ball: BallDomain, p: np.ndarray,
                       rng: np.random.Generator, n: int):
     """n samples of the plane traveler: uniform normal, then the exact in-plane
     disk exit, mapped back through the section frame.  Returns (points, normals)."""
-    normals = _uniform_directions(rng, n, 3)
+    normals = uniform_directions(rng, n, 3)
     secs = plane_sections(ball, p, normals)
-    z0 = (secs.base2d[:, 0] + 1j * secs.base2d[:, 1]) / secs.radius
-    zeta = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
-    t = (zeta + z0) / (1.0 + np.conj(z0) * zeta)
+    t = _disk_exits((secs.base2d[:, 0] + 1j * secs.base2d[:, 1]) / secs.radius, rng, n)
     return secs.to_3d(np.column_stack([t.real, t.imag])), normals
 
 
@@ -135,7 +131,7 @@ def exits_line_batch(ball: BallDomain, p: np.ndarray,
     """n samples of the line traveler: uniform direction, then the forward
     endpoint with probability r1/(r1+r2) (the 1-D exit law).  Returns
     (points, directions)."""
-    dirs = _uniform_directions(rng, n, ball.dim)
+    dirs = uniform_directions(rng, n, ball.dim)
     a, b = ball_chord_roots(ball, p, dirs)
     forward = rng.random(n) < (-a) / (b - a)
     t = np.where(forward, b, a)

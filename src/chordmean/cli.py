@@ -316,9 +316,8 @@ def cmd_measure(args) -> int:
         p = np.asarray(point)
         dq = bq = None
         if args.n is not None:
-            scheme = "uniform_angle_2d" if dim == 2 else "gauss_product_3d"
-            dq = build_direction_quadrature(dim, scheme, args.n)
-            bq = build_boundary_quadrature(ball, resolution=args.n)
+            bq = build_boundary_quadrature(ball, args.n)
+            dq = bq.rule
         if check == "cap":
             if args.arc is not None:
                 if dim != 2:
@@ -328,6 +327,7 @@ def cmd_measure(args) -> int:
             elif args.cap is not None:
                 cap = parse_cap(dim, args.cap, vertex=p)
             else:
+                _require(args, "half_angle")
                 axis = np.asarray(_floats(args.axis or "1," + "0," * (dim - 1),
                                           "--axis", dim))
                 cap = CapSpec(vertex=p, axis=axis / np.linalg.norm(axis),
@@ -358,14 +358,17 @@ def cmd_measure(args) -> int:
         _require(args, "w", "degree")
         w_vals = _floats(args.w, "--w")
         w = complex(w_vals[0], w_vals[1] if len(w_vals) > 1 else 0.0)
-        got = subtended_moment(w, args.degree)
+        dq = None if args.n is None else \
+            build_direction_quadrature(2, "uniform_angle_2d", args.n)
+        got = subtended_moment(w, args.degree, dq)
         expected = 0.5 * ((0.0 if args.degree else 1.0) + w ** args.degree)
         rows.append(["moment", json.dumps({"w": args.w, "degree": args.degree}),
                      got, expected, abs(got - expected)])
     elif check in ("star-angle", "prop81"):
         _require(args, "a", "arc")
         t1, t2 = _floats(args.arc, "--arc", 2)
-        lhs, rhs, defect = star_angle_measure_check(args.a, (t1, t2))
+        grid = {} if args.n is None else {"resolution": args.n}
+        lhs, rhs, defect = star_angle_measure_check(args.a, (t1, t2), **grid)
         rows.append([check, json.dumps({"a": args.a, "arc": [t1, t2]}),
                      lhs, rhs, defect])
     else:

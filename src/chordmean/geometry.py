@@ -434,8 +434,8 @@ class DirectionQuadrature:
         None for the Gauss product (its half rule has other polar nodes)."""
         if self.scheme in _MC_SCHEMES:
             return slice(0, self._prefix_half())
-        if self.scheme == "uniform_angle_2d":
-            return every_other_node(len(self), self.resolution)
+        if self.scheme == "uniform_angle_2d" and len(self) % 2 == 0 and len(self) >= 4:
+            return slice(None, None, 2)         # the N/2 angles, bit for bit
         return None
 
     def _prefix_half(self) -> int:
@@ -456,20 +456,10 @@ class DirectionQuadrature:
 _MC_SCHEMES = ("monte_carlo", "monte_carlo_design")
 
 
-def every_other_node(n: int, resolution: int) -> slice | None:
-    """Half-rule nodes of an N-point equal-angle rule: for even N >= 4 the
-    N/2-point rule's angles are bit for bit the even-indexed ones."""
-    if n == resolution and n % 2 == 0 and n >= 4:
-        return slice(None, None, 2)
-    return None
-
-
 def read_only(rule):
     """Mark a rule's arrays read-only, so a shared rule cannot be altered."""
-    for field in ("directions", "points", "weights"):
-        arr = getattr(rule, field, None)
-        if arr is not None:
-            arr.flags.writeable = False
+    rule.directions.flags.writeable = False
+    rule.weights.flags.writeable = False
     return rule
 
 
@@ -505,10 +495,14 @@ def _gauss_product_3d(n_polar: int) -> DirectionQuadrature:
                                exactness=2 * n_polar - 1)
 
 
-def _monte_carlo(dim: int, n: int, seed: int) -> DirectionQuadrature:
-    rng = philox_stream(seed, STREAM_DIRECTIONS)
+def uniform_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n independent uniform unit vectors: normalized Gaussian rows."""
     g = rng.standard_normal((n, dim))
-    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _monte_carlo(dim: int, n: int, seed: int) -> DirectionQuadrature:
+    dirs = uniform_directions(philox_stream(seed, STREAM_DIRECTIONS), n, dim)
     return DirectionQuadrature(dirs, np.full(n, 1.0 / n), "monte_carlo", n, seed)
 
 
@@ -609,10 +603,19 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
 
 def default_direction_quadrature(dim: int, resolution: int | None = None
                                  ) -> DirectionQuadrature:
-    """Deterministic default: uniform angles in 2-D, Gauss product in 3-D."""
+    """Deterministic default: uniform angles in 2-D, Gauss product in 3-D.
+
+    The one discretisation of the sphere: boundary quadratures are these
+    rules placed on a ball.
+    """
     if dim == 2:
-        return build_direction_quadrature(2, "uniform_angle_2d", resolution or SMOOTH_RES_2D)
-    return build_direction_quadrature(3, "gauss_product_3d", resolution or SMOOTH_RES_3D)
+        scheme, default = "uniform_angle_2d", SMOOTH_RES_2D
+    elif dim == 3:
+        scheme, default = "gauss_product_3d", SMOOTH_RES_3D
+    else:
+        raise DimMismatch(f"direction rules exist in dimension 2 and 3, not {dim}")
+    return build_direction_quadrature(dim, scheme,
+                                      default if resolution is None else resolution)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, EmptyCap, NumericalError, PNotInterior
+from .errors import BadParameter, BadResolution, EmptyCap, NumericalError, PNotInterior
 from .boundary import CapSpec, cap_indicator
 from .geometry import (
-    MEASURE_RES_2D,
-    MEASURE_RES_3D,
     BallDomain,
     Chord,
     DirectionQuadrature,
@@ -22,6 +20,7 @@ from .geometry import (
     default_direction_quadrature,
     mobius_involution,
 )
+from .averaging import _interpolant_values
 from .poisson import (
     BoundaryQuadrature,
     cap_measure_poisson,
@@ -29,10 +28,6 @@ from .poisson import (
     kernel_values,
     measure_quadrature,
 )
-
-
-def _measure_directions(dim: int) -> DirectionQuadrature:
-    return default_direction_quadrature(dim, MEASURE_RES_2D if dim == 2 else MEASURE_RES_3D)
 
 
 def metric_ratio(chord: Chord) -> float:
@@ -82,16 +77,9 @@ def cap_measure_ratio(ball: BallDomain, P, cap: CapSpec,
     if not np.allclose(cap.vertex, p):
         raise BadParameter("cap vertex must coincide with the evaluation point")
     if dq is None:
-        dq = _measure_directions(ball.dim)
-    dirs = dq.directions
-    a, b = ball_chord_roots(ball, p, dirs)
-    q1 = p + a[:, np.newaxis] * dirs
-    q2 = p + b[:, np.newaxis] * dirs
-    ratio = b / (b - a)                       # r2 / (r1 + r2)
-    ind = cap_indicator(cap, ball)
-    in1 = np.asarray(ind.value(q1), dtype=float)
-    in2 = np.asarray(ind.value(q2), dtype=float)
-    value = fixed_sum(dq.weights * (ratio * in1 + (1.0 - ratio) * in2))
+        dq = measure_quadrature(ball).rule
+    chords = _interpolant_values(ball, cap_indicator(cap, ball), p, dq.directions)
+    value = fixed_sum(dq.weights * chords)
     return min(max(value, 0.0), 1.0)
 
 
@@ -129,13 +117,15 @@ def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
     if bq is None:
         bq = measure_quadrature(ball)
     cap_both = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="both")
+    rule = bq.rule
     ind = np.asarray(cap_indicator(cap_both, ball).value(bq.points), dtype=float)
-    density = bq.weights * ind * kernel_values(ball, p, bq.points)
+    density = rule.weights * ind * kernel_values(ball, p, rule.directions)
     denom = fixed_sum(density)
     if denom < 1e-12:
         raise EmptyCap("cap carries no quadrature mass")
-    com = np.array([fixed_sum(density * bq.points[:, j])
-                    for j in range(ball.dim)]) / denom
+    mean_dir = np.array([fixed_sum(density * rule.directions[:, j])
+                         for j in range(ball.dim)]) / denom
+    com = ball.center + ball.radius * mean_dir
     return com, float(np.linalg.norm(com - p))
 
 
@@ -196,6 +186,8 @@ def star_angle_measure_check(a: float, arc, resolution: int = _PROP81_GRID):
     """
     if not 0.0 < a < 0.5:
         raise BadParameter("need 0 < a < 1/2 for univalence")
+    if resolution < 1:
+        raise BadResolution("the arc grid needs at least 1 interval")
     theta1, theta2 = float(arc[0]), float(arc[1])
     if not (0.0 <= theta1 < theta2 <= 2.0 * math.pi):
         raise BadParameter("arc must satisfy 0 <= theta1 < theta2 <= 2 pi")

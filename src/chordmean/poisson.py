@@ -10,6 +10,11 @@ special cases go to ``math.fsum`` itself.
 Every solve reports |full - half| as its error estimate through
 ``half_rule_report``; rules whose half rule is a subset of their own nodes
 evaluate the integrand once.
+
+A boundary quadrature is a direction rule from ``geometry`` placed on a
+ball, and every integral over the boundary is one over the rule's directions
+e against ``kernel_values``, the density of harmonic measure relative to the
+normalized sphere measure: sum_e w_e f(c + R e) (1 - |xs|^2) / |e - xs|^n.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import numpy as np
 
 from .errors import (
     BadParameter,
-    BadResolution,
     DegenerateInterval,
     PointNotOnBoundary,
     XOutsideInterval,
@@ -32,15 +36,10 @@ from .boundary import BoundaryData, CapSpec, cap_indicator
 from .geometry import (
     MEASURE_RES_2D,
     MEASURE_RES_3D,
-    RULE_CACHE_SIZE,
-    SMOOTH_RES_2D,
-    SMOOTH_RES_3D,
     BallDomain,
-    _circle_nodes,
-    _gauss_product_nodes,
+    DirectionQuadrature,
     as_point,
-    every_other_node,
-    read_only,
+    default_direction_quadrature,
 )
 
 
@@ -160,90 +159,45 @@ def _weighted_sum(weights: np.ndarray, factors) -> float:
     return fixed_sum(functools.reduce(operator.mul, factors, weights))
 
 
+def _surface_area(ball: BallDomain) -> float:
+    """|dB|: 2 pi R for a disk, 4 pi R^2 for a 3-ball."""
+    return (2.0 * math.pi if ball.dim == 2 else 4.0 * math.pi) * ball.radius ** (ball.dim - 1)
+
+
 @dataclass(frozen=True)
 class BoundaryQuadrature:
-    """Boundary nodes with weights w.r.t. surface measure (sum 2*pi*R / 4*pi*R^2).
+    """A direction rule placed on a ball: nodes c + R e for the rule's unit
+    directions e, weights w.r.t. surface measure (the rule's weights times
+    |dB|, so they sum to 2*pi*R or 4*pi*R^2).
 
-    Rules from ``build_boundary_quadrature`` are shared: the same scheme,
-    resolution and ball geometry give the same object, with read-only arrays.
+    The rule is the shared, read-only one from ``geometry``; solvers
+    integrate over its directions against ``kernel_values``.
     """
 
     ball: BallDomain
-    points: np.ndarray            # (N, dim)
-    weights: np.ndarray           # (N,)
-    scheme: str
-    resolution: int
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
+    rule: DirectionQuadrature
 
     @property
-    def half_nodes(self) -> slice | None:
-        """Which of this rule's own nodes form its half rule: every other
-        node of a uniform circle with even N, else None (Gauss polar nodes
-        differ between resolutions)."""
-        if self.scheme == "uniform_circle":
-            return every_other_node(len(self), self.resolution)
-        return None
+    def points(self) -> np.ndarray:
+        return self.ball.center + self.ball.radius * self.rule.directions
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.rule.weights * _surface_area(self.ball)
+
+    def __len__(self) -> int:
+        return len(self.rule)
 
     def half_resolution(self) -> "BoundaryQuadrature":
-        return build_boundary_quadrature(self.ball, self.scheme,
-                                         max(self.resolution // 2, 2))
+        return BoundaryQuadrature(self.ball, self.rule.half_resolution())
 
 
-def _uniform_circle(ball: BallDomain, n: int) -> BoundaryQuadrature:
-    pts = ball.center + ball.radius * _circle_nodes(n)
-    w = np.full(n, 2.0 * math.pi * ball.radius / n)
-    return BoundaryQuadrature(ball, pts, w, "uniform_circle", n)
-
-
-def _gauss_sphere(ball: BallDomain, n_polar: int) -> BoundaryQuadrature:
-    dirs, w, m = _gauss_product_nodes(n_polar)
-    pts = ball.center + ball.radius * dirs
-    weights = np.repeat(w, m) * (2.0 * math.pi / m) * ball.radius ** 2
-    return BoundaryQuadrature(ball, pts, weights, "gauss_sphere", n_polar)
-
-
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
-def _boundary_rule(scheme: str, n: int, center: tuple, radius: float
-                   ) -> BoundaryQuadrature:
-    # The rule keeps its own ball, so a caller's later change to its ball's
-    # center array cannot reach the shared rule.
-    ball = BallDomain(center=np.array(center), radius=radius)
-    ball.center.flags.writeable = False
-    build = _uniform_circle if scheme == "uniform_circle" else _gauss_sphere
-    return read_only(build(ball, n))
-
-
-def build_boundary_quadrature(ball: BallDomain, scheme: str | None = None,
-                              resolution: int | None = None) -> BoundaryQuadrature:
-    """Surface quadrature of the ball boundary.
-
-    uniform_circle (2-D): ``resolution`` equally spaced points.
-    gauss_sphere (3-D): ``resolution`` Gauss-Legendre polar nodes times
-        2*resolution uniform azimuths.
-
-    The rule is shared, not copied: the last RULE_CACHE_SIZE rules built are
-    kept by (scheme, resolution, center, radius), never by the ball object,
-    and their arrays are read-only.
-    """
-    if scheme is None:
-        scheme = "uniform_circle" if ball.dim == 2 else "gauss_sphere"
-    if scheme == "uniform_circle":
-        if ball.dim != 2:
-            raise BadParameter("uniform_circle requires a 2-D ball")
-        n = resolution if resolution is not None else SMOOTH_RES_2D
-        if n < 2:
-            raise BadResolution("need at least 2 boundary nodes")
-    elif scheme == "gauss_sphere":
-        if ball.dim != 3:
-            raise BadParameter("gauss_sphere requires a 3-D ball")
-        n = resolution if resolution is not None else SMOOTH_RES_3D
-        if n < 2:
-            raise BadResolution("need at least 2 polar nodes")
-    else:
-        raise BadParameter(f"unknown boundary scheme {scheme!r}")
-    return _boundary_rule(scheme, n, tuple(ball.center.tolist()), float(ball.radius))
+def build_boundary_quadrature(ball: BallDomain, resolution: int | None = None
+                              ) -> BoundaryQuadrature:
+    """The default direction rule of the ball's dimension, placed on its
+    boundary: ``resolution`` equally spaced points in 2-D, ``resolution``
+    Gauss-Legendre polar nodes times 2*resolution azimuths in 3-D."""
+    return BoundaryQuadrature(ball, default_direction_quadrature(ball.dim, resolution))
 
 
 def measure_quadrature(ball: BallDomain) -> BoundaryQuadrature:
@@ -252,19 +206,21 @@ def measure_quadrature(ball: BallDomain) -> BoundaryQuadrature:
     return build_boundary_quadrature(ball, resolution=res)
 
 
-def kernel_values(ball: BallDomain, x: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Poisson kernel of the ball at interior x against boundary rows of pts.
+def kernel_values(ball: BallDomain, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Poisson kernel of the ball at interior x against the boundary points
+    c + R e, e a unit row of ``dirs``: the density of harmonic measure at x
+    w.r.t. the normalized measure on the sphere,
+    (1 - |xs|^2) / |e - xs|^n with xs = (x - c) / R.
 
-    Vectorized core without precondition checks; density w.r.t. surface
-    measure, normalized so the kernel integrates to 1 over the boundary.
+    Vectorized core without precondition checks.  A (K, dim) ``x`` holds one
+    point per row and gives (K, N) values.
     """
-    n = ball.dim
-    omega = 2.0 * math.pi if n == 2 else 4.0 * math.pi
     xs = (x - ball.center) / ball.radius
-    ys = (pts - ball.center) / ball.radius
-    dist2 = np.sum((ys - xs) ** 2, axis=-1)
-    num = 1.0 - float(xs @ xs)
-    return num / (omega * dist2 ** (n / 2.0) * ball.radius ** (n - 1))
+    # Summed column by column, in the order np.sum(axis=-1) adds them, but
+    # several times faster than reducing over a last axis of length 2 or 3.
+    dist2 = sum((dirs[:, j] - xs[..., j, np.newaxis]) ** 2 for j in range(ball.dim))
+    num = 1.0 - np.sum(xs * xs, axis=-1, keepdims=True)
+    return num / dist2 ** (ball.dim / 2.0)
 
 
 def poisson_kernel(ball: BallDomain, x, y) -> float:
@@ -273,7 +229,8 @@ def poisson_kernel(ball: BallDomain, x, y) -> float:
     q = as_point(y, ball.dim)
     if not ball.on_boundary(q):
         raise PointNotOnBoundary(f"{q} is not on the ball boundary")
-    return float(kernel_values(ball, p, q[np.newaxis, :])[0])
+    e = (q - ball.center) / ball.radius
+    return float(kernel_values(ball, p, e[np.newaxis, :])[0]) / _surface_area(ball)
 
 
 def poisson_solve(ball: BallDomain, data: BoundaryData, x,
@@ -288,8 +245,9 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
         raise BadParameter("boundary quadrature was built for a different ball")
 
     return half_rule_report(
-        bq, lambda q: (np.asarray(data.value(q.points), dtype=float),
-                       kernel_values(ball, p, q.points)))
+        bq.rule, lambda q: (
+            np.asarray(data.value(ball.center + ball.radius * q.directions), dtype=float),
+            kernel_values(ball, p, q.directions)))
 
 
 def dirichlet_1d(a: float, b: float, fa: float, fb: float, x: float) -> float:

@@ -38,13 +38,49 @@ def test_kernel_positive_and_normalized():
         for _ in range(5):
             d = rng.standard_normal(ball.dim)
             x = ball.center + rng.uniform(0.0, 0.7) * ball.radius * d / np.linalg.norm(d)
-            assert np.all(kernel_values(ball, x, bq.points) > 0.0)
+            assert np.all(kernel_values(ball, x, bq.rule.directions) > 0.0)
             assert abs(cm.poisson_solve(ball, ones, x, bq).value - 1.0) <= 1e-12
     # near the rim the 64-polar product rule resolves the 3-D kernel to ~1e-5
     ball = cm.BallDomain(center=(0.0, 0.5, 1.0), radius=0.6)
     x = ball.center + np.array([0.0, 0.0, 0.88 * ball.radius])
     got = cm.poisson_solve(ball, ones, x, build_boundary_quadrature(ball)).value
     assert abs(got - 1.0) <= 1e-5
+
+
+def test_kernel_values_rows_match_single_points():
+    from chordmean.poisson import kernel_values
+    rng = np.random.default_rng(5)
+    for ball in (cm.BallDomain(center=(0.3, -0.2), radius=1.7),
+                 cm.BallDomain(center=(0.0, 0.5, 1.0), radius=0.6)):
+        dirs = cm.default_direction_quadrature(ball.dim, 64 if ball.dim == 2 else 8).directions
+        xs = ball.center + ball.radius * rng.uniform(-0.5, 0.5, (7, ball.dim))
+        rows = kernel_values(ball, xs, dirs)
+        assert rows.shape == (7, len(dirs))
+        for k, x in enumerate(xs):
+            np.testing.assert_array_equal(rows[k], kernel_values(ball, x, dirs))
+
+
+def test_kernel_times_rule_weights_integrates_to_one_off_centre():
+    from chordmean.poisson import fixed_sum, kernel_values
+    for ball, x in ((cm.BallDomain(center=(1.0, -2.0), radius=0.8), (1.3, -1.8)),
+                    (cm.BallDomain(center=(0.5, 0.0, -1.0), radius=2.0), (1.2, 0.6, -0.4))):
+        rule = build_boundary_quadrature(ball).rule
+        total = fixed_sum(rule.weights * kernel_values(ball, np.array(x), rule.directions))
+        assert abs(total - 1.0) <= 1e-12
+
+
+def test_boundary_rules_need_a_sphere_of_dimension_2_or_3():
+    for dim in (1, 4):
+        with pytest.raises(cm.DimMismatch):
+            cm.default_direction_quadrature(dim)
+    line = cm.BallDomain(center=(0.0,), radius=1.0)
+    cap = cm.CapSpec(vertex=(0.1,), axis=(1.0,), half_angle=0.5)
+    with pytest.raises(cm.DimMismatch):
+        cm.poisson_solve(line, cm.constant_data(1.0), (0.1,))
+    with pytest.raises(cm.DimMismatch):
+        cm.cap_measure_poisson(line, (0.1,), cap)
+    with pytest.raises(cm.DimMismatch):
+        cm.center_of_mass_check(line, (0.1,), (1.0,), 0.5)
 
 
 def test_boundary_quadrature_weight_sums():

@@ -5,7 +5,7 @@ import pytest
 
 import chordmean as cm
 from chordmean.geometry import RULE_CACHE_SIZE, DirectionQuadrature, _build
-from chordmean.poisson import BoundaryQuadrature, build_boundary_quadrature
+from chordmean.poisson import build_boundary_quadrature
 
 
 def test_rules_are_shared_and_read_only():
@@ -14,12 +14,12 @@ def test_rules_are_shared_and_read_only():
     mc = cm.build_direction_quadrature(3, "monte_carlo", 64, seed=3)
     assert cm.build_direction_quadrature(3, "monte_carlo", 64, seed=3) is mc
     assert cm.build_direction_quadrature(3, "monte_carlo", 64, seed=4) is not mc
-    ball = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
-    bq = build_boundary_quadrature(ball, resolution=16)
-    same = cm.BallDomain(center=np.zeros(3), radius=1.0)
-    assert build_boundary_quadrature(same, resolution=16) is bq
+    bq = build_boundary_quadrature(cm.BallDomain(center=(0.5, 0.0, 0.0), radius=2.0),
+                                   resolution=16)
+    assert bq.rule is cm.build_direction_quadrature(3, "gauss_product_3d", 16)
+    assert bq.half_resolution().rule is bq.rule.half_resolution()
     for arr in (dq.directions, dq.weights, mc.half_resolution().weights,
-                bq.points, bq.weights, bq.ball.center):
+                bq.rule.directions, bq.rule.weights):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -46,14 +46,12 @@ def test_nested_half_nodes_are_the_half_rule():
     disk = cm.BallDomain(center=(0.2, -0.1), radius=1.5)
     for n in (4, 64, 4096):
         bq = build_boundary_quadrature(disk, resolution=n)
-        assert np.array_equal(bq.points[bq.half_nodes], bq.half_resolution().points)
+        assert np.array_equal(bq.points[bq.rule.half_nodes], bq.half_resolution().points)
         dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
         assert np.array_equal(dq.directions[dq.half_nodes],
                               dq.half_resolution().directions)
-    assert build_boundary_quadrature(disk, resolution=255).half_nodes is None
+    assert build_boundary_quadrature(disk, resolution=255).rule.half_nodes is None
     assert cm.build_direction_quadrature(3, "gauss_product_3d", 8).half_nodes is None
-    assert build_boundary_quadrature(cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0),
-                                     resolution=8).half_nodes is None
 
 
 @pytest.fixture
@@ -61,8 +59,7 @@ def separate_halves(monkeypatch):
     """Make every rule evaluate its half rule on its own nodes, as a rule
     whose half is not nested does."""
     def disable():
-        for cls in (DirectionQuadrature, BoundaryQuadrature):
-            monkeypatch.setattr(cls, "half_nodes", property(lambda self: None))
+        monkeypatch.setattr(DirectionQuadrature, "half_nodes", property(lambda self: None))
     return disable
 
 
