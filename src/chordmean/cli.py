@@ -354,21 +354,20 @@ def cmd_measure(args) -> int:
                 rows.append(["com", json.dumps({"point": point,
                                                 "half_angle": args.half_angle}),
                              offset, 0.0, offset])
+    elif args.n is not None and check in ("moment", "star-angle", "prop81"):
+        raise ConfigError(f"--n does not apply to --check={check}")
     elif check == "moment":
         _require(args, "w", "degree")
         w_vals = _floats(args.w, "--w")
         w = complex(w_vals[0], w_vals[1] if len(w_vals) > 1 else 0.0)
-        dq = None if args.n is None else \
-            build_direction_quadrature(2, "uniform_angle_2d", args.n)
-        got = subtended_moment(w, args.degree, dq)
+        got = subtended_moment(w, args.degree)
         expected = 0.5 * ((0.0 if args.degree else 1.0) + w ** args.degree)
         rows.append(["moment", json.dumps({"w": args.w, "degree": args.degree}),
                      got, expected, abs(got - expected)])
     elif check in ("star-angle", "prop81"):
         _require(args, "a", "arc")
         t1, t2 = _floats(args.arc, "--arc", 2)
-        grid = {} if args.n is None else {"resolution": args.n}
-        lhs, rhs, defect = star_angle_measure_check(args.a, (t1, t2), **grid)
+        lhs, rhs, defect = star_angle_measure_check(args.a, (t1, t2))
         rows.append([check, json.dumps({"a": args.a, "arc": [t1, t2]}),
                      lhs, rhs, defect])
     else:

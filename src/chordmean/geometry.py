@@ -618,6 +618,11 @@ def default_direction_quadrature(dim: int, resolution: int | None = None
                                       default if resolution is None else resolution)
 
 
+def measure_rule(dim: int) -> DirectionQuadrature:
+    """Default high-resolution rule for indicator (harmonic measure) work."""
+    return default_direction_quadrature(dim, MEASURE_RES_2D if dim == 2 else MEASURE_RES_3D)
+
+
 # ---------------------------------------------------------------------------
 # Disk involution
 # ---------------------------------------------------------------------------

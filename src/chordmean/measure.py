@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, BadResolution, EmptyCap, NumericalError, PNotInterior
+from .errors import BadParameter, EmptyCap, NumericalError, PNotInterior
 from .boundary import CapSpec, cap_indicator
 from .geometry import (
     BallDomain,
@@ -18,6 +18,7 @@ from .geometry import (
     DirectionQuadrature,
     ball_chord_roots,
     default_direction_quadrature,
+    measure_rule,
     mobius_involution,
 )
 from .averaging import _interpolant_values
@@ -77,7 +78,7 @@ def cap_measure_ratio(ball: BallDomain, P, cap: CapSpec,
     if not np.allclose(cap.vertex, p):
         raise BadParameter("cap vertex must coincide with the evaluation point")
     if dq is None:
-        dq = measure_quadrature(ball).rule
+        dq = measure_rule(ball.dim)
     chords = _interpolant_values(ball, cap_indicator(cap, ball), p, dq.directions)
     value = fixed_sum(dq.weights * chords)
     return min(max(value, 0.0), 1.0)
@@ -186,8 +187,6 @@ def star_angle_measure_check(a: float, arc, resolution: int = _PROP81_GRID):
     """
     if not 0.0 < a < 0.5:
         raise BadParameter("need 0 < a < 1/2 for univalence")
-    if resolution < 1:
-        raise BadResolution("the arc grid needs at least 1 interval")
     theta1, theta2 = float(arc[0]), float(arc[1])
     if not (0.0 <= theta1 < theta2 <= 2.0 * math.pi):
         raise BadParameter("arc must satisfy 0 <= theta1 < theta2 <= 2 pi")

@@ -34,12 +34,11 @@ from .errors import (
 )
 from .boundary import BoundaryData, CapSpec, cap_indicator
 from .geometry import (
-    MEASURE_RES_2D,
-    MEASURE_RES_3D,
     BallDomain,
     DirectionQuadrature,
     as_point,
     default_direction_quadrature,
+    measure_rule,
 )
 
 
@@ -202,8 +201,7 @@ def build_boundary_quadrature(ball: BallDomain, resolution: int | None = None
 
 def measure_quadrature(ball: BallDomain) -> BoundaryQuadrature:
     """Default high-resolution rule for indicator (harmonic measure) work."""
-    res = MEASURE_RES_2D if ball.dim == 2 else MEASURE_RES_3D
-    return build_boundary_quadrature(ball, resolution=res)
+    return BoundaryQuadrature(ball, measure_rule(ball.dim))
 
 
 def kernel_values(ball: BallDomain, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:

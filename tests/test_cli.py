@@ -99,17 +99,6 @@ def test_measure_moment_example(capsys):
     assert abs(lhs - 0.08) <= 1e-8
 
 
-def test_measure_n_sets_moment_and_star_angle_rules(capsys):
-    for argv, n in ((["measure", "--check", "moment", "--w", "0.2", "--degree", "3"], "4"),
-                    (["measure", "--check", "star-angle", "--a", "0.25", "--arc", "0,1"],
-                     "16")):
-        _, _, default = parse_csv(run_cli(argv, capsys)[1])
-        meta, _, coarse = parse_csv(run_cli(argv + ["--n", n], capsys)[1])
-        assert f'"n": {n}' in meta[1]
-        assert complex(coarse[0][2]) != complex(default[0][2])
-        assert abs(complex(default[0][2]) - complex(default[0][3])) <= 1e-8
-
-
 def test_hermite_examples(capsys):
     code, out = run_cli(["hermite", "--m", "4,5", "--a", "-0.5", "--b", "1.5"],
                         capsys)
@@ -261,7 +250,8 @@ def test_parse_helpers():
      "--half-angle=0.5"],                                             # DimMismatch
     ["measure", "--check=cap", "--point=0.1,0"],                      # no --half-angle
     ["measure", "--check=cap", "--point=0.1", "--half-angle=0.5"],    # 1-D: DimMismatch
-    ["measure", "--check=star-angle", "--a=0.25", "--arc=0,1", "--n=0"],  # BadResolution
+    ["measure", "--check=moment", "--w=0.2", "--degree=3", "--n=4"],  # --n: cap/cone/com only
+    ["measure", "--check=star-angle", "--a=0.25", "--arc=0,1", "--n=16"],
 ])
 def test_config_errors_exit_2_without_traceback(argv):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
