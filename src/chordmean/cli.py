@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default=None, help="moment base point re[,im]")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--a", type=float, default=None, help="conformal coefficient")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help="rule resolution (cap, cone, com)")
     _add_common(p)
     p.set_defaults(func=cmd_measure)
 
