@@ -6,6 +6,10 @@ data at the two chord endpoints.  On balls this reproduces the harmonic
 extension; on ellipses and star domains the residual against the exact
 solution is the converse diagnostic.  A cross-section variant averages exact
 2-D solves over planes through P in a 3-ball.
+
+Even uniform-angle rules hold exact antipodal pairs, and a chord average
+over them solves and evaluates each chord once (``_interpolant_values``):
+the values equal those of evaluating every direction, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +27,17 @@ from .geometry import (
     Ellipse2D,
     StarDomain2D,
     _circle_nodes,
-    ball_chord_roots,
     interior_point,
     plane_sections,
     star_hits_batch,  # noqa: F401  (also looked up as averaging.star_hits_batch)
 )
-from .poisson import SolveReport, fixed_sum, half_rule_report, kernel_values
+from .poisson import (
+    SolveReport,
+    fixed_sum,
+    half_rule_report,
+    kernel_values,
+    require_finite,
+)
 
 
 @dataclass(frozen=True)
@@ -58,14 +67,36 @@ def chord_interpolant(chord: Chord, data: BoundaryData) -> float:
     return (chord.r1 * f2 + chord.r2 * f1) / (chord.r1 + chord.r2)
 
 
+def _antipodal_half(dirs: np.ndarray) -> int | None:
+    """N/2 when the last N/2 rows of ``dirs`` are the first N/2 negated bit
+    for bit (even uniform-angle rules), else None."""
+    n = dirs.shape[0]
+    h = n // 2
+    if n % 2 or not np.array_equal(dirs[h], -dirs[0]):     # cheap reject first
+        return None
+    return h if dirs[h:].tobytes() == (-dirs[:h]).tobytes() else None
+
+
 def _interpolant_values(domain, data: BoundaryData, p: np.ndarray,
                         dirs: np.ndarray) -> np.ndarray:
-    a, b = domain.chord_roots(p, dirs)
-    f1 = np.asarray(data.value(p + a[:, np.newaxis] * dirs), dtype=float)
-    f2 = np.asarray(data.value(p + b[:, np.newaxis] * dirs), dtype=float)
+    """Chord interpolant at p along each row of ``dirs``: (N,) values for a
+    point p, (K, N) for one base point per row of a (K, dim) p.
+
+    On an antipodal direction set each chord is solved and evaluated once.
+    The chord along -e is the one along e with its ends swapped (a' = -b,
+    q1' = q2), and r1 f2 + r2 f1 commutes, so the second half of the values
+    is the first half bit for bit.
+    """
+    h = _antipodal_half(dirs)
+    half = dirs if h is None else dirs[:h]
+    a, b = domain.chord_roots(p, half)
+    base = p[..., np.newaxis, :]
+    f1 = np.asarray(data.value(base + a[..., np.newaxis] * half), dtype=float)
+    f2 = np.asarray(data.value(base + b[..., np.newaxis] * half), dtype=float)
     r1 = -a
     r2 = b
-    return (r1 * f2 + r2 * f1) / (r1 + r2)
+    values = (r1 * f2 + r2 * f1) / (r1 + r2)
+    return values if h is None else np.concatenate([values, values], axis=-1)
 
 
 def _oracle(data: BoundaryData, p: np.ndarray) -> float | None:
@@ -138,11 +169,8 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
     if inner_solver == "poisson":
         terms = values(circle[np.newaxis]) * kernel_values(_UNIT_DISK, z, circle)
     else:
-        a, b = ball_chord_roots(_UNIT_DISK, z, circle)
-        f1 = values(z[:, np.newaxis] + a[..., np.newaxis] * circle)
-        f2 = values(z[:, np.newaxis] + b[..., np.newaxis] * circle)
-        terms = ((-a) * f2 + b * f1) / (b - a)
-    return np.array([fixed_sum(row) for row in terms]) / len(circle)
+        terms = _interpolant_values(_UNIT_DISK, BoundaryData(values, None, "c0"), z, circle)
+    return np.array([fixed_sum(row) for row in require_finite(terms)]) / len(circle)
 
 
 def cross_section_solve(ball: BallDomain, data: BoundaryData, P,

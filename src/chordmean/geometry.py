@@ -430,11 +430,12 @@ class DirectionQuadrature:
     @property
     def half_nodes(self) -> slice | None:
         """Which of this rule's own nodes form its half rule: a prefix for the
-        Monte Carlo schemes, every other node for uniform angles with even N,
-        None for the Gauss product (its half rule has other polar nodes)."""
+        Monte Carlo schemes, every other node for uniform angles with N
+        divisible by 4, None for the Gauss product (its half rule has other
+        polar nodes) and for an odd half (its nodes are not negations)."""
         if self.scheme in _MC_SCHEMES:
             return slice(0, self._prefix_half())
-        if self.scheme == "uniform_angle_2d" and len(self) % 2 == 0 and len(self) >= 4:
+        if self.scheme == "uniform_angle_2d" and len(self) % 4 == 0:
             return slice(None, None, 2)         # the N/2 angles, bit for bit
         return None
 
@@ -464,9 +465,15 @@ def read_only(rule):
 
 
 def _circle_nodes(n: int) -> np.ndarray:
-    """n equally spaced unit vectors (cos t, sin t), t = 2 pi k / n."""
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    return np.column_stack([np.cos(thetas), np.sin(thetas)])
+    """n equally spaced unit vectors (cos t, sin t), t = 2 pi k / n.
+
+    For even n the second half is the exact negation of the first, so node
+    k + n/2 is the antipode of node k bit for bit; every other node of an
+    n divisible by 4 is still the n/2 rule bit for bit.
+    """
+    thetas = 2.0 * math.pi * np.arange(n if n % 2 else n // 2) / n
+    nodes = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    return nodes if n % 2 else np.concatenate([nodes, -nodes])
 
 
 def _gauss_product_nodes(n_polar: int):

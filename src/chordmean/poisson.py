@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     BadParameter,
     DegenerateInterval,
+    NumericalError,
     PointNotOnBoundary,
     XOutsideInterval,
 )
@@ -139,7 +140,8 @@ def half_rule_report(rule, factors, nodes_used: int | None = None) -> SolveRepor
     of per-node arrays, and each integral is fixed_sum(q.weights * f1 * f2 ...)
     multiplied in that order.  When the half rule's nodes are some of the
     rule's own (``rule.half_nodes``), its values are taken from the full
-    evaluation instead of being computed again.
+    evaluation instead of being computed again.  A non-finite term (data
+    returning nan or inf) raises NumericalError before anything is summed.
     """
     values = factors(rule)
     value = _weighted_sum(rule.weights, values)
@@ -155,7 +157,16 @@ def half_rule_report(rule, factors, nodes_used: int | None = None) -> SolveRepor
 
 
 def _weighted_sum(weights: np.ndarray, factors) -> float:
-    return fixed_sum(functools.reduce(operator.mul, factors, weights))
+    return fixed_sum(require_finite(functools.reduce(operator.mul, factors, weights)))
+
+
+def require_finite(terms: np.ndarray) -> np.ndarray:
+    """The terms of a sum, checked to be finite: NumericalError names how
+    many are not (data returning nan or inf), before anything is summed."""
+    bad = np.size(terms) - np.count_nonzero(np.isfinite(terms))
+    if bad:
+        raise NumericalError(f"{bad} of {np.size(terms)} integrand values are not finite")
+    return terms
 
 
 def _surface_area(ball: BallDomain) -> float:

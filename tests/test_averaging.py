@@ -208,6 +208,20 @@ def test_cross_section_scalar_callable_data(inner_solver):
     assert abs(a.report.error_estimate - b.report.error_estimate) <= 1e-12
 
 
+@pytest.mark.parametrize("inner_solver", ["poisson", "chords"])
+def test_cross_section_non_finite_data_raises_numerical_error(inner_solver):
+    # +inf and -inf on the same section circle: math.fsum alone would raise
+    # a bare ValueError there
+    def value(x):
+        return np.where(x[:, 0] > 0.5, np.inf, np.where(x[:, 0] < -0.5, -np.inf, 0.0))
+
+    ndq = cm.build_direction_quadrature(3, "gauss_product_3d", 8)
+    with pytest.raises(cm.NumericalError, match="not finite"), \
+            np.errstate(invalid="ignore"):
+        cm.cross_section_solve(BALL, cm.BoundaryData(value, None, "c0"), (0.1, 0.2, 0.0),
+                               ndq, 64, inner_solver)
+
+
 def test_scalar_only_radial_star_solves():
     star = cm.StarDomain2D.radial(lambda t: 1.0 + 0.2 * math.cos(2.0 * t), lipschitz=0.4)
     thetas = np.linspace(0.0, 6.0, 7)

@@ -6,7 +6,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import chordmean as cm
 from chordmean.averaging import star_hits_batch
-from chordmean.geometry import as_point, ball_chord_roots, philox_stream, plane_sections
+from chordmean.geometry import (
+    _circle_nodes,
+    as_point,
+    ball_chord_roots,
+    philox_stream,
+    plane_sections,
+)
 
 
 def test_chord_through_offset_ball():
@@ -264,6 +270,30 @@ def test_half_resolution():
     mc = cm.build_direction_quadrature(2, "monte_carlo", 64, seed=1)
     half_mc = mc.half_resolution()
     assert_array_equal(half_mc.directions, mc.directions[:32])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _angle_nodes(n, count):
+    t = 2.0 * math.pi * np.arange(count) / n
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+@pytest.mark.parametrize("n", [512, 4096, 2 ** 16])
+def test_even_circle_nodes_hold_exact_antipodes(n):
+    nodes = _circle_nodes(n)
+    h = n // 2
+    assert_array_equal(_bits(nodes[h:]), _bits(-nodes[:h]))
+    assert_array_equal(_bits(nodes[:h]), _bits(_angle_nodes(n, h)))
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
+    assert_array_equal(_bits(dq.half_resolution().directions), _bits(dq.directions[::2]))
+
+
+@pytest.mark.parametrize("n", [5, 255, 4095])
+def test_odd_circle_nodes_are_the_plain_angles(n):
+    assert_array_equal(_bits(_circle_nodes(n)), _bits(_angle_nodes(n, n)))
 
 
 def test_mobius_examples():

@@ -227,3 +227,32 @@ def test_cap_measure_requires_matching_vertex():
     cap = cm.CapSpec(vertex=(0.2, 0.0), axis=(1.0, 0.0), half_angle=0.5)
     with pytest.raises(cm.BadParameter):
         cm.cap_measure_poisson(disk, (0.0, 0.0), cap)
+
+
+def _spoiled(marks):
+    """Harmonic data with the given non-finite values put, per evaluation, at
+    the point of largest x and, for a second mark, of largest y."""
+    data = cm.harmonic_poly(2, 3, "re").boundary_data()
+
+    def value(pts):
+        out = np.array(data.value(pts), dtype=float)
+        for axis, mark in enumerate(marks):
+            out[np.argmax(pts[:, axis])] = mark
+        return out
+
+    return cm.BoundaryData(value, None, "c0")
+
+
+@pytest.mark.parametrize("marks", [(math.nan,), (math.inf, -math.inf)],
+                         ids=["nan", "inf_pair"])
+@pytest.mark.parametrize("solver", ["chords", "poisson"])
+def test_non_finite_integrands_raise_numerical_error(solver, marks):
+    disk = cm.BallDomain(center=(0.1, 0.0), radius=1.0)
+    p = (0.3, -0.2)
+    data = _spoiled(marks)
+    with pytest.raises(cm.NumericalError, match="not finite"):
+        if solver == "chords":
+            cm.solve_harmonic(disk, data, p,
+                              cm.build_direction_quadrature(2, "uniform_angle_2d", 4096))
+        else:
+            cm.poisson_solve(disk, data, p)

@@ -1,0 +1,85 @@
+"""Properties of the 2-D chord average that hold for every input: antipodal
+symmetry, linearity in the data, rotation covariance and the constant root
+product along chords.  Derandomised, with few examples, so the suite stays
+deterministic and quick."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import chordmean as cm
+from chordmean.geometry import DirectionQuadrature, ball_chord_roots, uniform_directions
+
+PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
+DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
+DQ = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096)
+
+radii = st.floats(0.0, 0.9)
+angles = st.floats(0.0, 2.0 * math.pi)
+coeffs = st.floats(-3.0, 3.0)
+degrees = st.integers(1, 6)
+parts = st.sampled_from(["re", "im"])
+
+
+def _point(r, t):
+    return np.array([r * math.cos(t), r * math.sin(t)])
+
+
+def _rotation(t):
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s], [s, c]])
+
+
+@PROPERTY
+@given(radii, angles, degrees, parts, st.sampled_from([255, 256, 4096]))
+def test_negated_direction_set_gives_the_same_solve(r, t, m, k, n):
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
+    negated = DirectionQuadrature(-dq.directions, dq.weights, dq.scheme, dq.resolution)
+    data = cm.harmonic_poly(2, m, k).boundary_data()
+    a = cm.solve_harmonic(DISK, data, _point(r, t), dq).report
+    b = cm.solve_harmonic(DISK, data, _point(r, t), negated).report
+    assert (a.value.hex(), a.error_estimate.hex()) == (b.value.hex(), b.error_estimate.hex())
+
+
+@PROPERTY
+@given(radii, angles, coeffs, coeffs, st.floats(0.5, 4.0))
+def test_solve_is_linear_in_the_data(r, t, alpha, beta, freq):
+    # Neither term is harmonic, so the rule does not reproduce them exactly.
+    def f(x):
+        return np.cos(freq * x[:, 0]) * x[:, 1]
+
+    def g(x):
+        return np.exp(x[:, 0] - x[:, 1] ** 2)
+
+    def solve(value):
+        return cm.solve_harmonic(DISK, cm.BoundaryData(value, None, "c0"),
+                                 _point(r, t), DQ).value
+
+    combined = solve(lambda x: alpha * f(x) + beta * g(x))
+    assert abs(combined - (alpha * solve(f) + beta * solve(g))) <= 1e-12
+
+
+@PROPERTY
+@given(radii, angles, angles, st.integers(1, 5), parts)
+def test_solve_is_rotation_covariant(r, t, rot, m, k):
+    poly = cm.harmonic_poly(2, m, k)
+    rotation = _rotation(rot)
+    rotated = cm.BoundaryData(lambda x: poly.value(x @ rotation), None, "c0")
+    p = _point(r, t)
+    value = cm.solve_harmonic(DISK, poly.boundary_data(), p, DQ).value
+    moved = cm.solve_harmonic(DISK, rotated, rotation @ p, DQ).value
+    assert abs(moved - value) <= 1e-12
+
+
+@PROPERTY
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.1, 3.0), radii, angles,
+       st.integers(0, 2 ** 16))
+def test_root_product_is_constant_along_chords(cx, cy, radius, r, t, seed):
+    ball = cm.BallDomain(center=(cx, cy), radius=radius)
+    p = ball.center + radius * _point(r, t)
+    dirs = uniform_directions(np.random.default_rng(seed), 64, 2)
+    a, b = ball_chord_roots(ball, p, dirs)
+    power = float(np.sum((p - ball.center) ** 2)) - radius ** 2
+    assert np.all(a < 0.0) and np.all(b > 0.0)
+    assert np.max(np.abs(a * b - power)) <= 1e-12 * radius ** 2

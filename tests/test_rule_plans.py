@@ -1,9 +1,13 @@
-"""Shared read-only quadrature rules and the nested full-plus-half estimate."""
+"""Shared read-only quadrature rules, the nested full-plus-half estimate and
+the antipodal chord pairing."""
 
 import numpy as np
 import pytest
 
 import chordmean as cm
+from chordmean import averaging, measure
+from chordmean.averaging import _antipodal_half, _interpolant_values
+from chordmean.boundary import cap_indicator
 from chordmean.geometry import RULE_CACHE_SIZE, DirectionQuadrature, _build
 from chordmean.poisson import build_boundary_quadrature
 
@@ -124,4 +128,94 @@ def test_nested_half_evaluates_the_data_once():
     seen.clear()
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 512)
     cm.solve_harmonic(disk, counted, p, dq)
-    assert seen == [512, 512]          # both chord endpoints, full rule only
+    assert seen == [256, 256]          # both chord endpoints, one per antipodal pair
+
+
+def _unpaired(domain, data, p, dirs):
+    """The chord interpolant solved and evaluated on every row of ``dirs``."""
+    a, b = domain.chord_roots(p, dirs)
+    base = p[..., np.newaxis, :]
+    f1 = np.asarray(data.value(base + a[..., np.newaxis] * dirs), dtype=float)
+    f2 = np.asarray(data.value(base + b[..., np.newaxis] * dirs), dtype=float)
+    return ((-a) * f2 + b * f1) / ((-a) + b)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _chord_cases():
+    data = cm.harmonic_poly(2, 5, "im").boundary_data()
+    disk = cm.BallDomain(center=(0.2, -0.1), radius=1.5)
+    cap = cm.CapSpec(vertex=(0.3, 0.2), axis=(0.6, 0.8), half_angle=0.7, nappe="both")
+    return {
+        "ball": (disk, data, np.array([0.31, -0.42])),
+        "ellipse": (cm.Ellipse2D(center=(0.0, 0.0), semi_axes=(1.5, 1.0)), data,
+                    np.array([0.4, -0.3])),
+        "conformal_star": (cm.StarDomain2D.conformal(0.25), data, np.array([0.1, 0.2])),
+        "radial_star": (cm.StarDomain2D.radial(lambda t: 1.0 + 0.2 * np.cos(3 * t), 0.6),
+                        data, np.array([-0.2, 0.1])),
+        "cap_indicator": (disk, cap_indicator(cap, disk), np.array([0.3, 0.2])),
+        "base_points": (cm.BallDomain(center=(0.0, 0.0), radius=1.0), data,
+                        np.array([[0.0, 0.0], [0.5, -0.25], [-0.1, 0.7]])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_chord_cases()))
+def test_paired_interpolant_equals_unpaired(name):
+    domain, data, p = _chord_cases()[name]
+    dirs = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096).directions
+    assert _antipodal_half(dirs) == 2048
+    paired = _interpolant_values(domain, data, p, dirs)
+    assert paired.shape == p.shape[:-1] + (4096,)
+    assert np.array_equal(_bits(paired), _bits(_unpaired(domain, data, p, dirs)))
+
+
+def test_paired_solves_equal_unpaired(monkeypatch):
+    disk, data, p = _disk_case()
+    ball = cm.BallDomain(center=(0.1, 0.0, -0.2), radius=1.2)
+    hp3 = cm.harmonic_poly(3, 3, 2).boundary_data()
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096)
+    cap = cm.CapSpec(vertex=p, axis=(1.0, 0.0), half_angle=0.9, nappe="plus")
+
+    def results():
+        reports = [cm.solve_harmonic(disk, data, p, dq).report,
+                   cm.solve_on_domain(cm.StarDomain2D.conformal(0.3), data, (0.2, 0.1),
+                                      dq).report,
+                   cm.cross_section_solve(ball, hp3, (0.2, -0.1, 0.3),
+                                          cm.build_direction_quadrature(3, "gauss_product_3d",
+                                                                        8),
+                                          inner_resolution=512,
+                                          inner_solver="chords").report]
+        return ([(r.value.hex(), r.error_estimate.hex()) for r in reports]
+                + [cm.cap_measure_ratio(disk, p, cap, dq).hex(),
+                   cm.chord_interpolant_max(disk, data, p, dq).hex()])
+
+    paired = results()
+    monkeypatch.setattr(averaging, "_interpolant_values", _unpaired)
+    monkeypatch.setattr(measure, "_interpolant_values", _unpaired)
+    assert results() == paired
+
+
+@pytest.mark.parametrize("dq,counts", [
+    (cm.build_direction_quadrature(2, "uniform_angle_2d", 512), [256, 256]),
+    (cm.build_direction_quadrature(2, "uniform_angle_2d", 4094), [2047] * 4),
+    (cm.build_direction_quadrature(2, "uniform_angle_2d", 4095), [4095, 4095, 2047, 2047]),
+    (cm.build_direction_quadrature(2, "monte_carlo", 1000, seed=5), [1000, 1000]),
+    (cm.build_direction_quadrature(3, "gauss_product_3d", 8), [128, 128, 32, 32]),
+], ids=["even", "half_odd", "odd", "monte_carlo", "gauss_product"])
+def test_only_antipodal_rules_are_paired(dq, counts):
+    """Data evaluations of a chord solve: one per antipodal pair and chord end
+    on the even uniform rule, one per node and end otherwise; a half rule
+    that does not nest (odd, Gauss) is evaluated on its own."""
+    ball = cm.BallDomain(center=np.zeros(dq.dim), radius=1.0)
+    data = cm.harmonic_poly(dq.dim, 2, "re" if dq.dim == 2 else 0).boundary_data()
+    seen = []
+
+    def value(pts):
+        seen.append(len(pts))
+        return data.value(pts)
+
+    counted = cm.BoundaryData(value, data.gradient, data.smoothness)
+    cm.solve_harmonic(ball, counted, np.full(dq.dim, 0.2), dq)
+    assert seen == counts
