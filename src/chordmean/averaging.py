@@ -9,7 +9,8 @@ solution is the converse diagnostic.  A cross-section variant averages exact
 
 Even uniform-angle rules hold exact antipodal pairs, and a chord average
 over them solves and evaluates each chord once (``_interpolant_values``):
-the values equal those of evaluating every direction, bit for bit.
+the values equal those of evaluating every direction, bit for bit.  The
+biharmonic solver runs through the same kernel with its Hermite term.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ class ChordAverageResult:
 def chord_interpolant(chord: Chord, data: BoundaryData) -> float:
     """Value at the chord base of the linear interpolant of the endpoint data:
     (r1 f2 + r2 f1) / (r1 + r2)."""
-    f1 = float(data.value(chord.q1))
-    f2 = float(data.value(chord.q2))
-    return (chord.r1 * f2 + chord.r2 * f1) / (chord.r1 + chord.r2)
+    return float(_linear_term(data, chord.q1, chord.q2, chord.r1, chord.r2, None))
 
 
 def _antipodal_half(dirs: np.ndarray) -> int | None:
@@ -77,25 +76,29 @@ def _antipodal_half(dirs: np.ndarray) -> int | None:
     return h if dirs[h:].tobytes() == (-dirs[:h]).tobytes() else None
 
 
-def _interpolant_values(domain, data: BoundaryData, p: np.ndarray,
-                        dirs: np.ndarray) -> np.ndarray:
-    """Chord interpolant at p along each row of ``dirs``: (N,) values for a
-    point p, (K, N) for one base point per row of a (K, dim) p.
+def _linear_term(data: BoundaryData, q1, q2, r1, r2, e) -> np.ndarray:
+    """Linear interpolant at the chord base: (r1 f2 + r2 f1) / (r1 + r2)."""
+    f1 = np.asarray(data.value(q1), dtype=float)
+    f2 = np.asarray(data.value(q2), dtype=float)
+    return (r1 * f2 + r2 * f1) / (r1 + r2)
 
-    On an antipodal direction set each chord is solved and evaluated once.
-    The chord along -e is the one along e with its ends swapped (a' = -b,
-    q1' = q2), and r1 f2 + r2 f1 commutes, so the second half of the values
-    is the first half bit for bit.
+
+def _interpolant_values(domain, data: BoundaryData, p: np.ndarray,
+                        dirs: np.ndarray, term=_linear_term) -> np.ndarray:
+    """``term(data, q1, q2, r1, r2, e)`` at p along each row e of ``dirs``,
+    for the chord with ends q1 = p - r1 e and q2 = p + r2 e: (N,) values for
+    a point p, (K, N) for one base point per row of a (K, dim) p.
+
+    On an antipodal direction set each chord is solved and evaluated once:
+    the chord along -e is the one along e with its ends swapped, and both
+    terms (linear, Hermite) are the same bit for bit under that swap.
     """
     h = _antipodal_half(dirs)
     half = dirs if h is None else dirs[:h]
     a, b = domain.chord_roots(p, half)
     base = p[..., np.newaxis, :]
-    f1 = np.asarray(data.value(base + a[..., np.newaxis] * half), dtype=float)
-    f2 = np.asarray(data.value(base + b[..., np.newaxis] * half), dtype=float)
-    r1 = -a
-    r2 = b
-    values = (r1 * f2 + r2 * f1) / (r1 + r2)
+    values = term(data, base + a[..., np.newaxis] * half, base + b[..., np.newaxis] * half,
+                  -a, b, half)
     return values if h is None else np.concatenate([values, values], axis=-1)
 
 
@@ -105,9 +108,10 @@ def _oracle(data: BoundaryData, p: np.ndarray) -> float | None:
     return float(data.exact_solution(p))
 
 
-def _average(domain, data, p, dq: DirectionQuadrature) -> ChordAverageResult:
+def _average(domain, data, p, dq: DirectionQuadrature,
+             term=_linear_term) -> ChordAverageResult:
     report = half_rule_report(
-        dq, lambda q: (_interpolant_values(domain, data, p, q.directions),))
+        dq, lambda q: (_interpolant_values(domain, data, p, q.directions, term),))
     return ChordAverageResult(report=report, oracle_value=_oracle(data, p))
 
 

@@ -1,10 +1,12 @@
 """Biharmonic chord solver: cubic Hermite interpolation of boundary values and
 directional derivatives along each chord, averaged over directions.
 
-The Hermite system is solved in the midpoint-shifted variable for
-conditioning.  C_m(0), the cubic interpolant of t^m evaluated at 0, is
-obtained as the remainder of t^m modulo (t-a)^2 (t-b)^2, which exposes the
-(ab)^2 factor exactly.
+The solver takes each chord's cubic at P in the symmetric closed form of the
+Hermite basis, a term of the harmonic solver's chord kernel; ``hermite_cubic``
+builds the whole cubic in the midpoint-shifted variable for conditioning.
+C_m(0), the cubic interpolant of t^m evaluated at 0, is obtained as the
+remainder of t^m modulo (t-a)^2 (t-b)^2, which exposes the (ab)^2 factor
+exactly.
 """
 
 from __future__ import annotations
@@ -15,21 +17,10 @@ import numpy as np
 
 from .errors import BadBracket, BadDegree, DegenerateInterval, DimMismatch, GradientRequired
 from .boundary import BoundaryData
-from .geometry import BallDomain, DirectionQuadrature, ball_chord_roots
-from .poisson import half_rule_report
-from .averaging import ChordAverageResult, _oracle
+from .geometry import BallDomain, DirectionQuadrature
+from .averaging import ChordAverageResult, _average
 
 MAX_MONOMIAL_DEGREE = 12
-
-
-def _shifted_coefficients(a, b, fa, fb, dfa, dfb):
-    """Cubic coefficients (alpha..delta) in s = t - (a+b)/2."""
-    h = 0.5 * (b - a)
-    alpha = (dfa + dfb) / (4.0 * h * h) - (fb - fa) / (4.0 * h ** 3)
-    beta = (dfb - dfa) / (4.0 * h)
-    gamma = (fb - fa) / (2.0 * h) - alpha * h * h
-    delta = 0.5 * (fa + fb) - beta * h * h
-    return alpha, beta, gamma, delta
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,11 @@ def hermite_cubic(a: float, b: float, fa: float, fb: float,
     """Hermite cubic through (a, fa, dfa) and (b, fb, dfb)."""
     if b - a < 1e-12 * max(abs(a), abs(b), 1.0):
         raise DegenerateInterval(f"nodes {a}, {b} are too close")
-    alpha, beta, gamma, delta = _shifted_coefficients(a, b, fa, fb, dfa, dfb)
+    h = 0.5 * (b - a)           # coefficients alpha..delta in s = t - mid
+    alpha = (dfa + dfb) / (4.0 * h * h) - (fb - fa) / (4.0 * h ** 3)
+    beta = (dfb - dfa) / (4.0 * h)
+    gamma = (fb - fa) / (2.0 * h) - alpha * h * h
+    delta = 0.5 * (fa + fb) - beta * h * h
     mid = 0.5 * (a + b)
     coeff_a = alpha
     coeff_b = beta - 3.0 * alpha * mid
@@ -103,6 +98,20 @@ def hermite_monomial_at_zero(m: int, a: float, b: float) -> tuple[float, float]:
     return _monomial_remainder_at_zero(m, a, b)
 
 
+def _hermite_term(data: BoundaryData, q1, q2, r1, r2, e) -> np.ndarray:
+    """Hermite cubic of values and slopes d = <grad f, e> at the chord base,
+    L = r1 + r2: [(r2 + 3 r1) r2^2 f1 + (r1 + 3 r2) r1^2 f2] / L^3
+    + r1 r2 (r2 d1 - r1 d2) / L^2, the same bit for bit under e -> -e."""
+    f1 = np.asarray(data.value(q1), dtype=float)
+    f2 = np.asarray(data.value(q2), dtype=float)
+    d1 = np.sum(np.asarray(data.gradient(q1), dtype=float) * e, axis=-1)
+    d2 = np.sum(np.asarray(data.gradient(q2), dtype=float) * e, axis=-1)
+    length = r1 + r2
+    return (((r2 + 3.0 * r1) * (r2 * r2) * f1 + (r1 + 3.0 * r2) * (r1 * r1) * f2)
+            / length ** 3
+            + r1 * r2 * (r2 * d1 - r1 * d2) / (length * length))
+
+
 def solve_biharmonic(ball: BallDomain, data: BoundaryData, P,
                      dq: DirectionQuadrature) -> ChordAverageResult:
     """Average over directions of the chord Hermite cubic evaluated at P.
@@ -116,18 +125,4 @@ def solve_biharmonic(ball: BallDomain, data: BoundaryData, P,
     if dq.dim != ball.dim:
         raise DimMismatch("direction quadrature dimension does not match the ball")
 
-    def values(dq_):
-        dirs = dq_.directions
-        a, b = ball_chord_roots(ball, p, dirs)
-        q1 = p + a[:, np.newaxis] * dirs
-        q2 = p + b[:, np.newaxis] * dirs
-        fa = np.asarray(data.value(q1), dtype=float)
-        fb = np.asarray(data.value(q2), dtype=float)
-        dfa = np.sum(np.asarray(data.gradient(q1), dtype=float) * dirs, axis=-1)
-        dfb = np.sum(np.asarray(data.gradient(q2), dtype=float) * dirs, axis=-1)
-        alpha, beta, gamma, delta = _shifted_coefficients(a, b, fa, fb, dfa, dfb)
-        s0 = -0.5 * (a + b)
-        return (((alpha * s0 + beta) * s0 + gamma) * s0 + delta,)
-
-    report = half_rule_report(dq, values)
-    return ChordAverageResult(report=report, oracle_value=_oracle(data, p))
+    return _average(ball, data, p, dq, _hermite_term)

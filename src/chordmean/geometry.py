@@ -134,9 +134,6 @@ class Ellipse2D:
     def dim(self) -> int:
         return 2
 
-    def is_disk(self) -> bool:
-        return self.semi_axes[0] == self.semi_axes[1]
-
     def _scaled(self, x) -> np.ndarray:
         return (as_point(x, 2) - self.center) / np.asarray(self.semi_axes)
 
@@ -221,12 +218,6 @@ class StarDomain2D:
     def boundary_point(self, theta: float) -> np.ndarray:
         r = float(self._rho(theta))
         return np.array([r * math.cos(theta), r * math.sin(theta)])
-
-    def map_conformal(self, z: complex) -> complex:
-        """q(z) = a z^2 + z + a (conformal kind only)."""
-        if self.kind != "conformal":
-            raise BadParameter("map_conformal is defined for the conformal kind only")
-        return self.a * z * z + z + self.a
 
     def contains(self, x) -> bool:
         p = as_point(x, 2)
@@ -430,14 +421,15 @@ class DirectionQuadrature:
     @property
     def half_nodes(self) -> slice | None:
         """Which of this rule's own nodes form its half rule: a prefix for the
-        Monte Carlo schemes, every other node for uniform angles with N
-        divisible by 4, None for the Gauss product (its half rule has other
-        polar nodes) and for an odd half (its nodes are not negations)."""
+        Monte Carlo schemes and uniform angles with odd N/2, every other node
+        for uniform angles with N divisible by 4 (see ``_circle_nodes``), None
+        for odd N and the Gauss product (its half rule has other polar nodes)."""
         if self.scheme in _MC_SCHEMES:
             return slice(0, self._prefix_half())
-        if self.scheme == "uniform_angle_2d" and len(self) % 4 == 0:
-            return slice(None, None, 2)         # the N/2 angles, bit for bit
-        return None
+        n = len(self)
+        if self.scheme != "uniform_angle_2d" or n % 2 or n == 2:
+            return None
+        return slice(None, None, 2) if n % 4 == 0 else slice(0, n // 2)
 
     def _prefix_half(self) -> int:
         if self.scheme == "monte_carlo":
@@ -468,9 +460,13 @@ def _circle_nodes(n: int) -> np.ndarray:
     """n equally spaced unit vectors (cos t, sin t), t = 2 pi k / n.
 
     For even n the second half is the exact negation of the first, so node
-    k + n/2 is the antipode of node k bit for bit; every other node of an
-    n divisible by 4 is still the n/2 rule bit for bit.
+    k + n/2 is the antipode of node k bit for bit.  For odd n/2 the first
+    half is the n/2 rule itself.  Every other node of an n divisible by 4 is
+    the n/2 rule, bit for bit when n/2 is even and within 1.1e-15 otherwise.
     """
+    if n % 4 == 2:
+        half = _circle_nodes(n // 2)
+        return np.concatenate([half, -half])
     thetas = 2.0 * math.pi * np.arange(n if n % 2 else n // 2) / n
     nodes = np.column_stack([np.cos(thetas), np.sin(thetas)])
     return nodes if n % 2 else np.concatenate([nodes, -nodes])
@@ -600,6 +596,8 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
 
     The rule is shared, not copied: the last RULE_CACHE_SIZE rules built are
     kept by (dim, scheme, resolution, seed), and their arrays are read-only.
+    The cache is bounded by count, not bytes: one 512-polar 3-D rule is
+    16.8 MB, and 16 rules of that size would hold about 270 MB.
     """
     if resolution < 4:
         raise BadResolution("direction resolution must be at least 4")

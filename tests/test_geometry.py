@@ -281,14 +281,31 @@ def _angle_nodes(n, count):
     return np.column_stack([np.cos(t), np.sin(t)])
 
 
-@pytest.mark.parametrize("n", [512, 4096, 2 ** 16])
+@pytest.mark.parametrize("n", [512, 4094, 4096, 2 ** 16])
 def test_even_circle_nodes_hold_exact_antipodes(n):
     nodes = _circle_nodes(n)
     h = n // 2
     assert_array_equal(_bits(nodes[h:]), _bits(-nodes[:h]))
-    assert_array_equal(_bits(nodes[:h]), _bits(_angle_nodes(n, h)))
+    first = _angle_nodes(h, h) if h % 2 else _angle_nodes(n, h)   # odd h: the h rule
+    assert_array_equal(_bits(nodes[:h]), _bits(first))
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
-    assert_array_equal(_bits(dq.half_resolution().directions), _bits(dq.directions[::2]))
+    assert_array_equal(_bits(dq.half_resolution().directions),
+                       _bits(dq.directions[dq.half_nodes]))
+
+
+@pytest.mark.parametrize("n", [12, 100, 4092])
+def test_every_other_node_holds_an_odd_half_rules_angles(n):
+    """With n = 4 mod 8 the n rule is unchanged and its every other node is
+    the n/2 rule's angle set, some rounded as negations of other angles."""
+    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
+    half = dq.half_resolution().directions
+
+    def by_angle(nodes):
+        k = np.rint(np.arctan2(nodes[:, 1], nodes[:, 0]) * (n / 2) / (2.0 * math.pi))
+        return nodes[np.argsort(np.mod(k, n // 2))]
+
+    assert dq.half_nodes == slice(None, None, 2)
+    assert np.max(np.abs(by_angle(dq.directions[::2]) - by_angle(half))) <= 1.1e-15
 
 
 @pytest.mark.parametrize("n", [5, 255, 4095])

@@ -1,6 +1,6 @@
 """Properties of the 2-D chord average that hold for every input: antipodal
-symmetry, linearity in the data, rotation covariance and the constant root
-product along chords.  Derandomised, with few examples, so the suite stays
+symmetry (harmonic and biharmonic), linearity in the data, rotation,
+translation and scale covariance and the constant root product along chords.  Derandomised, with few examples, so the suite stays
 deterministic and quick."""
 
 import math
@@ -37,9 +37,13 @@ def test_negated_direction_set_gives_the_same_solve(r, t, m, k, n):
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
     negated = DirectionQuadrature(-dq.directions, dq.weights, dq.scheme, dq.resolution)
     data = cm.harmonic_poly(2, m, k).boundary_data()
-    a = cm.solve_harmonic(DISK, data, _point(r, t), dq).report
-    b = cm.solve_harmonic(DISK, data, _point(r, t), negated).report
-    assert (a.value.hex(), a.error_estimate.hex()) == (b.value.hex(), b.error_estimate.hex())
+    almansi = cm.almansi_assemble(cm.harmonic_poly(2, m, k), cm.harmonic_poly(2, m - 1, "re"))
+    for solve, d in ((cm.solve_harmonic, data),
+                     (cm.solve_biharmonic, almansi.boundary_data())):
+        a = solve(DISK, d, _point(r, t), dq).report
+        b = solve(DISK, d, _point(r, t), negated).report
+        assert (a.value.hex(), a.error_estimate.hex()) == (b.value.hex(),
+                                                           b.error_estimate.hex())
 
 
 @PROPERTY
@@ -70,6 +74,31 @@ def test_solve_is_rotation_covariant(r, t, rot, m, k):
     value = cm.solve_harmonic(DISK, poly.boundary_data(), p, DQ).value
     moved = cm.solve_harmonic(DISK, rotated, rotation @ p, DQ).value
     assert abs(moved - value) <= 1e-12
+
+
+@PROPERTY
+@given(radii, angles, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), degrees, parts)
+def test_solve_is_translation_covariant(r, t, cx, cy, m, k):
+    poly = cm.harmonic_poly(2, m, k)
+    shift = np.array([cx, cy])
+    moved = cm.BoundaryData(lambda x: poly.value(x - shift), None, "c0")
+    p = _point(r, t)
+    value = cm.solve_harmonic(DISK, poly.boundary_data(), p, DQ).value
+    shifted = cm.solve_harmonic(cm.BallDomain(center=shift, radius=1.0), moved,
+                                p + shift, DQ).value
+    assert abs(shifted - value) <= 1e-12
+
+
+@PROPERTY
+@given(radii, angles, st.floats(0.1, 10.0), degrees, parts)
+def test_solve_is_scale_covariant(r, t, scale, m, k):
+    poly = cm.harmonic_poly(2, m, k)
+    scaled = cm.BoundaryData(lambda x: poly.value(x / scale), None, "c0")
+    p = _point(r, t)
+    value = cm.solve_harmonic(DISK, poly.boundary_data(), p, DQ).value
+    grown = cm.solve_harmonic(cm.BallDomain(center=(0.0, 0.0), radius=scale), scaled,
+                              scale * p, DQ).value
+    assert abs(grown - value) <= 1e-12
 
 
 @PROPERTY

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chordmean as cm
-from chordmean import averaging, measure
+from chordmean import averaging, biharmonic, measure
 from chordmean.averaging import _antipodal_half, _interpolant_values
 from chordmean.boundary import cap_indicator
 from chordmean.geometry import RULE_CACHE_SIZE, DirectionQuadrature, _build
@@ -48,7 +48,7 @@ def test_rule_cache_is_bounded():
 
 def test_nested_half_nodes_are_the_half_rule():
     disk = cm.BallDomain(center=(0.2, -0.1), radius=1.5)
-    for n in (4, 64, 4096):
+    for n in (4, 64, 4094, 4096):
         bq = build_boundary_quadrature(disk, resolution=n)
         assert np.array_equal(bq.points[bq.rule.half_nodes], bq.half_resolution().points)
         dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
@@ -73,9 +73,14 @@ def _disk_case():
     return disk, data, np.array([0.31, -0.42])
 
 
+def _almansi_case():
+    """Biharmonic data h1 + (|x|^2 - 1) h2 for the disk case."""
+    u = cm.almansi_assemble(cm.harmonic_poly(2, 3, "re"), cm.harmonic_poly(2, 2, "im"))
+    return u.boundary_data()
+
+
 def _solves():
     disk, data, p = _disk_case()
-    u = cm.almansi_assemble(cm.harmonic_poly(2, 3, "re"), cm.harmonic_poly(2, 2, "im"))
     ball = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
     hp3 = cm.harmonic_poly(3, 3, 1).boundary_data()
     p3 = np.array([0.2, -0.1, 0.3])
@@ -85,7 +90,7 @@ def _solves():
         "harmonic_mc": lambda: cm.solve_harmonic(
             ball, hp3, p3, cm.build_direction_quadrature(3, "monte_carlo", 1001,
                                                          seed=8)).report,
-        "biharmonic": lambda: cm.solve_biharmonic(disk, u.boundary_data(), p,
+        "biharmonic": lambda: cm.solve_biharmonic(disk, _almansi_case(), p,
                                                   uniform).report,
         "poisson_even": lambda: cm.poisson_solve(
             disk, data, p, build_boundary_quadrature(disk, resolution=4096)),
@@ -126,18 +131,68 @@ def test_nested_half_evaluates_the_data_once():
     cm.poisson_solve(disk, counted, p, build_boundary_quadrature(disk, resolution=4095))
     assert seen == [4095, 2047]
     seen.clear()
+    cm.poisson_solve(disk, counted, p, build_boundary_quadrature(disk, resolution=4094))
+    assert seen == [4094]              # the odd half rule is the first half
+    seen.clear()
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 512)
     cm.solve_harmonic(disk, counted, p, dq)
     assert seen == [256, 256]          # both chord endpoints, one per antipodal pair
+    seen.clear()
+    slopes = []
+    bi = _almansi_case()
+
+    def value_bi(pts):
+        seen.append(len(pts))
+        return bi.value(pts)
+
+    def gradient(pts):
+        slopes.append(len(pts))
+        return bi.gradient(pts)
+
+    cm.solve_biharmonic(disk, cm.BoundaryData(value_bi, gradient, "c1"), p, dq)
+    assert (seen, slopes) == ([256, 256], [256, 256])
 
 
-def _unpaired(domain, data, p, dirs):
-    """The chord interpolant solved and evaluated on every row of ``dirs``."""
+def _linear(data, q1, q2, r1, r2, e):
+    f1 = np.asarray(data.value(q1), dtype=float)
+    f2 = np.asarray(data.value(q2), dtype=float)
+    return (r1 * f2 + r2 * f1) / (r1 + r2)
+
+
+def _hermite_reference(data, q1, q2, r1, r2, e):
+    """Hermite cubic at the chord base in the Hermite basis, L = r1 + r2."""
+    f1 = np.asarray(data.value(q1), dtype=float)
+    f2 = np.asarray(data.value(q2), dtype=float)
+    d1 = np.sum(np.asarray(data.gradient(q1), dtype=float) * e, axis=-1)
+    d2 = np.sum(np.asarray(data.gradient(q2), dtype=float) * e, axis=-1)
+    length = r1 + r2
+    return (((r2 + 3.0 * r1) * (r2 * r2) * f1 + (r1 + 3.0 * r2) * (r1 * r1) * f2)
+            / length ** 3
+            + r1 * r2 * (r2 * d1 - r1 * d2) / (length * length))
+
+
+def _shifted_reference(data, q1, q2, r1, r2, e):
+    """The same cubic from its coefficients in s = t - (a + b)/2."""
+    a, b = -r1, r2
+    fa = np.asarray(data.value(q1), dtype=float)
+    fb = np.asarray(data.value(q2), dtype=float)
+    dfa = np.sum(np.asarray(data.gradient(q1), dtype=float) * e, axis=-1)
+    dfb = np.sum(np.asarray(data.gradient(q2), dtype=float) * e, axis=-1)
+    h = 0.5 * (b - a)
+    alpha = (dfa + dfb) / (4.0 * h * h) - (fb - fa) / (4.0 * h ** 3)
+    beta = (dfb - dfa) / (4.0 * h)
+    gamma = (fb - fa) / (2.0 * h) - alpha * h * h
+    delta = 0.5 * (fa + fb) - beta * h * h
+    s0 = -0.5 * (a + b)
+    return ((alpha * s0 + beta) * s0 + gamma) * s0 + delta
+
+
+def _unpaired(domain, data, p, dirs, term=_linear):
+    """The chord term solved and evaluated on every row of ``dirs``."""
     a, b = domain.chord_roots(p, dirs)
     base = p[..., np.newaxis, :]
-    f1 = np.asarray(data.value(base + a[..., np.newaxis] * dirs), dtype=float)
-    f2 = np.asarray(data.value(base + b[..., np.newaxis] * dirs), dtype=float)
-    return ((-a) * f2 + b * f1) / ((-a) + b)
+    return term(data, base + a[..., np.newaxis] * dirs, base + b[..., np.newaxis] * dirs,
+                -a, b, dirs)
 
 
 def _bits(x):
@@ -180,6 +235,7 @@ def test_paired_solves_equal_unpaired(monkeypatch):
 
     def results():
         reports = [cm.solve_harmonic(disk, data, p, dq).report,
+                   cm.solve_biharmonic(disk, _almansi_case(), p, dq).report,
                    cm.solve_on_domain(cm.StarDomain2D.conformal(0.3), data, (0.2, 0.1),
                                       dq).report,
                    cm.cross_section_solve(ball, hp3, (0.2, -0.1, 0.3),
@@ -194,19 +250,30 @@ def test_paired_solves_equal_unpaired(monkeypatch):
     paired = results()
     monkeypatch.setattr(averaging, "_interpolant_values", _unpaired)
     monkeypatch.setattr(measure, "_interpolant_values", _unpaired)
+    monkeypatch.setattr(biharmonic, "_hermite_term", _hermite_reference)
     assert results() == paired
+
+
+def test_hermite_term_matches_the_shifted_form():
+    """The solver's closed form at 0 and the midpoint-shifted coefficients the
+    ``hermite_cubic`` builder uses agree to rounding, not bit for bit."""
+    disk, _, p = _disk_case()
+    dirs = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096).directions
+    closed = _interpolant_values(disk, _almansi_case(), p, dirs, biharmonic._hermite_term)
+    shifted = _unpaired(disk, _almansi_case(), p, dirs, _shifted_reference)
+    assert np.max(np.abs(closed - shifted)) <= 1e-15
 
 
 @pytest.mark.parametrize("dq,counts", [
     (cm.build_direction_quadrature(2, "uniform_angle_2d", 512), [256, 256]),
-    (cm.build_direction_quadrature(2, "uniform_angle_2d", 4094), [2047] * 4),
+    (cm.build_direction_quadrature(2, "uniform_angle_2d", 4094), [2047, 2047]),
     (cm.build_direction_quadrature(2, "uniform_angle_2d", 4095), [4095, 4095, 2047, 2047]),
     (cm.build_direction_quadrature(2, "monte_carlo", 1000, seed=5), [1000, 1000]),
     (cm.build_direction_quadrature(3, "gauss_product_3d", 8), [128, 128, 32, 32]),
 ], ids=["even", "half_odd", "odd", "monte_carlo", "gauss_product"])
 def test_only_antipodal_rules_are_paired(dq, counts):
     """Data evaluations of a chord solve: one per antipodal pair and chord end
-    on the even uniform rule, one per node and end otherwise; a half rule
+    on the even uniform rules, one per node and end otherwise; a half rule
     that does not nest (odd, Gauss) is evaluated on its own."""
     ball = cm.BallDomain(center=np.zeros(dq.dim), radius=1.0)
     data = cm.harmonic_poly(dq.dim, 2, "re" if dq.dim == 2 else 0).boundary_data()
