@@ -1,7 +1,8 @@
 """Properties of the 2-D chord average that hold for every input: antipodal
 symmetry (harmonic and biharmonic), linearity in the data, rotation,
-translation and scale covariance and the constant root product along chords.  Derandomised, with few examples, so the suite stays
-deterministic and quick."""
+translation and scale covariance and the constant root product along
+chords.  Derandomised, with few examples, so the suite stays deterministic
+and quick."""
 
 import math
 
