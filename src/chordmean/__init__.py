@@ -16,7 +16,6 @@ from .errors import (
     BadResolution,
     ChordMeanError,
     ConfigError,
-    ConvergenceFailure,
     DegenerateDirection,
     DegenerateInterval,
     DimMismatch,

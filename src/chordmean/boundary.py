@@ -194,14 +194,9 @@ class BoundaryData:
         return float(self.value(as_point(x)))
 
 
-def from_callable(f, gradient=None, smoothness: str | None = None,
-                  vectorized: bool = False) -> BoundaryData:
-    """Wrap user callables; non-vectorized ones are looped over rows."""
-    if smoothness is None:
-        smoothness = "c1" if gradient is not None else "c0"
-    if vectorized:
-        return BoundaryData(f, gradient, smoothness)
-
+def from_callable(f, gradient=None) -> BoundaryData:
+    """Wrap scalar user callables, looped over rows: c1 data with a gradient,
+    c0 data without."""
     def value(pts):
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
@@ -216,7 +211,7 @@ def from_callable(f, gradient=None, smoothness: str | None = None,
                 return np.asarray(gradient(pts), dtype=float)
             return np.array([gradient(p) for p in pts])
 
-    return BoundaryData(value, grad, smoothness)
+    return BoundaryData(value, grad, "c1" if gradient is not None else "c0")
 
 
 def constant_data(c: float) -> BoundaryData:

@@ -82,7 +82,7 @@ def exits_full_batch(ball: BallDomain, p: np.ndarray, rng: np.random.Generator,
     (1 + rho) / (1 - rho)^(dim-1) at rho = |p - c|/R (relative to uniform).
     """
     dim = ball.dim
-    rho = float(np.linalg.norm((p - ball.center) / ball.radius))
+    rho = start_rho(ball, p)
     max_density = (1.0 + rho) / (1.0 - rho) ** (dim - 1)
     budget = REJECTION_BUDGET_PER_SAMPLE * max(n, 1)
     out = np.empty((n, dim))
@@ -175,14 +175,19 @@ def _sigma(freq: float, se: float, target: float) -> float:
     return abs(freq - target) / se
 
 
+def start_rho(ball: BallDomain, p: np.ndarray) -> float:
+    """Relative distance |p - c| / R of a start point from the center."""
+    return float(np.linalg.norm((p - ball.center) / ball.radius))
+
+
 def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
-                               seed: int,
-                               full_method: str = "rejection") -> ExperimentReport:
+                               seed: int) -> ExperimentReport:
     """Cap-hit frequencies of all applicable travelers against the Poisson
     oracle and against each other, in binomial standard-error units.
 
-    ``full_method='exact2d'`` swaps the full traveler's rejection sampler for
-    the exact disk sampler (the 2-D fallback for start points near the rim).
+    The full traveler is drawn by rejection, except from a 2-D start with
+    rho > RHO_SOFT_LIMIT, where rejection slows and the exact disk sampler
+    draws it instead.
     """
     p = ball.require_interior(P)
     if N < 10 ** 3:
@@ -190,12 +195,10 @@ def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
     ind = cap_indicator(cap, ball)
     oracle = cap_measure_poisson(ball, p, cap).value
 
-    if full_method == "rejection":
-        full_draw = lambda rng: exits_full_batch(ball, p, rng, N)[0]
-    elif full_method == "exact2d":
+    if ball.dim == 2 and start_rho(ball, p) > RHO_SOFT_LIMIT:
         full_draw = lambda rng: exits_disk_exact_batch(ball, p, rng, N)
     else:
-        raise BadParameter(f"unknown full_method {full_method!r}")
+        full_draw = lambda rng: exits_full_batch(ball, p, rng, N)[0]
     samplers = [("full", STREAM_TRAVELER_FULL, full_draw)]
     if ball.dim == 3:
         samplers.append(("plane", STREAM_TRAVELER_PLANE,

@@ -41,7 +41,7 @@ from .measure import (
     star_angle_measure_check,
     subtended_moment,
 )
-from .brownian import compare_exit_distributions
+from .brownian import RHO_SOFT_LIMIT, compare_exit_distributions, start_rho
 from . import selftest as selftest_mod
 
 NONBALL_THRESHOLD = 1e-3
@@ -73,6 +73,15 @@ def _floats(text: str, name: str, count: int | None = None) -> list[float]:
     if count is not None and len(vals) != count:
         raise ConfigError(f"{name} needs {count} comma-separated numbers")
     return vals
+
+
+def _unit_axis(axis, what: str) -> np.ndarray:
+    """``axis`` scaled to unit length; a zero or non-finite axis is a ConfigError."""
+    axis = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(axis)
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ConfigError(f"{what} must be a nonzero vector of finite length")
+    return axis / norm
 
 
 def _parse(convert, text: str, what: str):
@@ -136,7 +145,7 @@ def parse_cap(dim: int, spec: str, vertex) -> CapSpec:
     axis = np.array([_parse(float, v, "cap axis") for v in fields["axis"]])
     if axis.size != dim:
         raise ConfigError(f"cap axis needs {dim} components")
-    axis = axis / np.linalg.norm(axis)
+    axis = _unit_axis(axis, "cap axis")
     half = _parse(float, fields["half"][0], "cap half-angle")
     nappe = fields.get("nappe", ["plus"])[0].strip()
     return CapSpec(vertex=vertex, axis=axis, half_angle=half, nappe=nappe)
@@ -328,18 +337,17 @@ def cmd_measure(args) -> int:
                 cap = parse_cap(dim, args.cap, vertex=p)
             else:
                 _require(args, "half_angle")
-                axis = np.asarray(_floats(args.axis or "1," + "0," * (dim - 1),
-                                          "--axis", dim))
-                cap = CapSpec(vertex=p, axis=axis / np.linalg.norm(axis),
+                axis = _unit_axis(_floats(args.axis or "1," + "0," * (dim - 1),
+                                          "--axis", dim), "--axis")
+                cap = CapSpec(vertex=p, axis=axis,
                               half_angle=args.half_angle, nappe=args.nappe or "plus")
             w_ratio = cap_measure_ratio(ball, p, cap, dq=dq)
             w_poisson = cap_measure_poisson(ball, p, cap, bq=bq).value
             rows.append(["cap", json.dumps({"point": point}),
                          w_ratio, w_poisson, abs(w_ratio - w_poisson)])
         else:
-            axis = np.asarray(_floats(args.axis or "1," + "0," * (dim - 1),
-                                      "--axis", dim))
-            axis = axis / np.linalg.norm(axis)
+            axis = _unit_axis(_floats(args.axis or "1," + "0," * (dim - 1),
+                                      "--axis", dim), "--axis")
             if args.half_angle is None:
                 raise ConfigError(f"--half-angle is required for {check}")
             if check == "cone":
@@ -414,17 +422,14 @@ def cmd_brownian(args) -> int:
         cap = parse_cap(dim, args.cap, vertex=p)
     else:
         raise ConfigError("brownian needs --cap or --arc")
-    rho = float(np.linalg.norm(p)) / ball.radius
-    full_method = "rejection"
-    if rho > 0.8:
+    rho = start_rho(ball, p)
+    if rho > RHO_SOFT_LIMIT:
         if dim == 3:
-            raise ConfigError(
-                f"start point rho={rho:.3f} > 0.8: rejection sampling refused in 3-D")
-        print(f"warning: rho={rho:.3f} > 0.8, switching the full traveler to the "
-              f"exact disk sampler", file=sys.stderr)
-        full_method = "exact2d"
-    report = compare_exit_distributions(ball, p, cap, args.n, seed=args.seed,
-                                        full_method=full_method)
+            raise ConfigError(f"start point rho={rho:.3f} > {RHO_SOFT_LIMIT}: "
+                              f"rejection sampling refused in 3-D")
+        print(f"warning: rho={rho:.3f} > {RHO_SOFT_LIMIT}, switching the full traveler "
+              f"to the exact disk sampler", file=sys.stderr)
+    report = compare_exit_distributions(ball, p, cap, args.n, seed=args.seed)
     rows = [[t.name, t.hits, t.frequency, t.std_error, t.sigma_vs_oracle]
             for t in report.travelers]
     meta = {"config": _effective_config(args, _BROWNIAN_KEYS), "seed": args.seed,

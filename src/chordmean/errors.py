@@ -25,10 +25,6 @@ class NotStarShapedFromP(ChordMeanError, ValueError):
     """A ray from P crosses the boundary zero or several times."""
 
 
-class ConvergenceFailure(ChordMeanError, RuntimeError):
-    """Iterative root finding did not reach tolerance within the budget."""
-
-
 class BadResolution(ChordMeanError, ValueError):
     """Quadrature resolution below the supported minimum."""
 
@@ -92,4 +88,5 @@ class NumericalError(ChordMeanError, RuntimeError):
 # Errors that reject what the caller asked for rather than report a failed
 # computation; the command line treats them as config errors (exit 2).
 INPUT_ERRORS = (ConfigError, BadParameter, BadResolution, BadIndex, UnsupportedDegree,
-                PointNotInterior, MissingSeed, DimMismatch)
+                PointNotInterior, MissingSeed, DimMismatch, BadDegree, BadBracket,
+                DegenerateDirection)

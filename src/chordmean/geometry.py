@@ -25,6 +25,7 @@ from .errors import (
 
 INTERIOR_MARGIN = 1e-9          # required relative distance to the boundary
 UNIT_TOL = 1e-9                 # tolerance on |e| = 1 for user-supplied directions
+BOUNDARY_TOL = 1e-9             # relative tolerance of BallDomain.on_boundary
 
 # Default node counts (2-D: directions or circle points; 3-D: polar nodes of
 # the Gauss product): modest for smooth data, large for indicator data
@@ -60,10 +61,11 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
-def check_unit(e: np.ndarray, tol: float = UNIT_TOL) -> np.ndarray:
+def check_unit(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(e) - 1.0) > tol:
-        raise DegenerateDirection(f"direction norm {np.linalg.norm(e)!r} is not 1")
+    norm = np.linalg.norm(e)
+    if not abs(norm - 1.0) <= UNIT_TOL:         # NaN fails too
+        raise DegenerateDirection(f"direction norm {float(norm)!r} is not 1")
     return e
 
 
@@ -99,16 +101,16 @@ class BallDomain:
     def contains(self, x) -> bool:
         return np.linalg.norm(as_point(x, self.dim) - self.center) < self.radius
 
-    def on_boundary(self, x, tol: float = 1e-9) -> bool:
+    def on_boundary(self, x) -> bool:
         r = np.linalg.norm(as_point(x, self.dim) - self.center)
-        return abs(r - self.radius) <= tol * self.radius
+        return abs(r - self.radius) <= BOUNDARY_TOL * self.radius
 
     def boundary_distance(self, x) -> float:
         return self.radius - float(np.linalg.norm(as_point(x, self.dim) - self.center))
 
-    def require_interior(self, x, margin: float = INTERIOR_MARGIN) -> np.ndarray:
+    def require_interior(self, x) -> np.ndarray:
         p = as_point(x, self.dim)
-        if self.boundary_distance(p) <= margin * self.radius:
+        if self.boundary_distance(p) <= INTERIOR_MARGIN * self.radius:
             raise PointNotInterior(f"point {p} is not strictly inside the ball")
         return p
 
@@ -140,72 +142,49 @@ class Ellipse2D:
     def contains(self, x) -> bool:
         return float(np.sum(self._scaled(x) ** 2)) < 1.0
 
-    def require_interior(self, x, margin: float = INTERIOR_MARGIN) -> np.ndarray:
+    def require_interior(self, x) -> np.ndarray:
         p = as_point(x, 2)
-        if np.linalg.norm(self._scaled(p)) >= 1.0 - margin:
+        if np.linalg.norm(self._scaled(p)) >= 1.0 - INTERIOR_MARGIN:
             raise PointNotInterior(f"point {p} is not strictly inside the ellipse")
         return p
 
     def chord_roots(self, p: np.ndarray, dirs: np.ndarray):
         return ellipse_chord_roots(self, p, dirs)
 
-    def boundary_point(self, theta: float) -> np.ndarray:
-        a, b = self.semi_axes
-        return self.center + np.array([a * math.cos(theta), b * math.sin(theta)])
-
 
 _STAR_GRID = 4096
 
 
 class StarDomain2D:
-    """Planar domain star-shaped about the origin.
+    """Planar domain star-shaped about the origin, with boundary given in
+    polar form r = rho(theta) by a strictly positive 2*pi-periodic callable.
+    A rho that does not take arrays of angles is applied elementwise.
 
-    Two kinds:
-      * ``radial``    -- boundary given in polar form r = rho(theta) by a
-        strictly positive 2*pi-periodic callable plus a Lipschitz bound;
-        a rho that does not take arrays of angles is applied elementwise.
-      * ``conformal`` -- image of the unit disk under q(z) = a z^2 + z + a
-        with 0 < a < 1/2 (univalent); its boundary has the polar form
-        r(theta) = 1 + 2 a cos(theta).
+    ``conformal(a)`` is the image of the unit disk under
+    q(z) = a z^2 + z + a with 0 < a < 1/2 (univalent), whose boundary has the
+    polar form r(theta) = 1 + 2 a cos(theta).
     """
 
-    def __init__(self, kind: str, rho=None, lipschitz: float | None = None,
-                 a: float | None = None):
-        if kind == "radial":
-            if rho is None or lipschitz is None:
-                raise BadParameter("radial star domain needs rho and a Lipschitz bound")
-            thetas = np.linspace(0.0, 2.0 * math.pi, _STAR_GRID, endpoint=False)
-            try:
-                vals = np.asarray(rho(thetas), dtype=float)
-            except (TypeError, ValueError):
-                vals = None
-            if vals is None or vals.shape != thetas.shape:
-                rho = _elementwise(rho)
-                vals = rho(thetas)
-            if not np.all(vals > 0.0):
-                raise BadParameter("rho must be strictly positive on [0, 2pi)")
-            self._rho = rho
-            self._rho_max = float(vals.max())
-            self.lipschitz = float(lipschitz)
-            self.a = None
-        elif kind == "conformal":
-            if a is None or not 0.0 < a < 0.5:
-                raise BadParameter("conformal coefficient must satisfy 0 < a < 1/2")
-            self.a = float(a)
-            self._rho = lambda t: 1.0 + 2.0 * self.a * np.cos(t)
-            self._rho_max = 1.0 + 2.0 * self.a
-            self.lipschitz = 2.0 * self.a
-        else:
-            raise BadParameter(f"unknown star domain kind {kind!r}")
-        self.kind = kind
-
-    @classmethod
-    def radial(cls, rho, lipschitz: float) -> "StarDomain2D":
-        return cls("radial", rho=rho, lipschitz=lipschitz)
+    def __init__(self, rho):
+        thetas = np.linspace(0.0, 2.0 * math.pi, _STAR_GRID, endpoint=False)
+        try:
+            vals = np.asarray(rho(thetas), dtype=float)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.shape != thetas.shape:
+            rho = _elementwise(rho)
+            vals = rho(thetas)
+        if not np.all(vals > 0.0):
+            raise BadParameter("rho must be strictly positive on [0, 2pi)")
+        self._rho = rho
+        self._rho_max = float(vals.max())
 
     @classmethod
     def conformal(cls, a: float) -> "StarDomain2D":
-        return cls("conformal", a=a)
+        if not 0.0 < a < 0.5:
+            raise BadParameter("conformal coefficient must satisfy 0 < a < 1/2")
+        a = float(a)
+        return cls(lambda t: 1.0 + 2.0 * a * np.cos(t))
 
     @property
     def dim(self) -> int:
@@ -215,10 +194,6 @@ class StarDomain2D:
         """rho at an angle or, elementwise, at an array of angles."""
         return self._rho(theta)
 
-    def boundary_point(self, theta: float) -> np.ndarray:
-        r = float(self._rho(theta))
-        return np.array([r * math.cos(theta), r * math.sin(theta)])
-
     def contains(self, x) -> bool:
         p = as_point(x, 2)
         r = float(np.linalg.norm(p))
@@ -226,11 +201,11 @@ class StarDomain2D:
             return True
         return r < float(self._rho(math.atan2(p[1], p[0])))
 
-    def require_interior(self, x, margin: float = INTERIOR_MARGIN) -> np.ndarray:
+    def require_interior(self, x) -> np.ndarray:
         p = as_point(x, 2)
         r = float(np.linalg.norm(p))
         rho = float(self._rho(math.atan2(p[1], p[0]))) if r > 0 else self._rho_max
-        if r >= rho * (1.0 - margin):
+        if r >= rho * (1.0 - INTERIOR_MARGIN):
             raise PointNotInterior(f"point {p} is not strictly inside the star domain")
         return p
 
@@ -309,14 +284,13 @@ def ellipse_chord_roots(ellipse: Ellipse2D, p: np.ndarray, dirs: np.ndarray):
 
 _STAR_SCAN = 512
 _STAR_BISECT = 64
-_STAR_POLISH = 4
 
 
 def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
                     ) -> np.ndarray:
     """Forward ray/boundary hit distances for each direction row.
 
-    Bracketing scan followed by vectorized bisection and secant polish.
+    Bracketing scan followed by vectorized bisection and one secant step.
     Raises NotStarShapedFromP when any ray sees zero or multiple crossings.
     """
     n = dirs.shape[0]
@@ -351,13 +325,10 @@ def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
         glo = np.where(neg, gm, glo)
         hi = np.where(neg, hi, mid)
         ghi = np.where(neg, ghi, gm)
-    t = 0.5 * (lo + hi)
-    for _ in range(_STAR_POLISH):
-        denom = ghi - glo
-        sec = np.where(denom != 0.0, lo - glo * (hi - lo) / np.where(denom == 0, 1, denom),
-                       t)
-        t = np.clip(sec, lo, hi)
-    return t
+    denom = ghi - glo
+    sec = np.where(denom != 0.0, lo - glo * (hi - lo) / np.where(denom == 0, 1, denom),
+                   0.5 * (lo + hi))
+    return np.clip(sec, lo, hi)
 
 
 def interior_point(domain, P) -> np.ndarray:

@@ -130,8 +130,7 @@ def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
     return com, float(np.linalg.norm(com - p))
 
 
-def subtended_moment(w, poly_degree: int,
-                     dq: DirectionQuadrature | None = None) -> complex:
+def subtended_moment(w, poly_degree: int) -> complex:
     """Moment of the subtended-angle measure on the unit circle seen from w:
     the average over directions of (boundary hit)^degree.
 
@@ -143,8 +142,7 @@ def subtended_moment(w, poly_degree: int,
         raise PNotInterior("w must lie in the open unit disk")
     if not 0 <= poly_degree <= 8:
         raise BadParameter("moment degree must lie in 0..8")
-    if dq is None:
-        dq = default_direction_quadrature(2)
+    dq = default_direction_quadrature(2)
     p = np.array([wc.real, wc.imag])
     disk = BallDomain(center=np.zeros(2), radius=1.0)
     _, b = ball_chord_roots(disk, p, dq.directions)

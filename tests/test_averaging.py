@@ -223,7 +223,7 @@ def test_cross_section_non_finite_data_raises_numerical_error(inner_solver):
 
 
 def test_scalar_only_radial_star_solves():
-    star = cm.StarDomain2D.radial(lambda t: 1.0 + 0.2 * math.cos(2.0 * t), lipschitz=0.4)
+    star = cm.StarDomain2D(lambda t: 1.0 + 0.2 * math.cos(2.0 * t))
     thetas = np.linspace(0.0, 6.0, 7)
     assert_allclose(star.boundary_radius(thetas), 1.0 + 0.2 * np.cos(2.0 * thetas),
                     rtol=0.0, atol=1e-15)

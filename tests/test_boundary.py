@@ -212,6 +212,12 @@ def test_cap_indicator_requires_interior_vertex():
         cm.cap_indicator(cap, disk)
 
 
+@pytest.mark.parametrize("axis", [(math.nan, math.nan), (math.nan, 1.0), (0.0, 0.0)])
+def test_cap_axis_must_be_unit(axis):
+    with pytest.raises(cm.DegenerateDirection):
+        cm.CapSpec(vertex=(0.0, 0.0), axis=axis, half_angle=0.5)
+
+
 def test_arc_cap_roundtrip():
     disk = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
     rng = np.random.default_rng(8)

@@ -11,7 +11,7 @@ from chordmean.brownian import (
     exits_line_batch,
     exits_plane_batch,
 )
-from chordmean.geometry import philox_stream
+from chordmean.geometry import STREAM_TRAVELER_FULL, philox_stream
 
 
 DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
@@ -188,6 +188,17 @@ def test_compare_exit_distributions():
     report2d = cm.compare_exit_distributions(DISK, (0.5, 0.0), arc, 20000, seed=17)
     assert {t.name for t in report2d.travelers} == {"full", "line"}
     assert report2d.max_deviation_in_sigmas <= 4.0
+
+
+@pytest.mark.parametrize("p, exact", [((0.5, 0.0), False), ((0.85, 0.0), True)])
+def test_compare_picks_the_exact_disk_sampler_past_the_soft_limit(p, exact):
+    arc = cm.arc_cap(DISK, p, 0.0, 1.0)
+    report = cm.compare_exit_distributions(DISK, p, arc, 2000, seed=7)
+    rng = philox_stream(7, STREAM_TRAVELER_FULL)
+    pts = (exits_disk_exact_batch(DISK, np.asarray(p), rng, 2000) if exact
+           else exits_full_batch(DISK, np.asarray(p), rng, 2000)[0])
+    hits = int(np.count_nonzero(np.asarray(cm.cap_indicator(arc, DISK).value(pts)) == 1.0))
+    assert report.travelers[0].hits == hits
 
 
 def test_compare_exit_distributions_validation():

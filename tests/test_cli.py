@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from chordmean.cli import main, parse_cap, parse_domain, parse_poly
+from chordmean.geometry import StarDomain2D
 
 
 def run_cli(args, capsys):
@@ -202,6 +203,23 @@ def test_exit_codes(capsys):
     # selftest failure propagates as 4 is covered in test_selftest_subset
 
 
+@pytest.mark.parametrize("argv", [
+    ["hermite", "--m=3", "--a=-0.5", "--b=1.5"],                      # BadDegree
+    ["hermite", "--m=4", "--a=0.5", "--b=1.5"],                       # BadBracket
+    # the normalised axis keeps a norm off 1 by 6e-6: DegenerateDirection
+    ["solve", "--data=cap:axis=1e-160,1e-160,half=1", "--point=0.1,0", "--n=64"],
+    ["measure", "--check=cone", "--point=0.1,0", "--axis=0,0", "--half-angle=1",
+     "--n=64"],
+    ["measure", "--check=cap", "--point=0.1,0", "--axis=0,0", "--half-angle=1",
+     "--n=64"],
+    ["solve", "--data=cap:axis=0,0,half=1", "--point=0.1,0", "--n=64"],
+    ["solve", "--data=cap:axis=nan,0,half=1", "--point=0.1,0", "--n=64"],
+])
+def test_rejected_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_selftest_subset(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main(["selftest", "--criteria", "4,7", "--json", str(report)])
@@ -220,7 +238,8 @@ def test_parse_helpers():
     assert cap.nappe == "minus"
     assert abs(np.linalg.norm(cap.axis) - 1.0) <= 1e-12
     dom = parse_domain(2, "conformal:0.4")
-    assert dom.kind == "conformal"
+    assert isinstance(dom, StarDomain2D)
+    assert dom.boundary_radius(0.0) == 1.8
     with pytest.raises(Exception):
         parse_poly(2, "nonsense")
 

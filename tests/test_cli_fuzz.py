@@ -1,0 +1,125 @@
+"""Fuzzed command lines: every ``solve`` and ``measure`` invocation built from
+the ``--data``, ``--domain``, ``--cap``/``--axis`` and ``--point`` grammars
+ends in exit 0, 2 or 3 (or argparse's own exit 2), never in an uncaught
+exception.  Most drawn values are well formed, so the solvers run; the rest
+are edge values (zero, NaN, infinities, huge or tiny numbers, wrong lengths,
+stray text).  Derandomised, with ``--n=64`` fixed, so the suite stays
+deterministic and quick; the cross-section operator and ``brownian`` are
+left out for their cost."""
+
+import contextlib
+import io
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from chordmean.cli import main
+
+FUZZ = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+EDGE = st.sampled_from([0.0, -0.0, 1e-160, 2.0, -5.0, 1e308, -1e308,
+                        math.nan, math.inf, -math.inf])
+JUNK = st.text(alphabet=":,;=+.-0123456789abcehixyz", max_size=12)
+BAD_TOKEN = st.sampled_from(["", "one", "1e", "--1", "0x1", "1,5", "="])
+
+
+def _mostly(good, bad):
+    """``good`` nine times in ten, ``bad`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 9 else good)
+
+
+def _num(lo, hi):
+    return _mostly(st.floats(lo, hi).map(repr), st.one_of(EDGE.map(repr), BAD_TOKEN))
+
+
+def _vec(draw, dim, lo=-0.6, hi=0.6):
+    size = draw(_mostly(st.just(dim), st.integers(1, 4)))
+    return ",".join(draw(st.lists(_num(lo, hi), min_size=size, max_size=size)))
+
+
+def _poly(draw, dim):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(_mostly(st.integers(0, 6), st.integers(-1, 10)))
+        m_text = draw(_mostly(st.just(str(m)), BAD_TOKEN))
+        if dim == 2:
+            k = draw(_mostly(st.sampled_from(["re", "im"]), st.sampled_from(["x", "7"])))
+        else:
+            k = str(draw(_mostly(st.integers(-abs(m), abs(m)), st.integers(-12, 12))))
+        terms.append(draw(_mostly(st.sampled_from([f"{m_text},{k}",
+                                                   f"{m_text},{k},{draw(_num(-3, 3))}"]),
+                                  st.sampled_from(["0", "1", "x", "y", "z"]))))
+    return "+".join(terms)
+
+
+def _cap(draw, dim):
+    spec = f"axis={_vec(draw, dim, -1.0, 1.0)},half={draw(_num(0.05, 3.1))}"
+    if draw(st.booleans()):
+        spec += f",nappe={draw(st.sampled_from(['plus', 'minus', 'both', 'up']))}"
+    return draw(_mostly(st.just(spec), JUNK))
+
+
+def _data(draw, dim):
+    return draw(_mostly(st.sampled_from([
+        f"harm:{_poly(draw, dim)}",
+        f"almansi:{_poly(draw, dim)};{_poly(draw, dim)}",
+        f"cap:{_cap(draw, dim)}",
+        f"arc:{draw(_num(-3, 3))},{draw(_num(-3, 6))}",
+        f"const:{draw(_num(-3, 3))}",
+    ]), JUNK))
+
+
+def _domain(draw, dim):
+    balls = ["ball", f"ball:{_vec(draw, dim, -0.2, 0.2)},{draw(_num(0.8, 2.0))}"]
+    planar = [f"ellipse:{draw(_num(0.5, 2.0))},{draw(_num(0.5, 2.0))}",
+              f"conformal:{draw(_num(0.01, 0.49))}"]
+    return draw(_mostly(st.sampled_from(balls + planar if dim == 2 else balls), JUNK))
+
+
+def _maybe(draw, flag, value):
+    """``[--flag=value]`` nine times in ten, no flag otherwise."""
+    return draw(_mostly(st.just([f"--{flag}={value}"]), st.just([])))
+
+
+@st.composite
+def solve_argv(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    return ["solve", "--n=64",
+            *_maybe(draw, "operator", draw(st.sampled_from(["harmonic", "biharmonic"]))),
+            *_maybe(draw, "dim", dim),
+            *_maybe(draw, "domain", _domain(draw, dim)),
+            *_maybe(draw, "data", _data(draw, dim)),
+            *_maybe(draw, "point", _vec(draw, dim))]
+
+
+@st.composite
+def measure_argv(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    return ["measure", f"--check={draw(st.sampled_from(['cap', 'cone', 'com']))}",
+            "--n=64",
+            *_maybe(draw, "dim", dim),
+            *_maybe(draw, "point", _vec(draw, dim)),
+            *draw(st.sampled_from([
+                [f"--axis={_vec(draw, dim, -1.0, 1.0)}"],
+                [f"--cap={_cap(draw, dim)}"],
+                [f"--arc={draw(_num(-3, 3))},{draw(_num(-3, 6))}"],
+                []])),
+            *_maybe(draw, "half-angle", draw(_num(0.05, 3.1))),
+            *_maybe(draw, "nappe", draw(st.sampled_from(["plus", "minus", "both"]))),
+            *_maybe(draw, "backend", draw(st.sampled_from(["ratio", "poisson"])))]
+
+
+def _run(argv) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return main(argv)
+        except SystemExit as exc:       # argparse rejecting the command line
+            assert exc.code == 2, (argv, exc.code)
+            return 2
+
+
+@FUZZ
+@given(st.one_of(solve_argv(), measure_argv()))
+def test_command_lines_exit_cleanly(argv):
+    assert _run(argv) in (0, 2, 3), argv

@@ -127,7 +127,7 @@ def test_ray_hit_star_conformal():
 
 
 def test_ray_hit_star_radial_circle():
-    circle = cm.StarDomain2D.radial(lambda t: 1.0 + 0.0 * np.asarray(t), lipschitz=0.0)
+    circle = cm.StarDomain2D(lambda t: 1.0 + 0.0 * np.asarray(t))
     hit, dist = cm.ray_hit_star(circle, (0.3, 0.0), (1.0, 0.0))
     assert_allclose(hit, [1.0, 0.0], atol=1e-10)
     assert_allclose(dist, 0.7, atol=1e-10)
@@ -135,8 +135,7 @@ def test_ray_hit_star_radial_circle():
 
 def test_ray_hit_star_detects_multiple_crossings():
     # peanut: star-shaped about the origin but not about (0.7, 0)
-    peanut = cm.StarDomain2D.radial(
-        lambda t: 1.0 + 0.95 * np.cos(2.0 * np.asarray(t)), lipschitz=1.9)
+    peanut = cm.StarDomain2D(lambda t: 1.0 + 0.95 * np.cos(2.0 * np.asarray(t)))
     e = np.array([-1.4, 0.3])
     e /= np.linalg.norm(e)
     with pytest.raises(cm.NotStarShapedFromP):
@@ -173,8 +172,7 @@ _PROTOCOL_DOMAINS = {
     "offcentre": (cm.BallDomain(center=(0.4, -1.2, 0.7), radius=1.7), (0.9, -0.5, 1.1)),
     "ellipse": (cm.Ellipse2D(center=(0.2, -0.1), semi_axes=(1.5, 0.8)), (0.7, 0.2)),
     "conformal": (cm.StarDomain2D.conformal(0.3), (0.2, -0.1)),
-    "radial": (cm.StarDomain2D.radial(lambda t: 1.0 + 0.2 * np.cos(3.0 * t), 0.6),
-               (-0.1, 0.15)),
+    "radial": (cm.StarDomain2D(lambda t: 1.0 + 0.2 * np.cos(3.0 * t)), (-0.1, 0.15)),
 }
 
 
@@ -206,7 +204,7 @@ def test_star_domain_validation():
     with pytest.raises(cm.BadParameter):
         cm.StarDomain2D.conformal(0.5)
     with pytest.raises(cm.BadParameter):
-        cm.StarDomain2D.radial(lambda t: np.cos(t), lipschitz=1.0)  # not positive
+        cm.StarDomain2D(lambda t: np.cos(t))  # not positive
 
 
 def test_uniform_angle_quadrature():

@@ -208,8 +208,8 @@ def _chord_cases():
         "ellipse": (cm.Ellipse2D(center=(0.0, 0.0), semi_axes=(1.5, 1.0)), data,
                     np.array([0.4, -0.3])),
         "conformal_star": (cm.StarDomain2D.conformal(0.25), data, np.array([0.1, 0.2])),
-        "radial_star": (cm.StarDomain2D.radial(lambda t: 1.0 + 0.2 * np.cos(3 * t), 0.6),
-                        data, np.array([-0.2, 0.1])),
+        "radial_star": (cm.StarDomain2D(lambda t: 1.0 + 0.2 * np.cos(3 * t)), data,
+                        np.array([-0.2, 0.1])),
         "cap_indicator": (disk, cap_indicator(cap, disk), np.array([0.3, 0.2])),
         "base_points": (cm.BallDomain(center=(0.0, 0.0), radius=1.0), data,
                         np.array([[0.0, 0.0], [0.5, -0.25], [-0.1, 0.7]])),
