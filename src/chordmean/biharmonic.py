@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BadBracket, BadDegree, DegenerateInterval, DimMismatch, GradientRequired
 from .boundary import BoundaryData
-from .geometry import BallDomain, DirectionQuadrature
+from .geometry import BallDomain, DirectionQuadrature, row_dot
 from .averaging import ChordAverageResult, _average
 
 MAX_MONOMIAL_DEGREE = 12
@@ -104,8 +104,8 @@ def _hermite_term(data: BoundaryData, q1, q2, r1, r2, e) -> np.ndarray:
     + r1 r2 (r2 d1 - r1 d2) / L^2, the same bit for bit under e -> -e."""
     f1 = np.asarray(data.value(q1), dtype=float)
     f2 = np.asarray(data.value(q2), dtype=float)
-    d1 = np.sum(np.asarray(data.gradient(q1), dtype=float) * e, axis=-1)
-    d2 = np.sum(np.asarray(data.gradient(q2), dtype=float) * e, axis=-1)
+    d1 = row_dot(np.asarray(data.gradient(q1), dtype=float), e)
+    d2 = row_dot(np.asarray(data.gradient(q2), dtype=float), e)
     length = r1 + r2
     return (((r2 + 3.0 * r1) * (r2 * r2) * f1 + (r1 + 3.0 * r2) * (r1 * r1) * f2)
             / length ** 3

@@ -5,6 +5,12 @@ Harmonic bases are explicit monomial tables with rational coefficients
 (2-D: Re z^m / Im z^m; 3-D: solid harmonics up to degree 6), generated once
 by an exact integer recurrence, so values and gradients carry no
 special-function error.
+
+A polynomial is evaluated on one power table per call: x_j^e for e up to the
+largest exponent of coordinate j, each power the previous one times x_j. Every
+term reads its powers from the table, and a gradient evaluates all partials on
+the table of the polynomial, whose exponents bound theirs. Values are within a
+few ulps of the sum of |c x^e| over the terms.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import (
     PointNotInterior,
     UnsupportedDegree,
 )
-from .geometry import as_point, check_unit
+from .geometry import as_point, check_unit, row_dot
 
 MAX_DEGREE = 6
 
@@ -32,22 +38,38 @@ MAX_DEGREE = 6
 # ---------------------------------------------------------------------------
 
 class _Poly:
-    """Polynomial as {exponent tuple: coefficient}; evaluates on (..., dim)."""
+    """Polynomial as {exponent tuple: coefficient}; evaluates on (..., dim).
 
-    __slots__ = ("dim", "terms")
+    Each term c x^a y^b z^c is multiplied left to right from the power table,
+    and the terms are added in dict order.
+    """
+
+    __slots__ = ("dim", "terms", "top", "_plan")
 
     def __init__(self, dim: int, terms: dict):
         self.dim = dim
         self.terms = {e: float(c) for e, c in terms.items() if c != 0}
+        self.top = tuple(max((e[j] for e in self.terms), default=0)
+                         for j in range(dim))
+        self._plan = tuple((c, tuple((j, k) for j, k in enumerate(exps) if k))
+                           for exps, c in self.terms.items())
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for exps, c in self.terms.items():
-            term = np.full(pts.shape[:-1], c)
-            for j, e in enumerate(exps):
-                if e:
-                    term = term * pts[..., j] ** e
+        return self.on_table(_power_table(pts, self.top), pts.shape[:-1])
+
+    def on_table(self, table, shape) -> np.ndarray:
+        """Value on the points whose power table (covering ``top``) is given."""
+        out = np.zeros(shape)
+        term = np.empty(shape)
+        for c, factors in self._plan:
+            if not factors:
+                out += c
+                continue
+            (j, k), *rest = factors
+            np.multiply(c, table[j][k], out=term)
+            for j, k in rest:
+                np.multiply(term, table[j][k], out=term)
             out += term
         return out
 
@@ -85,6 +107,19 @@ class _Poly:
                 key = tuple(a + b for a, b in zip(e1, e2))
                 terms[key] = terms.get(key, 0.0) + c1 * c2
         return _Poly(self.dim, terms)
+
+
+def _power_table(pts: np.ndarray, top) -> list:
+    """Row j holds x_j^e at index e = 1..top[j] for x_j = pts[..., j], each
+    power the previous one times x_j (index 0 is unused)."""
+    table = []
+    for j, m in enumerate(top):
+        x = pts[..., j]
+        row = [None, x]
+        for _ in range(m - 1):
+            row.append(row[-1] * x)
+        table.append(row)
+    return table
 
 
 def _circle_power(k: int):
@@ -252,7 +287,10 @@ class _PolynomialData:
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
-        return np.stack([g(pts) for g in self._grads], axis=-1)
+        # a partial's exponents never exceed the polynomial's: one table serves all
+        table = _power_table(pts, self._poly.top)
+        return np.stack([g.on_table(table, pts.shape[:-1]) for g in self._grads],
+                        axis=-1)
 
     def boundary_data(self) -> BoundaryData:
         return BoundaryData(self.value, self.gradient, "c1",
@@ -413,7 +451,7 @@ def cap_indicator(cap: CapSpec, domain) -> BoundaryData:
     def value(pts):
         pts = np.asarray(pts, dtype=float)
         v = pts - vertex
-        d = (v @ axis) / np.linalg.norm(v, axis=-1)
+        d = (v @ axis) / np.sqrt(row_dot(v, v))
         def side(s):
             return np.where(s > c, 1.0, np.where(s == c, 0.5, 0.0))
         if nappe == "plus":

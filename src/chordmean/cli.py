@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .errors import INPUT_ERRORS, ChordMeanError, ConfigError
 from .geometry import (MEASURE_RES_2D, MEASURE_RES_3D, SMOOTH_RES_2D, SMOOTH_RES_3D,
-                       BallDomain, Ellipse2D, StarDomain2D, build_direction_quadrature)
+                       BallDomain, Ellipse2D, StarDomain2D, build_direction_quadrature,
+                       point_norm)
 from .boundary import (
     BoundaryData,
     CapSpec,
@@ -76,9 +77,16 @@ def _floats(text: str, name: str, count: int | None = None) -> list[float]:
 
 
 def _unit_axis(axis, what: str) -> np.ndarray:
-    """``axis`` scaled to unit length; a zero or non-finite axis is a ConfigError."""
+    """``axis`` scaled to unit length; a zero or non-finite axis is a ConfigError.
+
+    A finite axis whose norm overflows is first divided by its largest
+    |component|; other axes are normalised as given.
+    """
     axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
+    norm = point_norm(axis)
+    if math.isinf(norm) and np.isfinite(axis).all():
+        axis = axis / np.abs(axis).max()
+        norm = np.linalg.norm(axis)
     if not (math.isfinite(norm) and norm > 0.0):
         raise ConfigError(f"{what} must be a nonzero vector of finite length")
     return axis / norm
@@ -319,6 +327,7 @@ def cmd_measure(args) -> int:
     rows = []
     check = args.check
     if check in ("cap", "cone", "com"):
+        _require(args, "point")
         point = _floats(args.point, "--point")
         dim = args.dim or len(point)
         ball = BallDomain(center=np.zeros(dim), radius=1.0)

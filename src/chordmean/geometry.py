@@ -69,6 +69,27 @@ def check_unit(e: np.ndarray) -> np.ndarray:
     return e
 
 
+def point_norm(v: np.ndarray):
+    """np.linalg.norm(v); a norm past the float range is inf, without numpy's
+    overflow warning (a huge point is simply far outside every domain)."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(v)
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dot products sum_j a[..., j] b[..., j] over a short last axis
+    (other axes broadcast); ``row_dot(v, v)`` is the squared row norm.
+
+    Added column by column, in the order np.sum(axis=-1) adds them, so the
+    bits equal np.sum(a * b, axis=-1), but several times faster than a
+    reduction over a last axis of length 2 or 3.
+    """
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
+
+
 def _as_complex(z) -> complex:
     if isinstance(z, (complex, float, int, np.complexfloating, np.floating, np.integer)):
         return complex(z)
@@ -99,14 +120,14 @@ class BallDomain:
         return self.center.size
 
     def contains(self, x) -> bool:
-        return np.linalg.norm(as_point(x, self.dim) - self.center) < self.radius
+        return point_norm(as_point(x, self.dim) - self.center) < self.radius
 
     def on_boundary(self, x) -> bool:
-        r = np.linalg.norm(as_point(x, self.dim) - self.center)
+        r = point_norm(as_point(x, self.dim) - self.center)
         return abs(r - self.radius) <= BOUNDARY_TOL * self.radius
 
     def boundary_distance(self, x) -> float:
-        return self.radius - float(np.linalg.norm(as_point(x, self.dim) - self.center))
+        return self.radius - float(point_norm(as_point(x, self.dim) - self.center))
 
     def require_interior(self, x) -> np.ndarray:
         p = as_point(x, self.dim)
@@ -144,7 +165,7 @@ class Ellipse2D:
 
     def require_interior(self, x) -> np.ndarray:
         p = as_point(x, 2)
-        if np.linalg.norm(self._scaled(p)) >= 1.0 - INTERIOR_MARGIN:
+        if point_norm(self._scaled(p)) >= 1.0 - INTERIOR_MARGIN:
             raise PointNotInterior(f"point {p} is not strictly inside the ellipse")
         return p
 
@@ -196,14 +217,14 @@ class StarDomain2D:
 
     def contains(self, x) -> bool:
         p = as_point(x, 2)
-        r = float(np.linalg.norm(p))
+        r = float(point_norm(p))
         if r == 0.0:
             return True
         return r < float(self._rho(math.atan2(p[1], p[0])))
 
     def require_interior(self, x) -> np.ndarray:
         p = as_point(x, 2)
-        r = float(np.linalg.norm(p))
+        r = float(point_norm(p))
         rho = float(self._rho(math.atan2(p[1], p[0]))) if r > 0 else self._rho_max
         if r >= rho * (1.0 - INTERIOR_MARGIN):
             raise PointNotInterior(f"point {p} is not strictly inside the star domain")
@@ -275,7 +296,7 @@ def ellipse_chord_roots(ellipse: Ellipse2D, p: np.ndarray, dirs: np.ndarray):
     ax = np.asarray(ellipse.semi_axes)
     u = (p - ellipse.center) / ax
     v = dirs / ax
-    alpha = np.sum(v * v, axis=-1)
+    alpha = row_dot(v, v)
     beta = v @ u
     gamma = float(u @ u) - 1.0
     s = np.sqrt(beta * beta - alpha * gamma)
@@ -673,10 +694,10 @@ def plane_sections(ball: BallDomain, p: np.ndarray, normals: np.ndarray
     rows = np.arange(normals.shape[0])
     u = -normals[rows, idx][:, np.newaxis] * normals
     u[rows, idx] += 1.0
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u /= np.sqrt(row_dot(u, u))[:, np.newaxis]
     v = np.cross(normals, u)
     base = p - center3d
-    base2d = np.column_stack([np.sum(base * u, axis=1), np.sum(base * v, axis=1)])
+    base2d = np.column_stack([row_dot(base, u), row_dot(base, v)])
     return PlaneSections(center3d, radius, u, v, base2d)
 
 

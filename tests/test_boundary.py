@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,77 @@ def test_gradient_matches_central_differences():
                 e[j] = h
                 fd = (float(data.value(q + e)) - float(data.value(q - e))) / (2 * h)
                 assert abs(grad[j] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+# The Almansi pairs (h1, h2) of the benchmark's sweep workload.
+SWEEP_ALMANSI_PAIRS = {
+    2: [((5, "re"), (3, "im")), ((4, "im"), (2, "re")), ((3, "re"), (1, "re")),
+        ((2, "re"), (0, "re")), ((1, "im"), (3, "re")), ((0, "re"), (2, "im"))],
+    3: [((5, 2), (3, -2)), ((4, -1), (2, 1)), ((3, 0), (1, 0)),
+        ((2, 2), (0, 0)), ((1, 1), (3, 1)), ((0, 0), (2, 0))],
+}
+
+
+def _exact_value_and_gradient(terms, x):
+    """Exact rational value and gradient of the monomial table {e: c} at the
+    float point x, each with the sum of the absolute values of its terms."""
+    x = [Fraction(v) for v in x]
+    value = scale = Fraction(0)
+    grad = [Fraction(0)] * len(x)
+    grad_scale = [Fraction(0)] * len(x)
+    for exps, c in terms.items():
+        t = Fraction(c)
+        for xj, e in zip(x, exps):
+            t *= xj ** e
+        value += t
+        scale += abs(t)
+        for j, e in enumerate(exps):
+            if e:
+                d = Fraction(c) * e * x[j] ** (e - 1)
+                for i, (xi, ei) in enumerate(zip(x, exps)):
+                    if i != j:
+                        d *= xi ** ei
+                grad[j] += d
+                grad_scale[j] += abs(d)
+    return value, scale, grad, grad_scale
+
+
+def _polynomials():
+    for dim in (2, 3):
+        yield cm.HarmonicPolynomial.zero(dim)
+        yield 2.5 * cm.harmonic_poly(dim, 0, basis_indices(dim, 0)[0])
+        for m in range(7):
+            for k in basis_indices(dim, m):
+                yield cm.harmonic_poly(dim, m, k)
+        for (m1, k1), (m2, k2) in SWEEP_ALMANSI_PAIRS[dim]:
+            yield cm.almansi_assemble(cm.harmonic_poly(dim, m1, k1),
+                                      cm.harmonic_poly(dim, m2, k2))
+
+
+def test_polynomial_values_and_gradients_match_exact_rationals():
+    # Within a few ulps of the sum of |c x^e| over the terms, at every input
+    # shape: (dim,), (N, dim), (K, N, dim) and the empty (0, dim).
+    ulps = 4 * np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    for poly in _polynomials():
+        dim = poly.dim
+        pts = rng.standard_normal((2, 3, dim))
+        pts *= rng.uniform(0.5, 1.5, (2, 3, 1)) / np.linalg.norm(pts, axis=-1, keepdims=True)
+        pts[0, 0] /= np.linalg.norm(pts[0, 0])      # one point on the unit sphere
+        flat = pts.reshape(-1, dim)
+        for shape_pts in (flat[0], flat, pts, np.zeros((0, dim))):
+            value = poly.value(shape_pts)
+            grad = poly.gradient(shape_pts)
+            assert np.shape(value) == shape_pts.shape[:-1]
+            assert grad.shape == shape_pts.shape
+            for x, v, g in zip(shape_pts.reshape(-1, dim), np.ravel(value),
+                               grad.reshape(-1, dim)):
+                exact, scale, exact_grad, grad_scale = _exact_value_and_gradient(
+                    poly._poly.terms, x)
+                assert abs(Fraction(float(v)) - exact) <= ulps * scale, (poly, x)
+                for j in range(dim):
+                    assert abs(Fraction(float(g[j])) - exact_grad[j]) \
+                        <= ulps * grad_scale[j], (poly, x, j)
 
 
 def test_degree_and_index_validation():

@@ -220,6 +220,23 @@ def test_rejected_inputs_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("check", ["cap", "cone", "com"])
+def test_measure_without_point_names_the_flag(check, capsys):
+    assert main(["measure", f"--check={check}", "--half-angle=1", "--n=64"]) == 2
+    assert capsys.readouterr().err == "error: --point is required\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_axis_is_a_direction(capsys):
+    rows = {}
+    for axis in ("1e308,1e308", "1,1"):
+        code, out = run_cli(["measure", "--check=cone", "--point=0.1,0",
+                             f"--axis={axis}", "--half-angle=1", "--n=64"], capsys)
+        assert code == 0
+        rows[axis] = parse_csv(out)[2]
+    assert rows["1e308,1e308"] == rows["1,1"]
+
+
 def test_selftest_subset(tmp_path, capsys):
     report = tmp_path / "report.json"
     code = main(["selftest", "--criteria", "4,7", "--json", str(report)])

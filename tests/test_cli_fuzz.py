@@ -11,6 +11,7 @@ import contextlib
 import io
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordmean.cli import main
@@ -119,6 +120,7 @@ def _run(argv) -> int:
             return 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # numpy warnings reach users
 @FUZZ
 @given(st.one_of(solve_argv(), measure_argv()))
 def test_command_lines_exit_cleanly(argv):
