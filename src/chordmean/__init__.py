@@ -36,7 +36,6 @@ from .geometry import (
     Chord,
     DirectionQuadrature,
     Ellipse2D,
-    SectionDisk,
     StarDomain2D,
     build_direction_quadrature,
     chord_through,

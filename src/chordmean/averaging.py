@@ -119,10 +119,7 @@ def solve_harmonic(ball: BallDomain, data: BoundaryData, P,
                    dq: DirectionQuadrature) -> ChordAverageResult:
     """Average of chord interpolants over the direction set: the harmonic
     extension of the data evaluated at P (exact on balls)."""
-    p = ball.require_interior(P)
-    if dq.dim != ball.dim:
-        raise DimMismatch("direction quadrature dimension does not match the ball")
-    return _average(ball, data, p, dq)
+    return _average(ball, data, interior_point(ball, BallDomain, P, dq), dq)
 
 
 def solve_on_domain(domain, data: BoundaryData, P,
@@ -132,11 +129,7 @@ def solve_on_domain(domain, data: BoundaryData, P,
     For harmonic-polynomial data the oracle is the polynomial itself, so the
     residual measures how far the domain is from being a ball.
     """
-    if not isinstance(domain, (Ellipse2D, StarDomain2D)):
-        raise BadParameter("solve_on_domain expects an Ellipse2D or StarDomain2D")
-    p = domain.require_interior(P)
-    if dq.dim != 2:
-        raise DimMismatch("2-D direction quadrature required")
+    p = interior_point(domain, (Ellipse2D, StarDomain2D), P, dq)
     return _average(domain, data, p, dq)
 
 
@@ -146,7 +139,7 @@ def chord_interpolant_max(domain, data: BoundaryData, P,
 
     A discrete stand-in (lower bound) for the sup over all chords; dominates
     the chord average computed with the same node set."""
-    p = interior_point(domain, P)
+    p = interior_point(domain, (BallDomain, Ellipse2D, StarDomain2D), P, dq)
     return float(np.max(_interpolant_values(domain, data, p, dq.directions)))
 
 
@@ -189,11 +182,9 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
     averaging cancels).  The error estimate halves the normal quadrature only;
     the inner resolution is held fixed.
     """
+    p = interior_point(ball, BallDomain, P, normal_dq)
     if ball.dim != 3:
         raise DimMismatch("cross_section_solve requires a 3-dimensional ball")
-    p = ball.require_interior(P)
-    if normal_dq.dim != 3:
-        raise DimMismatch("normal quadrature must be 3-dimensional")
     if inner_solver not in ("poisson", "chords"):
         raise BadParameter("inner_solver must be 'poisson' or 'chords'")
     if inner_resolution < 1:

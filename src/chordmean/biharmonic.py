@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBracket, BadDegree, DegenerateInterval, DimMismatch, GradientRequired
+from .errors import BadBracket, BadDegree, DegenerateInterval, GradientRequired
 from .boundary import BoundaryData
-from .geometry import BallDomain, DirectionQuadrature, row_dot
+from .geometry import BallDomain, DirectionQuadrature, interior_point, row_dot
 from .averaging import ChordAverageResult, _average
 
 MAX_MONOMIAL_DEGREE = 12
@@ -119,10 +119,7 @@ def solve_biharmonic(ball: BallDomain, data: BoundaryData, P,
     Endpoint slopes are the directional derivatives <grad f, e> of the data;
     indicator or c0 data is rejected (no finite-difference fallback here).
     """
+    p = interior_point(ball, BallDomain, P, dq)
     if data.smoothness != "c1" or data.gradient is None:
         raise GradientRequired("biharmonic solver needs c1 data with a gradient")
-    p = ball.require_interior(P)
-    if dq.dim != ball.dim:
-        raise DimMismatch("direction quadrature dimension does not match the ball")
-
     return _average(ball, data, p, dq, _hermite_term)

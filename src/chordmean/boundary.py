@@ -28,7 +28,7 @@ from .errors import (
     PointNotInterior,
     UnsupportedDegree,
 )
-from .geometry import as_point, check_unit, row_dot
+from .geometry import BallDomain, as_point, check_unit, interior_point, row_dot
 
 MAX_DEGREE = 6
 
@@ -410,7 +410,7 @@ def arc_cap(ball, P, theta1: float, theta2: float) -> CapSpec:
     the arc endpoints, and the arc midpoint fixes which of the two candidate
     cones is meant.
     """
-    p = ball.require_interior(P)
+    p = interior_point(ball, BallDomain, P)
     if theta2 <= theta1:
         raise BadParameter("arc must satisfy theta1 < theta2")
 

@@ -25,6 +25,7 @@ from .geometry import (
     STREAM_TRAVELER_PLANE,
     BallDomain,
     ball_chord_roots,
+    interior_point,
     philox_stream,
     plane_sections,
     uniform_directions,
@@ -144,23 +145,23 @@ def exits_line_batch(ball: BallDomain, p: np.ndarray,
 
 def sample_exit_full(ball: BallDomain, P, rng_stream: np.random.Generator
                      ) -> ExitSample:
-    p = ball.require_interior(P)
+    p = interior_point(ball, BallDomain, P)
     pts, _ = exits_full_batch(ball, p, rng_stream, 1)
     return ExitSample(traveler="full", exit_point=pts[0])
 
 
 def sample_exit_plane(ball: BallDomain, P, rng_stream: np.random.Generator
                       ) -> ExitSample:
+    p = interior_point(ball, BallDomain, P)
     if ball.dim != 3:
         raise BadParameter("the plane traveler lives in 3-D")
-    p = ball.require_interior(P)
     pts, normals = exits_plane_batch(ball, p, rng_stream, 1)
     return ExitSample(traveler="plane", exit_point=pts[0], auxiliary=normals[0])
 
 
 def sample_exit_line(ball: BallDomain, P, rng_stream: np.random.Generator
                      ) -> ExitSample:
-    p = ball.require_interior(P)
+    p = interior_point(ball, BallDomain, P)
     pts, dirs = exits_line_batch(ball, p, rng_stream, 1)
     return ExitSample(traveler="line", exit_point=pts[0], auxiliary=dirs[0])
 
@@ -189,7 +190,7 @@ def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
     rho > RHO_SOFT_LIMIT, where rejection slows and the exact disk sampler
     draws it instead.
     """
-    p = ball.require_interior(P)
+    p = interior_point(ball, BallDomain, P)
     if N < 10 ** 3:
         raise BadParameter("need at least 1000 samples per traveler")
     ind = cap_indicator(cap, ball)

@@ -76,15 +76,19 @@ def _floats(text: str, name: str, count: int | None = None) -> list[float]:
     return vals
 
 
+_TINY_NORM = math.sqrt(np.finfo(float).tiny)     # smaller norms lose bits
+
+
 def _unit_axis(axis, what: str) -> np.ndarray:
     """``axis`` scaled to unit length; a zero or non-finite axis is a ConfigError.
 
-    A finite axis whose norm overflows is first divided by its largest
-    |component|; other axes are normalised as given.
+    A finite, nonzero axis whose norm overflows or falls below _TINY_NORM is
+    first divided by its largest |component|; other axes are normalised as
+    given.
     """
     axis = np.asarray(axis, dtype=float)
     norm = point_norm(axis)
-    if math.isinf(norm) and np.isfinite(axis).all():
+    if not _TINY_NORM <= norm < math.inf and np.isfinite(axis).all() and axis.any():
         axis = axis / np.abs(axis).max()
         norm = np.linalg.norm(axis)
     if not (math.isfinite(norm) and norm > 0.0):
@@ -285,17 +289,11 @@ def cmd_solve(args) -> int:
 
     operator = args.operator or "harmonic"
     if operator == "harmonic":
-        if isinstance(domain, BallDomain):
-            result = solve_harmonic(domain, data, point, dq)
-        else:
-            result = solve_on_domain(domain, data, point, dq)
+        solve = solve_harmonic if isinstance(domain, BallDomain) else solve_on_domain
+        result = solve(domain, data, point, dq)
     elif operator == "biharmonic":
-        if not isinstance(domain, BallDomain):
-            raise ConfigError("the biharmonic solver runs on balls only")
         result = solve_biharmonic(domain, data, point, dq)
     elif operator == "cross-section":
-        if not (isinstance(domain, BallDomain) and dim == 3):
-            raise ConfigError("cross-section needs a 3-D ball domain")
         nscheme = {"gauss": "gauss_product_3d", "mc": "monte_carlo",
                    "design": "monte_carlo_design"}[args.normal_scheme or "gauss"]
         ndq = build_direction_quadrature(3, nscheme, args.normal_n or 16,
@@ -323,28 +321,40 @@ _MEASURE_KEYS = ("check", "dim", "point", "axis", "half_angle", "nappe", "arc",
                  "backend", "w", "degree", "a", "n", "format")
 
 
+def _point_and_ball(args):
+    """--point as a list and an array, and the unit ball of --dim (default:
+    the point's length)."""
+    point = _floats(args.point, "--point")
+    dim = args.dim or len(point)
+    return point, np.asarray(point), BallDomain(center=np.zeros(dim), radius=1.0)
+
+
+def _arc_or_cap(args, ball: BallDomain, p: np.ndarray) -> CapSpec | None:
+    """The cap of --arc (2-D only) or of --cap, seen from p; None without either."""
+    if args.arc is not None:
+        if ball.dim != 2:
+            raise ConfigError("--arc is 2-D only")
+        t1, t2 = _floats(args.arc, "--arc", 2)
+        return arc_cap(ball, p, t1, t2)
+    if args.cap is not None:
+        return parse_cap(ball.dim, args.cap, vertex=p)
+    return None
+
+
 def cmd_measure(args) -> int:
     rows = []
     check = args.check
     if check in ("cap", "cone", "com"):
         _require(args, "point")
-        point = _floats(args.point, "--point")
-        dim = args.dim or len(point)
-        ball = BallDomain(center=np.zeros(dim), radius=1.0)
-        p = np.asarray(point)
+        point, p, ball = _point_and_ball(args)
+        dim = ball.dim
         dq = bq = None
         if args.n is not None:
             bq = build_boundary_quadrature(ball, args.n)
             dq = bq.rule
         if check == "cap":
-            if args.arc is not None:
-                if dim != 2:
-                    raise ConfigError("--arc is 2-D only")
-                t1, t2 = _floats(args.arc, "--arc", 2)
-                cap = arc_cap(ball, p, t1, t2)
-            elif args.cap is not None:
-                cap = parse_cap(dim, args.cap, vertex=p)
-            else:
+            cap = _arc_or_cap(args, ball, p)
+            if cap is None:
                 _require(args, "half_angle")
                 axis = _unit_axis(_floats(args.axis or "1," + "0," * (dim - 1),
                                           "--axis", dim), "--axis")
@@ -418,22 +428,13 @@ _BROWNIAN_KEYS = ("dim", "point", "cap", "arc", "n", "seed", "format")
 
 def cmd_brownian(args) -> int:
     _require(args, "point", "seed")
-    point = _floats(args.point, "--point")
-    dim = args.dim or len(point)
-    ball = BallDomain(center=np.zeros(dim), radius=1.0)
-    p = np.asarray(point)
-    if args.arc is not None:
-        if dim != 2:
-            raise ConfigError("--arc is 2-D only")
-        t1, t2 = _floats(args.arc, "--arc", 2)
-        cap = arc_cap(ball, p, t1, t2)
-    elif args.cap is not None:
-        cap = parse_cap(dim, args.cap, vertex=p)
-    else:
+    _, p, ball = _point_and_ball(args)
+    cap = _arc_or_cap(args, ball, p)
+    if cap is None:
         raise ConfigError("brownian needs --cap or --arc")
     rho = start_rho(ball, p)
     if rho > RHO_SOFT_LIMIT:
-        if dim == 3:
+        if ball.dim == 3:
             raise ConfigError(f"start point rho={rho:.3f} > {RHO_SOFT_LIMIT}: "
                               f"rejection sampling refused in 3-D")
         print(f"warning: rho={rho:.3f} > {RHO_SOFT_LIMIT}, switching the full traveler "

@@ -352,22 +352,29 @@ def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
     return np.clip(sec, lo, hi)
 
 
-def interior_point(domain, P) -> np.ndarray:
-    """P checked to lie strictly inside ``domain``, a ball, ellipse or star domain.
+def interior_point(domain, kinds, P, dq=None) -> np.ndarray:
+    """The one input check of every solve: ``domain`` must be one of the
+    types ``kinds``, P strictly inside it and the direction rule ``dq``, if
+    given, of its dimension.  Returns P as an array.
 
     Every domain type offers ``dim``, ``require_interior(P)`` and
     ``chord_roots(p, dirs)``: the chord parameters a < 0 < b along each unit
     row of ``dirs``.
     """
-    if not isinstance(domain, (BallDomain, Ellipse2D, StarDomain2D)):
-        raise BadParameter(f"unsupported domain type {type(domain).__name__}")
-    return domain.require_interior(P)
+    if not isinstance(domain, kinds):
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        names = " or ".join(k.__name__ for k in kinds)
+        raise BadParameter(f"expected a {names}, got {type(domain).__name__}")
+    p = domain.require_interior(P)
+    if dq is not None and dq.dim != domain.dim:
+        raise DimMismatch(f"{dq.dim}-D direction rule for a {domain.dim}-D domain")
+    return p
 
 
 def chord_through(domain, P, e) -> Chord:
     """Chord of ``domain`` through interior point P along unit direction e."""
+    p = interior_point(domain, (BallDomain, Ellipse2D, StarDomain2D), P)
     e = check_unit(e)
-    p = interior_point(domain, P)
     a, b = domain.chord_roots(p, e[np.newaxis, :])
     a, b = float(a[0]), float(b[0])
     if not a < 0.0 < b:
@@ -378,8 +385,8 @@ def chord_through(domain, P, e) -> Chord:
 def ray_hit_star(domain: StarDomain2D, P, e):
     """First boundary hit of the ray {P + t e : t > 0} of a 2-D star domain,
     as (hit point, t): one row of ``star_hits_batch``."""
+    p = interior_point(domain, StarDomain2D, P)
     e = check_unit(e)
-    p = domain.require_interior(P)
     t = float(star_hits_batch(domain, p, e[np.newaxis, :])[0])
     return p + t * e, t
 
@@ -642,25 +649,6 @@ def mobius_involution(P, z) -> complex:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SectionDisk:
-    """Disk cut from a 3-ball by a plane, with an in-plane orthonormal frame.
-
-    ``base2d`` holds the coordinates (in the frame, origin at ``center3d``) of
-    the interior point the section was built through.
-    """
-
-    center3d: np.ndarray
-    radius: float
-    frame: np.ndarray               # (2, 3), rows are the in-plane axes
-    base2d: np.ndarray
-
-    def boundary_points(self, phis: np.ndarray) -> np.ndarray:
-        """3-D points of the section's boundary circle at the given angles."""
-        circ = self.radius * np.column_stack([np.cos(phis), np.sin(phis)])
-        return self.center3d + circ @ self.frame
-
-
-@dataclass(frozen=True)
 class PlaneSections:
     """Sections of a 3-ball by K planes through one interior point, row k
     for normal k: centers (K, 3), radii (K,), in-plane axes u and v (K, 3)
@@ -701,12 +689,10 @@ def plane_sections(ball: BallDomain, p: np.ndarray, normals: np.ndarray
     return PlaneSections(center3d, radius, u, v, base2d)
 
 
-def plane_section(ball: BallDomain, P, normal) -> SectionDisk:
-    """Section of a 3-ball by the plane through P with the given unit normal."""
+def plane_section(ball: BallDomain, P, normal) -> PlaneSections:
+    """Section of a 3-ball by the plane through P with the given unit normal,
+    as the one-row ``plane_sections``."""
+    p = interior_point(ball, BallDomain, P)
     if ball.dim != 3:
         raise DimMismatch("plane_section requires a 3-dimensional ball")
-    nu = check_unit(normal)
-    p = ball.require_interior(P)
-    secs = plane_sections(ball, p, nu[np.newaxis, :])
-    return SectionDisk(center3d=secs.center3d[0], radius=float(secs.radius[0]),
-                       frame=np.vstack([secs.u[0], secs.v[0]]), base2d=secs.base2d[0])
+    return plane_sections(ball, p, check_unit(normal)[np.newaxis, :])

@@ -18,12 +18,14 @@ from .geometry import (
     DirectionQuadrature,
     ball_chord_roots,
     default_direction_quadrature,
+    interior_point,
     measure_rule,
     mobius_involution,
 )
 from .averaging import _interpolant_values
 from .poisson import (
     BoundaryQuadrature,
+    _placed_rule,
     cap_measure_poisson,
     fixed_sum,
     kernel_values,
@@ -74,7 +76,7 @@ def cap_measure_ratio(ball: BallDomain, P, cap: CapSpec,
     complementary ratio at the forward hit, so antipodal pairs sum to 1 when
     both hits land in the cap.
     """
-    p = ball.require_interior(P)
+    p = interior_point(ball, BallDomain, P, dq)
     if not np.allclose(cap.vertex, p):
         raise BadParameter("cap vertex must coincide with the evaluation point")
     if dq is None:
@@ -93,7 +95,7 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     Returns (w_sum, target, defect).  backend='ratio' holds by complementarity
     to quadrature rounding; backend='poisson' is the substantive check.
     """
-    p = ball.require_interior(P)
+    p = interior_point(ball, BallDomain, P, dq)
     if not 0.0 < half_angle < 0.5 * math.pi:
         raise BadParameter("cone identity check expects half_angle in (0, pi/2)")
     caps = make_cone_caps(ball.dim, p, axis, half_angle)
@@ -114,12 +116,11 @@ def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
                          bq: BoundaryQuadrature | None = None):
     """Center of mass of the double-cone caps under the harmonic-measure
     density; returns (com, offset) where offset = |com - P|."""
-    p = ball.require_interior(P)
-    if bq is None:
-        bq = measure_quadrature(ball)
+    p = interior_point(ball, BallDomain, P)
+    rule = _placed_rule(ball, bq, measure_quadrature)
     cap_both = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="both")
-    rule = bq.rule
-    ind = np.asarray(cap_indicator(cap_both, ball).value(bq.points), dtype=float)
+    ind = np.asarray(cap_indicator(cap_both, ball).value(
+        ball.center + ball.radius * rule.directions), dtype=float)
     density = rule.weights * ind * kernel_values(ball, p, rule.directions)
     denom = fixed_sum(density)
     if denom < 1e-12:
@@ -176,19 +177,19 @@ def involution_image_measure(P, arc) -> float:
 _PROP81_GRID = 2 ** 14
 
 
-def star_angle_measure_check(a: float, arc, resolution: int = _PROP81_GRID):
+def star_angle_measure_check(a: float, arc):
     """Subtended angle at the origin of the image arc under q(z) = a z^2 + z + a
     against 2 pi times the harmonic measure at q(0) (the preimage arc length).
 
     Returns (subtended_angle, circumference_measure, defect); both sides equal
-    the preimage arc length.
+    the preimage arc length.  The arc is sampled at _PROP81_GRID steps.
     """
     if not 0.0 < a < 0.5:
         raise BadParameter("need 0 < a < 1/2 for univalence")
     theta1, theta2 = float(arc[0]), float(arc[1])
     if not (0.0 <= theta1 < theta2 <= 2.0 * math.pi):
         raise BadParameter("arc must satisfy 0 <= theta1 < theta2 <= 2 pi")
-    thetas = np.linspace(theta1, theta2, resolution + 1)
+    thetas = np.linspace(theta1, theta2, _PROP81_GRID + 1)
     z = np.exp(1j * thetas)
     qz = a * z * z + z + a
     increments = np.angle(qz[1:] / qz[:-1])

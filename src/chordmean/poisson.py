@@ -39,6 +39,7 @@ from .geometry import (
     DirectionQuadrature,
     as_point,
     default_direction_quadrature,
+    interior_point,
     measure_rule,
     row_dot,
 )
@@ -216,6 +217,19 @@ def measure_quadrature(ball: BallDomain) -> BoundaryQuadrature:
     return BoundaryQuadrature(ball, measure_rule(ball.dim))
 
 
+def _placed_rule(ball: BallDomain, bq: BoundaryQuadrature | None, default
+                ) -> DirectionQuadrature:
+    """The direction rule of ``bq``, which must be placed on ``ball``; that of
+    ``default(ball)`` when ``bq`` is None."""
+    if bq is None:
+        return default(ball).rule
+    if bq.ball is not ball and (bq.ball.dim != ball.dim
+                                or bq.ball.radius != ball.radius
+                                or not np.array_equal(bq.ball.center, ball.center)):
+        raise BadParameter("boundary quadrature was built for a different ball")
+    return bq.rule
+
+
 def kernel_values(ball: BallDomain, x: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Poisson kernel of the ball at interior x against the boundary points
     c + R e, e a unit row of ``dirs``: the density of harmonic measure at x
@@ -234,7 +248,7 @@ def kernel_values(ball: BallDomain, x: np.ndarray, dirs: np.ndarray) -> np.ndarr
 
 def poisson_kernel(ball: BallDomain, x, y) -> float:
     """Poisson kernel value; for the unit ball (1/omega_n)(1-|x|^2)/|x-y|^n."""
-    p = ball.require_interior(x)
+    p = interior_point(ball, BallDomain, x)
     q = as_point(y, ball.dim)
     if not ball.on_boundary(q):
         raise PointNotOnBoundary(f"{q} is not on the ball boundary")
@@ -245,16 +259,9 @@ def poisson_kernel(ball: BallDomain, x, y) -> float:
 def poisson_solve(ball: BallDomain, data: BoundaryData, x,
                   bq: BoundaryQuadrature | None = None) -> SolveReport:
     """Poisson integral of the boundary data at interior x."""
-    p = ball.require_interior(x)
-    if bq is None:
-        bq = build_boundary_quadrature(ball)
-    if bq.ball is not ball and (bq.ball.dim != ball.dim
-                                or bq.ball.radius != ball.radius
-                                or not np.array_equal(bq.ball.center, ball.center)):
-        raise BadParameter("boundary quadrature was built for a different ball")
-
+    p = interior_point(ball, BallDomain, x)
     return half_rule_report(
-        bq.rule, lambda q: (
+        _placed_rule(ball, bq, build_boundary_quadrature), lambda q: (
             np.asarray(data.value(ball.center + ball.radius * q.directions), dtype=float),
             kernel_values(ball, p, q.directions)))
 
@@ -275,7 +282,7 @@ def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
     The result is clamped into [0, 1]; the clamp magnitude is recorded on the
     report rather than silently discarded.
     """
-    p = ball.require_interior(P)
+    p = interior_point(ball, BallDomain, P)
     if not np.allclose(cap.vertex, p):
         raise BadParameter("cap vertex must coincide with the evaluation point")
     if bq is None:

@@ -185,12 +185,13 @@ def test_cross_section_matches_per_section_loop():
     ndq = cm.build_direction_quadrature(3, "monte_carlo_design", 4, seed=9)
     p, m = (0.1, -0.3, 0.2), 128
     phis = 2.0 * math.pi * np.arange(m) / m
+    circle = np.column_stack([np.cos(phis), np.sin(phis)])[np.newaxis]
     values = []
     for nu in ndq.directions:
         sec = cm.plane_section(BALL, p, nu)
-        z0 = complex(sec.base2d[0], sec.base2d[1]) / sec.radius
+        z0 = complex(sec.base2d[0, 0], sec.base2d[0, 1]) / sec.radius[0]
         density = (1.0 - abs(z0) ** 2) / np.abs(z0 - np.exp(1j * phis)) ** 2
-        values.append(math.fsum(data.value(sec.boundary_points(phis)) * density) / m)
+        values.append(math.fsum(data.value(sec.to_3d(circle)[0]) * density) / m)
     res = cm.cross_section_solve(BALL, data, p, ndq, m)
     ref = math.fsum(ndq.weights * np.array(values))
     assert abs(res.value - ref) <= 1e-14 * abs(ref)

@@ -206,14 +206,17 @@ def test_exit_codes(capsys):
 @pytest.mark.parametrize("argv", [
     ["hermite", "--m=3", "--a=-0.5", "--b=1.5"],                      # BadDegree
     ["hermite", "--m=4", "--a=0.5", "--b=1.5"],                       # BadBracket
-    # the normalised axis keeps a norm off 1 by 6e-6: DegenerateDirection
-    ["solve", "--data=cap:axis=1e-160,1e-160,half=1", "--point=0.1,0", "--n=64"],
     ["measure", "--check=cone", "--point=0.1,0", "--axis=0,0", "--half-angle=1",
      "--n=64"],
     ["measure", "--check=cap", "--point=0.1,0", "--axis=0,0", "--half-angle=1",
      "--n=64"],
     ["solve", "--data=cap:axis=0,0,half=1", "--point=0.1,0", "--n=64"],
     ["solve", "--data=cap:axis=nan,0,half=1", "--point=0.1,0", "--n=64"],
+    # domains the library refuses for these operators (BadParameter)
+    ["solve", "--operator=biharmonic", "--domain=ellipse:1.5,1", "--data=almansi:0;x",
+     "--point=0.1,0"],
+    ["solve", "--operator=cross-section", "--domain=conformal:0.2", "--data=harm:1,re",
+     "--point=0.1,0"],
 ])
 def test_rejected_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -229,12 +232,24 @@ def test_measure_without_point_names_the_flag(check, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_axis_is_a_direction(capsys):
     rows = {}
-    for axis in ("1e308,1e308", "1,1"):
+    for axis in ("1e308,1e308", "1e-160,1e-160", "1e-170,1e-170", "1,1"):
         code, out = run_cli(["measure", "--check=cone", "--point=0.1,0",
                              f"--axis={axis}", "--half-angle=1", "--n=64"], capsys)
         assert code == 0
         rows[axis] = parse_csv(out)[2]
-    assert rows["1e308,1e308"] == rows["1,1"]
+    for axis in ("1e308,1e308", "1e-160,1e-160", "1e-170,1e-170"):
+        assert rows[axis] == rows["1,1"]
+
+
+def test_tiny_cap_axis_is_a_direction(capsys):
+    # a norm below sqrt(tiny) used to come out of the division off 1 by 6e-6
+    rows = {}
+    for axis in ("1e-160,1e-160", "1,1"):
+        code, out = run_cli(["solve", f"--data=cap:axis={axis},half=1", "--point=0.1,0",
+                             "--n=64"], capsys)
+        assert code == 0
+        rows[axis] = parse_csv(out)[2]
+    assert rows["1e-160,1e-160"] == rows["1,1"]
 
 
 def test_selftest_subset(tmp_path, capsys):

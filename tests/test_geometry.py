@@ -343,17 +343,17 @@ def test_mobius_requires_interior_point():
 def test_plane_section_examples():
     ball = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
     sec = cm.plane_section(ball, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-    assert_allclose(sec.center3d, [0.0, 0.0, 0.0], atol=1e-14)
-    assert_allclose(sec.radius, 1.0, atol=1e-14)
-    assert_allclose(sec.base2d, [0.0, 0.0], atol=1e-14)
+    assert_allclose(sec.center3d[0], [0.0, 0.0, 0.0], atol=1e-14)
+    assert_allclose(sec.radius[0], 1.0, atol=1e-14)
+    assert_allclose(sec.base2d[0], [0.0, 0.0], atol=1e-14)
 
     sec = cm.plane_section(ball, (0.0, 0.0, 0.6), (0.0, 0.0, 1.0))
-    assert_allclose(sec.radius, 0.8, atol=1e-12)      # sqrt(1 - 0.36)
-    assert_allclose(sec.base2d, [0.0, 0.0], atol=1e-12)
+    assert_allclose(sec.radius[0], 0.8, atol=1e-12)      # sqrt(1 - 0.36)
+    assert_allclose(sec.base2d[0], [0.0, 0.0], atol=1e-12)
 
     sec = cm.plane_section(ball, (0.3, 0.0, 0.0), (0.0, 0.0, 1.0))
-    assert_allclose(sec.radius, 1.0, atol=1e-12)
-    assert_allclose(np.linalg.norm(sec.base2d), 0.3, atol=1e-12)
+    assert_allclose(sec.radius[0], 1.0, atol=1e-12)
+    assert_allclose(np.linalg.norm(sec.base2d[0]), 0.3, atol=1e-12)
 
 
 def test_plane_section_properties():
@@ -364,13 +364,15 @@ def test_plane_section_properties():
         nu = _unit(rng, 3)
         sec = cm.plane_section(ball, p, nu)
         d = abs(float((ball.center - p) @ nu))
-        assert abs(sec.radius ** 2 + d * d - ball.radius ** 2) <= 1e-10
-        gram = sec.frame @ sec.frame.T
+        assert abs(sec.radius[0] ** 2 + d * d - ball.radius ** 2) <= 1e-10
+        frame = np.vstack([sec.u, sec.v])
+        gram = frame @ frame.T
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
-        assert np.max(np.abs(sec.frame @ nu)) <= 1e-12
-        assert np.linalg.norm(sec.base2d) < sec.radius
+        assert np.max(np.abs(frame @ nu)) <= 1e-12
+        assert np.linalg.norm(sec.base2d[0]) < sec.radius[0]
         # the section boundary lies on the sphere
-        pts = sec.boundary_points(np.linspace(0.0, 2.0 * math.pi, 7))
+        phis = np.linspace(0.0, 2.0 * math.pi, 7)
+        pts = sec.to_3d(np.column_stack([np.cos(phis), np.sin(phis)])[np.newaxis])[0]
         assert np.max(np.abs(np.linalg.norm(pts - ball.center, axis=1)
                              - ball.radius)) <= 1e-10
 
@@ -382,9 +384,10 @@ def test_plane_sections_rows_match_plane_section():
     secs = plane_sections(ball, p, normals)
     for k, nu in enumerate(normals):
         one = cm.plane_section(ball, p, nu)
-        for batch, single in ((secs.center3d[k], one.center3d), (secs.radius[k], one.radius),
-                              (np.vstack([secs.u[k], secs.v[k]]), one.frame),
-                              (secs.base2d[k], one.base2d)):
+        for batch, single in ((secs.center3d[k], one.center3d[0]),
+                              (secs.radius[k], one.radius[0]),
+                              (secs.u[k], one.u[0]), (secs.v[k], one.v[0]),
+                              (secs.base2d[k], one.base2d[0])):
             assert_allclose(batch, single, rtol=0.0, atol=1e-15)
 
 

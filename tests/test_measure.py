@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import chordmean as cm
+from chordmean import measure as measure_module
 from chordmean.poisson import fixed_sum
 
 
@@ -193,14 +194,15 @@ def test_star_angle_examples():
     assert defect <= 1e-10
 
 
-def test_star_angle_validation():
+def test_star_angle_validation(monkeypatch):
     with pytest.raises(cm.BadParameter):
         cm.star_angle_measure_check(0.5, (0.0, 1.0))
     with pytest.raises(cm.BadParameter):
         cm.star_angle_measure_check(0.3, (2.0, 1.0))
     # a grid too coarse to unwrap the image arguments raises a diagnostic
+    monkeypatch.setattr(measure_module, "_PROP81_GRID", 2)
     with pytest.raises(cm.NumericalError):
-        cm.star_angle_measure_check(0.3, (0.0, 2.0 * math.pi), resolution=2)
+        cm.star_angle_measure_check(0.3, (0.0, 2.0 * math.pi))
 
 
 def test_measure_requires_interior():
