@@ -25,7 +25,6 @@ from .errors import (
     BadIndex,
     BadParameter,
     DimMismatch,
-    PointNotInterior,
     UnsupportedDegree,
 )
 from .geometry import BallDomain, as_point, check_unit, interior_point, row_dot
@@ -396,7 +395,7 @@ class CapSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "vertex", as_point(self.vertex))
-        object.__setattr__(self, "axis", check_unit(self.axis))
+        object.__setattr__(self, "axis", check_unit(self.axis, self.vertex.size))
         if not 0.0 < self.half_angle < math.pi:
             raise BadParameter("half_angle must lie in (0, pi)")
         if self.nappe not in ("plus", "minus", "both"):
@@ -411,6 +410,8 @@ def arc_cap(ball, P, theta1: float, theta2: float) -> CapSpec:
     cones is meant.
     """
     p = interior_point(ball, BallDomain, P)
+    if ball.dim != 2:
+        raise DimMismatch("arc_cap requires a disk")
     if theta2 <= theta1:
         raise BadParameter("arc must satisfy theta1 < theta2")
 
@@ -434,14 +435,13 @@ def arc_cap(ball, P, theta1: float, theta2: float) -> CapSpec:
     return CapSpec(vertex=p, axis=axis, half_angle=half, nappe="plus")
 
 
-def cap_indicator(cap: CapSpec, domain) -> BoundaryData:
-    """Indicator of the boundary cap(s) cut by the cone of ``cap``.
+def cap_indicator(cap: CapSpec, ball: BallDomain) -> BoundaryData:
+    """Indicator of the boundary cap(s) of ``ball`` cut by the cone of ``cap``,
+    whose vertex must lie strictly inside the ball.
 
     Points exactly on the cone edge score 1/2 (a measure-zero tie rule).
     """
-    if not domain.contains(cap.vertex):
-        raise PointNotInterior("cap vertex must lie inside the domain")
-    vertex = cap.vertex
+    vertex = interior_point(ball, BallDomain, cap.vertex)
     axis = cap.axis
     c = math.cos(cap.half_angle)
     if abs(c) < 1e-15:

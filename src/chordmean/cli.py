@@ -47,10 +47,6 @@ from . import selftest as selftest_mod
 
 NONBALL_THRESHOLD = 1e-3
 
-# options whose values may start with '-' (argparse needs the '=' form)
-_VALUE_OPTS = ("--point", "--arc", "--axis", "--w", "--a", "--b", "--m",
-               "--cap", "--half-angle", "--domain", "--data")
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -182,11 +178,7 @@ def parse_domain(dim: int, spec: str):
     raise ConfigError(f"unknown domain spec {spec!r}")
 
 
-def parse_data(dim: int, spec, point) -> BoundaryData:
-    if isinstance(spec, dict):
-        # JSON-config schema: {"dim": 2, "terms": [[m, k, coeff], ...]}
-        terms = [(m, k, c) for m, k, c in spec["terms"]]
-        return HarmonicPolynomial(int(spec.get("dim", dim)), terms).boundary_data()
+def parse_data(dim: int, spec: str, point) -> BoundaryData:
     kind, _, rest = spec.partition(":")
     if kind == "harm":
         return parse_poly(dim, rest).boundary_data()
@@ -213,11 +205,14 @@ def parse_data(dim: int, spec, point) -> BoundaryData:
 # Output
 # ---------------------------------------------------------------------------
 
-def _effective_config(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+_NOT_ECHOED = ("command", "func", "config", "output")
 
 
 def emit(args, meta: dict, columns: list[str], rows: list[list]) -> None:
+    """Write the metadata block, with every parsed option value as the
+    effective config, and the rows."""
+    meta = {"config": {k: v for k, v in vars(args).items()
+                       if k not in _NOT_ECHOED and v is not None}, **meta}
     if args.format == "json":
         def cell(r):
             if r is None or isinstance(r, (str, bool, int)):
@@ -251,15 +246,14 @@ def emit(args, meta: dict, columns: list[str], rows: list[list]) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-_SOLVE_KEYS = ("operator", "dim", "domain", "data", "point", "n", "scheme",
-               "seed", "normal_scheme", "normal_n", "inner", "inner_solver",
-               "format")
-
-
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
             raise ConfigError(f"--{name.replace('_', '-')} is required")
+
+
+_SCHEMES = {"uniform": "uniform_angle_2d", "gauss": "gauss_product_3d",
+            "mc": "monte_carlo", "design": "monte_carlo_design"}
 
 
 def cmd_solve(args) -> int:
@@ -273,12 +267,7 @@ def cmd_solve(args) -> int:
         raise ConfigError("domain dimension does not match --dim")
     data = parse_data(dim, args.data, np.asarray(point))
 
-    if args.scheme is None:
-        scheme = "uniform_angle_2d" if dim == 2 else "gauss_product_3d"
-    else:
-        scheme = {"uniform": "uniform_angle_2d", "gauss": "gauss_product_3d",
-                  "mc": "monte_carlo", "design": "monte_carlo_design"}.get(
-                      args.scheme, args.scheme)
+    scheme = _SCHEMES[args.scheme or ("uniform" if dim == 2 else "gauss")]
     n = args.n
     if n is None:
         if data.smoothness == "indicator":
@@ -293,16 +282,12 @@ def cmd_solve(args) -> int:
         result = solve(domain, data, point, dq)
     elif operator == "biharmonic":
         result = solve_biharmonic(domain, data, point, dq)
-    elif operator == "cross-section":
-        nscheme = {"gauss": "gauss_product_3d", "mc": "monte_carlo",
-                   "design": "monte_carlo_design"}[args.normal_scheme or "gauss"]
-        ndq = build_direction_quadrature(3, nscheme, args.normal_n or 16,
-                                         seed=args.seed)
+    else:
+        ndq = build_direction_quadrature(3, _SCHEMES[args.normal_scheme or "gauss"],
+                                         args.normal_n or 16, seed=args.seed)
         result = cross_section_solve(domain, data, point, ndq,
                                      inner_resolution=args.inner or 512,
                                      inner_solver=args.inner_solver or "poisson")
-    else:
-        raise ConfigError(f"unknown operator {operator!r}")
 
     flag = ""
     if not isinstance(domain, BallDomain) and result.residual is not None \
@@ -312,13 +297,8 @@ def cmd_solve(args) -> int:
                          result.report.error_estimate, result.report.nodes_used, flag]
     columns = [f"p{i}" for i in range(dim)] + \
         ["value", "oracle", "residual", "error_estimate", "nodes", "flag"]
-    emit(args, {"config": _effective_config(args, _SOLVE_KEYS), "seed": args.seed},
-         columns, [row])
+    emit(args, {"seed": args.seed}, columns, [row])
     return 0
-
-
-_MEASURE_KEYS = ("check", "dim", "point", "axis", "half_angle", "nappe", "arc",
-                 "backend", "w", "degree", "a", "n", "format")
 
 
 def _point_and_ball(args):
@@ -341,13 +321,19 @@ def _arc_or_cap(args, ball: BallDomain, p: np.ndarray) -> CapSpec | None:
     return None
 
 
+def _axis(args, dim: int) -> np.ndarray:
+    """--axis as a unit vector (default: the first coordinate axis)."""
+    return _unit_axis(_floats(args.axis or "1," + "0," * (dim - 1), "--axis", dim),
+                      "--axis")
+
+
 def cmd_measure(args) -> int:
+    _require(args, "check")
     rows = []
     check = args.check
     if check in ("cap", "cone", "com"):
         _require(args, "point")
         point, p, ball = _point_and_ball(args)
-        dim = ball.dim
         dq = bq = None
         if args.n is not None:
             bq = build_boundary_quadrature(ball, args.n)
@@ -356,19 +342,15 @@ def cmd_measure(args) -> int:
             cap = _arc_or_cap(args, ball, p)
             if cap is None:
                 _require(args, "half_angle")
-                axis = _unit_axis(_floats(args.axis or "1," + "0," * (dim - 1),
-                                          "--axis", dim), "--axis")
-                cap = CapSpec(vertex=p, axis=axis,
+                cap = CapSpec(vertex=p, axis=_axis(args, ball.dim),
                               half_angle=args.half_angle, nappe=args.nappe or "plus")
             w_ratio = cap_measure_ratio(ball, p, cap, dq=dq)
             w_poisson = cap_measure_poisson(ball, p, cap, bq=bq).value
             rows.append(["cap", json.dumps({"point": point}),
                          w_ratio, w_poisson, abs(w_ratio - w_poisson)])
         else:
-            axis = _unit_axis(_floats(args.axis or "1," + "0," * (dim - 1),
-                                      "--axis", dim), "--axis")
-            if args.half_angle is None:
-                raise ConfigError(f"--half-angle is required for {check}")
+            axis = _axis(args, ball.dim)
+            _require(args, "half_angle")
             if check == "cone":
                 w_sum, target, defect = cone_identity_check(
                     ball, p, axis, args.half_angle,
@@ -381,7 +363,7 @@ def cmd_measure(args) -> int:
                 rows.append(["com", json.dumps({"point": point,
                                                 "half_angle": args.half_angle}),
                              offset, 0.0, offset])
-    elif args.n is not None and check in ("moment", "star-angle", "prop81"):
+    elif args.n is not None:
         raise ConfigError(f"--n does not apply to --check={check}")
     elif check == "moment":
         _require(args, "w", "degree")
@@ -391,20 +373,14 @@ def cmd_measure(args) -> int:
         expected = 0.5 * ((0.0 if args.degree else 1.0) + w ** args.degree)
         rows.append(["moment", json.dumps({"w": args.w, "degree": args.degree}),
                      got, expected, abs(got - expected)])
-    elif check in ("star-angle", "prop81"):
+    else:                                   # star-angle, or its alias prop81
         _require(args, "a", "arc")
         t1, t2 = _floats(args.arc, "--arc", 2)
         lhs, rhs, defect = star_angle_measure_check(args.a, (t1, t2))
         rows.append([check, json.dumps({"a": args.a, "arc": [t1, t2]}),
                      lhs, rhs, defect])
-    else:
-        raise ConfigError(f"unknown check {check!r}")
-    emit(args, {"config": _effective_config(args, _MEASURE_KEYS), "seed": None},
-         ["check", "parameters", "lhs", "rhs", "defect"], rows)
+    emit(args, {"seed": None}, ["check", "parameters", "lhs", "rhs", "defect"], rows)
     return 0
-
-
-_HERMITE_KEYS = ("m", "a", "b", "format")
 
 
 def cmd_hermite(args) -> int:
@@ -418,12 +394,8 @@ def cmd_hermite(args) -> int:
             for b in b_vals:
                 c0, q = hermite_monomial_at_zero(m, a, b)
                 rows.append([m, a, b, c0, q])
-    emit(args, {"config": _effective_config(args, _HERMITE_KEYS), "seed": None},
-         ["m", "a", "b", "c_at_zero", "q_value"], rows)
+    emit(args, {"seed": None}, ["m", "a", "b", "c_at_zero", "q_value"], rows)
     return 0
-
-
-_BROWNIAN_KEYS = ("dim", "point", "cap", "arc", "n", "seed", "format")
 
 
 def cmd_brownian(args) -> int:
@@ -442,8 +414,7 @@ def cmd_brownian(args) -> int:
     report = compare_exit_distributions(ball, p, cap, args.n, seed=args.seed)
     rows = [[t.name, t.hits, t.frequency, t.std_error, t.sigma_vs_oracle]
             for t in report.travelers]
-    meta = {"config": _effective_config(args, _BROWNIAN_KEYS), "seed": args.seed,
-            "oracle_measure": report.oracle_measure,
+    meta = {"seed": args.seed, "oracle_measure": report.oracle_measure,
             "max_deviation_in_sigmas": report.max_deviation_in_sigmas}
     emit(args, meta, ["traveler", "hits", "frequency", "std_error",
                       "sigma_vs_oracle"], rows)
@@ -479,7 +450,7 @@ def cmd_selftest(args) -> int:
 def _add_common(sub):
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--output", help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default=None,
+    sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
     sub.add_argument("--seed", type=int, default=None, help="RNG seed")
 
@@ -505,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default=None, help="interior point, comma separated")
     p.add_argument("--n", type=int, default=None,
                    help="direction count (2-D) or polar count (3-D)")
-    p.add_argument("--scheme", choices=("uniform", "gauss", "mc", "design"),
-                   default=None)
+    p.add_argument("--scheme", choices=tuple(_SCHEMES), default=None)
     p.add_argument("--normal-scheme", dest="normal_scheme",
                    choices=("gauss", "mc", "design"), default=None)
     p.add_argument("--normal-n", dest="normal_n", type=int, default=None)
@@ -520,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="harmonic-measure identity checks")
     p.add_argument("--check",
                    choices=("cap", "cone", "com", "moment", "star-angle", "prop81"),
-                   required=True,
                    help="star-angle checks the conformal star domain "
                         "(prop81 is an accepted alias)")
     p.add_argument("--dim", type=int, choices=(2, 3), default=None)
@@ -571,8 +540,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_OPTS and i + 1 < len(argv) and argv[i + 1].startswith("-") \
-                and any(c.isdigit() for c in argv[i + 1]):
+        if tok.startswith("--") and "=" not in tok and i + 1 < len(argv) \
+                and argv[i + 1].startswith("-") and any(c.isdigit() for c in argv[i + 1]):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -581,30 +550,56 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _apply_config_file(args) -> None:
-    if getattr(args, "config", None) is None:
-        return
+def _text(value) -> str:
+    """A JSON value as option text: a string as written, anything else as
+    JSON, with 'e+' written 'e' (a '+' would split a harm: spec)."""
+    return value if isinstance(value, str) else json.dumps(value).replace("e+", "e")
+
+
+def _structural_data(data: dict) -> tuple[list[str], str]:
+    """{"dim": d, "terms": [[m, k(, coeff)], ...]} as a --dim token (if d is
+    given) and its harm: spec; no terms is the zero polynomial."""
+    terms = data.get("terms")
+    if set(data) - {"dim", "terms"} or not isinstance(terms, list) \
+            or not all(isinstance(t, list) for t in terms):
+        raise ConfigError('structural data is {"dim": d, "terms": [[m, k, coeff], ...]}')
+    spec = "+".join(",".join(map(_text, t)) for t in terms) or "0"
+    dim = [f"--dim={_text(data['dim'])}"] if "dim" in data else []
+    return dim, f"harm:{spec}"
+
+
+def _config_tokens(args) -> list[str]:
+    """The --config file as '--key=value' tokens for the subcommand parser;
+    a structural data form leads with its --dim."""
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {args.config!r} must hold a JSON object")
+    tokens = []
     for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) in (None, False):
-            setattr(args, attr, value)
+        if key.replace("-", "_") not in vars(args):     # no abbreviations either
+            raise ConfigError(f"unknown config key {key!r}")
+        if key == "data" and isinstance(value, dict):
+            dim, value = _structural_data(value)
+            tokens[:0] = dim
+        tokens.append(f"--{key.replace('_', '-')}={_text(value)}")
+    return tokens
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _merge_negative_values(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(argv))
+    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        if getattr(args, "config", None) is not None:
+            # the file's options first, so the command line's own win
+            i = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:i] + _config_tokens(args) + argv[i:])
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError("--seed must be a non-negative integer")
-        if getattr(args, "format", None) is None:
-            args.format = "csv"
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,8 +61,12 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
-def check_unit(e: np.ndarray) -> np.ndarray:
+def check_unit(e: np.ndarray, dim: int) -> np.ndarray:
+    """e as a unit ``dim``-vector: DimMismatch for another length,
+    DegenerateDirection unless |e| = 1 (NaN included)."""
     e = np.asarray(e, dtype=float).reshape(-1)
+    if e.size != dim:
+        raise DimMismatch(f"expected a {dim}-D direction, got length {e.size}")
     norm = np.linalg.norm(e)
     if not abs(norm - 1.0) <= UNIT_TOL:         # NaN fails too
         raise DegenerateDirection(f"direction norm {float(norm)!r} is not 1")
@@ -119,9 +123,6 @@ class BallDomain:
     def dim(self) -> int:
         return self.center.size
 
-    def contains(self, x) -> bool:
-        return point_norm(as_point(x, self.dim) - self.center) < self.radius
-
     def on_boundary(self, x) -> bool:
         r = point_norm(as_point(x, self.dim) - self.center)
         return abs(r - self.radius) <= BOUNDARY_TOL * self.radius
@@ -159,9 +160,6 @@ class Ellipse2D:
 
     def _scaled(self, x) -> np.ndarray:
         return (as_point(x, 2) - self.center) / np.asarray(self.semi_axes)
-
-    def contains(self, x) -> bool:
-        return float(np.sum(self._scaled(x) ** 2)) < 1.0
 
     def require_interior(self, x) -> np.ndarray:
         p = as_point(x, 2)
@@ -214,13 +212,6 @@ class StarDomain2D:
     def boundary_radius(self, theta):
         """rho at an angle or, elementwise, at an array of angles."""
         return self._rho(theta)
-
-    def contains(self, x) -> bool:
-        p = as_point(x, 2)
-        r = float(point_norm(p))
-        if r == 0.0:
-            return True
-        return r < float(self._rho(math.atan2(p[1], p[0])))
 
     def require_interior(self, x) -> np.ndarray:
         p = as_point(x, 2)
@@ -374,7 +365,7 @@ def interior_point(domain, kinds, P, dq=None) -> np.ndarray:
 def chord_through(domain, P, e) -> Chord:
     """Chord of ``domain`` through interior point P along unit direction e."""
     p = interior_point(domain, (BallDomain, Ellipse2D, StarDomain2D), P)
-    e = check_unit(e)
+    e = check_unit(e, domain.dim)
     a, b = domain.chord_roots(p, e[np.newaxis, :])
     a, b = float(a[0]), float(b[0])
     if not a < 0.0 < b:
@@ -386,7 +377,7 @@ def ray_hit_star(domain: StarDomain2D, P, e):
     """First boundary hit of the ray {P + t e : t > 0} of a 2-D star domain,
     as (hit point, t): one row of ``star_hits_batch``."""
     p = interior_point(domain, StarDomain2D, P)
-    e = check_unit(e)
+    e = check_unit(e, 2)
     t = float(star_hits_batch(domain, p, e[np.newaxis, :])[0])
     return p + t * e, t
 
@@ -420,29 +411,30 @@ class DirectionQuadrature:
     @property
     def half_nodes(self) -> slice | None:
         """Which of this rule's own nodes form its half rule: a prefix for the
-        Monte Carlo schemes and uniform angles with odd N/2, every other node
-        for uniform angles with N divisible by 4 (see ``_circle_nodes``), None
-        for odd N and the Gauss product (its half rule has other polar nodes)."""
-        if self.scheme in _MC_SCHEMES:
-            return slice(0, self._prefix_half())
+        Monte Carlo schemes, every other node for uniform angles with even N
+        (the N/2 rule's angles, see ``_circle_nodes``), None for odd N and the
+        Gauss product (its half rule has other polar nodes)."""
         n = len(self)
-        if self.scheme != "uniform_angle_2d" or n % 2 or n == 2:
-            return None
-        return slice(None, None, 2) if n % 4 == 0 else slice(0, n // 2)
-
-    def _prefix_half(self) -> int:
         if self.scheme == "monte_carlo":
-            return max(len(self) // 2, 1)
-        return 6 * max(len(self) // 12, 1)      # keep whole rotated axis sets
+            return slice(0, max(n // 2, 1))
+        if self.scheme == "monte_carlo_design":
+            return slice(0, 6 * max(n // 12, 1))   # keep whole rotated axis sets
+        if self.scheme == "uniform_angle_2d" and n % 2 == 0:
+            return slice(None, None, 2)
+        return None
 
     def half_resolution(self) -> "DirectionQuadrature":
-        """Coarser companion rule used for a-posteriori error estimates."""
-        if self.scheme in _MC_SCHEMES:
-            n = self._prefix_half()
-            resolution = n if self.scheme == "monte_carlo" else n // 6
-            return read_only(DirectionQuadrature(self.directions[:n], np.full(n, 1.0 / n),
-                                                 self.scheme, resolution, self.seed, None))
-        return _build(self.dim, self.scheme, max(self.resolution // 2, 2), self.seed)
+        """Coarser companion rule used for a-posteriori error estimates: the
+        ``half_nodes`` with equal weights when set, else the rule built at
+        half the resolution."""
+        nodes = self.half_nodes
+        if nodes is None:
+            return _build(self.dim, self.scheme, max(self.resolution // 2, 2), self.seed)
+        dirs = self.directions[nodes]
+        n = len(dirs)
+        resolution = n // 6 if self.scheme == "monte_carlo_design" else n
+        return read_only(DirectionQuadrature(dirs, np.full(n, 1.0 / n), self.scheme,
+                                             resolution, self.seed))
 
 
 _MC_SCHEMES = ("monte_carlo", "monte_carlo_design")
@@ -459,13 +451,10 @@ def _circle_nodes(n: int) -> np.ndarray:
     """n equally spaced unit vectors (cos t, sin t), t = 2 pi k / n.
 
     For even n the second half is the exact negation of the first, so node
-    k + n/2 is the antipode of node k bit for bit.  For odd n/2 the first
-    half is the n/2 rule itself.  Every other node of an n divisible by 4 is
-    the n/2 rule, bit for bit when n/2 is even and within 1.1e-15 otherwise.
+    k + n/2 is the antipode of node k bit for bit, and every other node holds
+    the n/2 rule's angles: bit for bit when n/2 is even; for odd n/2 those
+    past pi are rounded as negations, within 1.1e-15 of that rule's own.
     """
-    if n % 4 == 2:
-        half = _circle_nodes(n // 2)
-        return np.concatenate([half, -half])
     thetas = 2.0 * math.pi * np.arange(n if n % 2 else n // 2) / n
     nodes = np.column_stack([np.cos(thetas), np.sin(thetas)])
     return nodes if n % 2 else np.concatenate([nodes, -nodes])
@@ -695,4 +684,4 @@ def plane_section(ball: BallDomain, P, normal) -> PlaneSections:
     p = interior_point(ball, BallDomain, P)
     if ball.dim != 3:
         raise DimMismatch("plane_section requires a 3-dimensional ball")
-    return plane_sections(ball, p, check_unit(normal)[np.newaxis, :])
+    return plane_sections(ball, p, check_unit(normal, 3)[np.newaxis, :])

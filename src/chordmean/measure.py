@@ -16,6 +16,7 @@ from .geometry import (
     BallDomain,
     Chord,
     DirectionQuadrature,
+    _as_complex,
     ball_chord_roots,
     default_direction_quadrature,
     interior_point,
@@ -77,11 +78,12 @@ def cap_measure_ratio(ball: BallDomain, P, cap: CapSpec,
     both hits land in the cap.
     """
     p = interior_point(ball, BallDomain, P, dq)
+    indicator = cap_indicator(cap, ball)
     if not np.allclose(cap.vertex, p):
         raise BadParameter("cap vertex must coincide with the evaluation point")
     if dq is None:
         dq = measure_rule(ball.dim)
-    chords = _interpolant_values(ball, cap_indicator(cap, ball), p, dq.directions)
+    chords = _interpolant_values(ball, indicator, p, dq.directions)
     value = fixed_sum(dq.weights * chords)
     return min(max(value, 0.0), 1.0)
 
@@ -137,8 +139,7 @@ def subtended_moment(w, poly_degree: int) -> complex:
 
     Equals (0^d + w^d)/2 for analytic monomials.
     """
-    wc = complex(w) if np.isscalar(w) or isinstance(w, complex) else \
-        complex(*np.asarray(w, dtype=float).reshape(2))
+    wc = _as_complex(w)
     if abs(wc) >= 1.0:
         raise PNotInterior("w must lie in the open unit disk")
     if not 0 <= poly_degree <= 8:
@@ -160,6 +161,8 @@ def involution_image_measure(P, arc) -> float:
     Serves as the 2-D closed-form oracle for cap measures.
     """
     theta1, theta2 = float(arc[0]), float(arc[1])
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+        raise BadParameter("arc angles must be finite")
     if theta2 <= theta1:
         raise BadParameter("arc must satisfy theta1 < theta2")
     if theta2 - theta1 >= 2.0 * math.pi:

@@ -283,11 +283,11 @@ def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
     report rather than silently discarded.
     """
     p = interior_point(ball, BallDomain, P)
+    data = cap_indicator(cap, ball)
     if not np.allclose(cap.vertex, p):
         raise BadParameter("cap vertex must coincide with the evaluation point")
     if bq is None:
         bq = measure_quadrature(ball)
-    data = cap_indicator(cap, ball)
     report = poisson_solve(ball, data, p, bq)
     clamped = min(max(report.value, 0.0), 1.0)
     return SolveReport(value=clamped, error_estimate=report.error_estimate,

@@ -193,6 +193,84 @@ def test_config_data_dict(tmp_path, capsys):
     assert abs(float(row["value"]) - (0.05 + 0.5 * 0.2)) <= 1e-8
 
 
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:           # argparse rejecting an option
+        return exc.code
+
+
+def _config(tmp_path, text) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("data, spec, value", [
+    ({"dim": 2, "terms": [[2, "re"]]}, "harm:2,re", 0.05),
+    ({"dim": 2, "terms": [[2, "re", 1e20]]}, "harm:2,re,1e20", 0.05e20),
+    ({"dim": 2, "terms": []}, "harm:0", 0.0),
+])
+def test_structural_data_is_a_harm_spec(data, spec, value, tmp_path, capsys):
+    cfg = _config(tmp_path, json.dumps({"data": data, "point": "0.3,0.2"}))
+    code, out = run_cli(["solve", "--config", cfg], capsys)
+    assert code == 0
+    meta, header, rows = parse_csv(out)
+    assert json.loads(meta[1].removeprefix("# config: "))["data"] == spec
+    assert abs(float(dict(zip(header, rows[0]))["value"]) - value) <= 1e-8 * max(1.0, value)
+
+
+def test_structural_data_dim_must_match_the_point(tmp_path, capsys):
+    cfg = _config(tmp_path, json.dumps({"data": {"dim": 3, "terms": [[2, 0]]},
+                                        "point": "0.3,0.2"}))
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: --point needs 3 coordinates\n"
+
+
+_GOOD = '"data": "harm:2,re", "point": "0.3,0.2"'
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["solve", "--operator=cross-section"], '{"normal_scheme": "bogus", %s}' % _GOOD),
+    (["solve"], '{"n": "abc", %s}' % _GOOD),
+    (["solve"], '{"seed": "x", %s}' % _GOOD),
+    (["solve"], '{"n": 300.5, %s}' % _GOOD),
+    (["solve"], '[1, 2]'),
+    (["solve"], '{"bogus": 1, %s}' % _GOOD),
+    (["solve"], '{"poi": "0.3,0.2", "data": "harm:2,re"}'),      # no abbreviations
+    (["solve"], '{"format": "xml", %s}' % _GOOD),
+    (["solve"], '{"data": {"dim": 2, "terms": 5}, "point": "0.3,0.2"}'),
+    (["solve"], '{"data": "harm:2,re", '),
+    (["hermite"], '{"m": 4, "a": -1, "b": 1, "degree": 2}'),
+])
+def test_bad_config_files_exit_2(argv, text, tmp_path, capsys):
+    assert _exit_code(argv + ["--config", _config(tmp_path, text)]) == 2
+
+
+def test_check_may_come_from_the_config_file(tmp_path, capsys):
+    cfg = _config(tmp_path, '{"check": "cap", "point": "0.1,0.2", "half_angle": 1}')
+    code, out = run_cli(["measure", "--config", cfg], capsys)
+    assert code == 0
+    assert json.loads(parse_csv(out)[0][1].removeprefix("# config: "))["half_angle"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--scheme=mc", "--seed=5", "--n=256", "--data=harm:2,re",
+     "--point=0.3,-0.2"],
+    ["measure", "--check=cap", "--point=0.1,0.2", "--cap=axis=1,0,half=1", "--n=64"],
+    ["measure", "--check=cone", "--point=0.1,0.2", "--half-angle=0.7", "--n=64"],
+    ["hermite", "--m=4,5", "--a=-0.5", "--b=1.5"],
+    ["brownian", "--point=0.1,0,0", "--cap=axis=0,0,1,half=1", "--n=1000", "--seed=7"],
+])
+def test_echoed_config_reproduces_the_output(argv, tmp_path, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    cfg = _config(tmp_path, out.splitlines()[1].removeprefix("# config: "))
+    code, again = run_cli([argv[0], "--config", cfg], capsys)
+    assert code == 0
+    assert again == out
+
+
 def test_exit_codes(capsys):
     # config error: unknown domain
     assert main(["solve", "--domain", "square:1", "--data", "harm:1,re",

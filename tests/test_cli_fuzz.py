@@ -5,11 +5,19 @@ exception.  Most drawn values are well formed, so the solvers run; the rest
 are edge values (zero, NaN, infinities, huge or tiny numbers, wrong lengths,
 stray text).  Derandomised, with ``--n=64`` fixed, so the suite stays
 deterministic and quick; the cross-section operator and ``brownian`` are
-left out for their cost."""
+left out for their cost.
+
+Fuzzed ``--config`` files for ``solve``, ``measure`` and ``brownian`` end
+the same way: a working config with some known keys set to values of the
+wrong JSON type, maybe one unknown key, or a top-level value that is not an
+object."""
 
 import contextlib
 import io
+import json
 import math
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,3 +133,38 @@ def _run(argv) -> int:
 @given(st.one_of(solve_argv(), measure_argv()))
 def test_command_lines_exit_cleanly(argv):
     assert _run(argv) in (0, 2, 3), argv
+
+
+BASE_CONFIGS = {
+    "solve": {"operator": "harmonic", "dim": 2, "domain": "ball", "data": "harm:2,re",
+              "point": "0.3,-0.1", "n": 64, "scheme": "uniform", "format": "csv"},
+    "measure": {"check": "cap", "dim": 2, "point": "0.1,0.2", "axis": "1,0",
+                "half_angle": 0.7, "nappe": "plus", "n": 64, "format": "json"},
+    "brownian": {"dim": 2, "point": "0.1,0.2", "arc": "0,1", "n": 1000, "seed": 7},
+}
+WRONG_TYPE = st.sampled_from(["abc", 300.5, [1, 2], {"a": 1}, True, None])
+UNKNOWN_KEY = st.sampled_from(["bogus", "poi", "half", "Point", "", "data_"])
+NOT_AN_OBJECT = st.sampled_from([[1, 2], [], "solve", 3, 0.5, None, True])
+
+
+@st.composite
+def config_file(draw):
+    command = draw(st.sampled_from(sorted(BASE_CONFIGS)))
+    cfg = dict(BASE_CONFIGS[command])
+    for key in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=3, unique=True)):
+        cfg[key] = draw(WRONG_TYPE)
+    if draw(st.booleans()):
+        cfg[draw(UNKNOWN_KEY)] = draw(st.one_of(WRONG_TYPE, st.just(1)))
+    return command, draw(_mostly(st.just(cfg), NOT_AN_OBJECT))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@FUZZ
+@given(config_file())
+def test_config_files_exit_cleanly(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert _run([command, "--config", path]) in (0, 2, 3), case

@@ -284,17 +284,16 @@ def test_even_circle_nodes_hold_exact_antipodes(n):
     nodes = _circle_nodes(n)
     h = n // 2
     assert_array_equal(_bits(nodes[h:]), _bits(-nodes[:h]))
-    first = _angle_nodes(h, h) if h % 2 else _angle_nodes(n, h)   # odd h: the h rule
-    assert_array_equal(_bits(nodes[:h]), _bits(first))
+    assert_array_equal(_bits(nodes[:h]), _bits(_angle_nodes(n, h)))
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
     assert_array_equal(_bits(dq.half_resolution().directions),
                        _bits(dq.directions[dq.half_nodes]))
 
 
-@pytest.mark.parametrize("n", [12, 100, 4092])
+@pytest.mark.parametrize("n", [12, 100, 4092, 4094])
 def test_every_other_node_holds_an_odd_half_rules_angles(n):
-    """With n = 4 mod 8 the n rule is unchanged and its every other node is
-    the n/2 rule's angle set, some rounded as negations of other angles."""
+    """Every other node of the n rule is its half rule, bit for bit: the n/2
+    rule's angle set, with the angles past pi rounded as negations."""
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", n)
     half = dq.half_resolution().directions
 
@@ -303,7 +302,8 @@ def test_every_other_node_holds_an_odd_half_rules_angles(n):
         return nodes[np.argsort(np.mod(k, n // 2))]
 
     assert dq.half_nodes == slice(None, None, 2)
-    assert np.max(np.abs(by_angle(dq.directions[::2]) - by_angle(half))) <= 1.1e-15
+    assert_array_equal(_bits(half), _bits(dq.directions[::2]))
+    assert np.max(np.abs(by_angle(half) - _angle_nodes(n // 2, n // 2))) <= 1.1e-15
 
 
 @pytest.mark.parametrize("n", [5, 255, 4095])

@@ -1,6 +1,8 @@
-"""Every public entry point checks its domain type, point and direction rule
-first, and rejects a bad one with a typed error instead of a numpy or
-attribute error or a silently wrong value."""
+"""Every public entry point checks its domain type, point, direction rule
+and directions first, and rejects a bad one with a typed error instead of a
+numpy or attribute error or a silently wrong value."""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ ALMANSI = cm.almansi_assemble(cm.harmonic_poly(2, 0, "re"),
                               cm.harmonic_poly(2, 1, "re")).boundary_data()
 CAP = cm.CapSpec(vertex=P, axis=(1.0, 0.0), half_angle=0.5)
 AXIS = np.array([0.0, 1.0])
+P3 = (0.3, 0.1, 0.2)
+BALL3 = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
+CAP_2D_AXIS = dict(vertex=P3, axis=(1.0, 0.0), half_angle=0.5)
 
 
 def _rule(dim):
@@ -31,6 +36,24 @@ _NOT_A_BALL = {
         d, P, CAP, 1000, seed=1),
     "arc_cap": lambda d: cm.arc_cap(d, P, 0.0, 1.0),
     "poisson_kernel": lambda d: cm.poisson_kernel(d, P, (1.0, 0.0)),
+    "cap_indicator": lambda d: cm.cap_indicator(CAP, d),
+}
+
+# directions, caps and complex-plane inputs of the wrong dimension or value
+_WRONG_INPUT = {
+    "arc_cap-3d-ball": lambda: cm.arc_cap(BALL3, P3, 0.0, 1.0),
+    "plane_section-2d-normal": lambda: cm.plane_section(BALL3, P3, (1.0, 0.0)),
+    "chord_through-3d-direction": lambda: cm.chord_through(DISK, P, (1.0, 0.0, 0.0)),
+    "ray_hit_star-3d-direction": lambda: cm.ray_hit_star(STAR, P, (1.0, 0.0, 0.0)),
+    "cap-2d-axis": lambda: cm.CapSpec(**CAP_2D_AXIS),
+    "cap_indicator-2d-vertex": lambda: cm.cap_indicator(CAP, BALL3),
+    "cap_measure_ratio-2d-vertex": lambda: cm.cap_measure_ratio(BALL3, P3, CAP),
+    "cap_measure_poisson-2d-vertex": lambda: cm.cap_measure_poisson(BALL3, P3, CAP),
+    "compare_exit_distributions-2d-vertex": lambda: cm.compare_exit_distributions(
+        BALL3, P3, CAP, 1000, seed=1),
+    "cone_identity_check-2d-axis": lambda: cm.cone_identity_check(BALL3, P3, AXIS, 0.6),
+    "center_of_mass_check-2d-axis": lambda: cm.center_of_mass_check(BALL3, P3, AXIS, 0.6),
+    "subtended_moment-3-vector": lambda: cm.subtended_moment([0.1, 0.2, 0.3], 2),
 }
 
 CASES = [
@@ -52,7 +75,11 @@ CASES = [
                  cm.BadParameter, id="center_of_mass_check-other-ball"),
 ] + [pytest.param(lambda f=f, d=d: f(d), cm.BadParameter, id=f"{name}-{kind}")
      for name, f in _NOT_A_BALL.items()
-     for kind, d in (("ellipse", ELLIPSE), ("star", STAR))]
+     for kind, d in (("ellipse", ELLIPSE), ("star", STAR))] + [
+    pytest.param(f, cm.DimMismatch, id=name) for name, f in _WRONG_INPUT.items()] + [
+    pytest.param(lambda: cm.involution_image_measure(0.2, (math.nan, 1.0)),
+                 cm.BadParameter, id="involution_image_measure-nan-angle"),
+]
 
 
 @pytest.mark.parametrize("call, error", CASES)
