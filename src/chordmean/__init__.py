@@ -24,7 +24,6 @@ from .errors import (
     MissingSeed,
     NotStarShapedFromP,
     NumericalError,
-    PNotInterior,
     PointNotInterior,
     PointNotOnBoundary,
     RejectionBudgetExceeded,

@@ -452,7 +452,6 @@ def _add_common(sub):
     sub.add_argument("--output", help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-solver", dest="inner_solver",
                    choices=("poisson", "chords"), default=None)
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("measure", help="harmonic-measure identity checks")
@@ -521,6 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arc", default=None, help="t1,t2 (2-D boundary arc)")
     p.add_argument("--n", type=int, default=100000, help="samples per traveler")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed")
     p.set_defaults(func=cmd_brownian)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

@@ -9,10 +9,6 @@ class PointNotInterior(ChordMeanError, ValueError):
     """Evaluation point is outside the domain or too close to its boundary."""
 
 
-# Several complex-plane helpers take the interior point as `P`; same condition.
-PNotInterior = PointNotInterior
-
-
 class PointNotOnBoundary(ChordMeanError, ValueError):
     """A point claimed to lie on the domain boundary does not."""
 
@@ -22,7 +18,7 @@ class DegenerateDirection(ChordMeanError, ValueError):
 
 
 class NotStarShapedFromP(ChordMeanError, ValueError):
-    """A ray from P crosses the boundary zero or several times."""
+    """Not star-shaped from P: some ray from P meets the boundary more than once."""
 
 
 class BadResolution(ChordMeanError, ValueError):

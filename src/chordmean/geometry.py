@@ -6,6 +6,7 @@ sequence of reals. Everything here is a pure function of immutable inputs.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ from .errors import (
     DimMismatch,
     MissingSeed,
     NotStarShapedFromP,
-    PNotInterior,
     PointNotInterior,
 )
 
@@ -95,12 +95,17 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _as_complex(z) -> complex:
+    """z, a real or complex scalar or an (x, y) pair, as a finite complex."""
     if isinstance(z, (complex, float, int, np.complexfloating, np.floating, np.integer)):
-        return complex(z)
-    arr = np.asarray(z, dtype=float).reshape(-1)
-    if arr.size != 2:
-        raise DimMismatch("expected a complex number or an (x, y) pair")
-    return complex(arr[0], arr[1])
+        c = complex(z)
+    else:
+        arr = np.asarray(z, dtype=float).reshape(-1)
+        if arr.size != 2:
+            raise DimMismatch("expected a complex number or an (x, y) pair")
+        c = complex(arr[0], arr[1])
+    if not cmath.isfinite(c):
+        raise BadParameter(f"{c} is not a finite complex number")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +176,7 @@ class Ellipse2D:
         return ellipse_chord_roots(self, p, dirs)
 
 
-_STAR_GRID = 4096
+_STAR_THETAS = np.linspace(0.0, 2.0 * math.pi, 4096 + 1)
 
 
 class StarDomain2D:
@@ -179,13 +184,16 @@ class StarDomain2D:
     polar form r = rho(theta) by a strictly positive 2*pi-periodic callable.
     A rho that does not take arrays of angles is applied elementwise.
 
+    The boundary points rho(theta) (cos theta, sin theta) at the 4096 angles
+    of ``_STAR_THETAS``, closed by 2 pi, are the table ``star_hits_batch`` reads.
+
     ``conformal(a)`` is the image of the unit disk under
     q(z) = a z^2 + z + a with 0 < a < 1/2 (univalent), whose boundary has the
     polar form r(theta) = 1 + 2 a cos(theta).
     """
 
     def __init__(self, rho):
-        thetas = np.linspace(0.0, 2.0 * math.pi, _STAR_GRID, endpoint=False)
+        thetas = _STAR_THETAS[:-1]
         try:
             vals = np.asarray(rho(thetas), dtype=float)
         except (TypeError, ValueError):
@@ -196,7 +204,8 @@ class StarDomain2D:
         if not np.all(vals > 0.0):
             raise BadParameter("rho must be strictly positive on [0, 2pi)")
         self._rho = rho
-        self._rho_max = float(vals.max())
+        self._table = np.append(vals, vals[0]) * np.array([np.cos(_STAR_THETAS),
+                                                           np.sin(_STAR_THETAS)])
 
     @classmethod
     def conformal(cls, a: float) -> "StarDomain2D":
@@ -216,14 +225,15 @@ class StarDomain2D:
     def require_interior(self, x) -> np.ndarray:
         p = as_point(x, 2)
         r = float(point_norm(p))
-        rho = float(self._rho(math.atan2(p[1], p[0]))) if r > 0 else self._rho_max
+        rho = float(self._rho(math.atan2(p[1], p[0])))
         if r >= rho * (1.0 - INTERIOR_MARGIN):
             raise PointNotInterior(f"point {p} is not strictly inside the star domain")
         return p
 
     def chord_roots(self, p: np.ndarray, dirs: np.ndarray):
-        b = star_hits_batch(self, p, dirs)
-        return -star_hits_batch(self, p, -dirs), b
+        # One call, so one boundary table serves both ends of every chord.
+        t = star_hits_batch(self, p, np.concatenate([dirs, -dirs]))
+        return -t[len(dirs):], t[:len(dirs)]
 
 
 def _elementwise(rho):
@@ -294,53 +304,45 @@ def ellipse_chord_roots(ellipse: Ellipse2D, p: np.ndarray, dirs: np.ndarray):
     return (-beta - s) / alpha, (-beta + s) / alpha
 
 
-_STAR_SCAN = 512
-_STAR_BISECT = 64
+# 52 halvings take a 2 pi / 4096 bracket below 1e-18, far under B - P's rounding.
+_STAR_BISECT = 52
 
 
 def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
                     ) -> np.ndarray:
     """Forward ray/boundary hit distances for each direction row.
 
-    Bracketing scan followed by vectorized bisection and one secant step.
-    Raises NotStarShapedFromP when any ray sees zero or multiple crossings.
+    P sees the boundary point B(theta) at the angle phi(theta) = arg(B - P),
+    and the domain is star-shaped from P exactly when phi increases through
+    one turn.  phi on the domain's boundary table gives each direction's
+    bracket [theta_k, theta_k+1]; bisection on theta solves
+    cross(B(theta) - P, e) = 0 there, and the hit distance is
+    (B(theta) - P) . e.  Raises NotStarShapedFromP, whatever the directions,
+    when phi on the table is not strictly increasing through one turn.
     """
-    n = dirs.shape[0]
-    t_upper = 1.2 * (float(np.linalg.norm(p)) + domain._rho_max)
-    ts = np.linspace(0.0, t_upper, _STAR_SCAN + 1)
-
-    def g(t):
-        # t: (..., n) distances per direction
-        pts = p + t[..., np.newaxis] * dirs
-        r = np.hypot(pts[..., 0], pts[..., 1])
-        theta = np.arctan2(pts[..., 1], pts[..., 0])
-        return r - domain.boundary_radius(theta)
-
-    gs = g(ts[:, np.newaxis] * np.ones(n))
-    signs = np.where(gs >= 0.0, 1.0, -1.0)
-    crossings = np.sum(np.abs(np.diff(signs, axis=0)) > 0, axis=0)
-    if np.any(crossings != 1):
-        bad = int(np.argmax(crossings != 1))
-        raise NotStarShapedFromP(
-            f"ray along {dirs[bad]} crosses the boundary {int(crossings[bad])} times")
-    first = np.argmax(np.diff(signs, axis=0) != 0, axis=0)
-    lo = ts[first]
-    hi = ts[first + 1]
-    glo = gs[first, np.arange(n)]
-    ghi = gs[first + 1, np.arange(n)]
-
-    for _ in range(_STAR_BISECT):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        neg = (gm < 0.0)
-        lo = np.where(neg, mid, lo)
-        glo = np.where(neg, gm, glo)
-        hi = np.where(neg, hi, mid)
-        ghi = np.where(neg, ghi, gm)
-    denom = ghi - glo
-    sec = np.where(denom != 0.0, lo - glo * (hi - lo) / np.where(denom == 0, 1, denom),
-                   0.5 * (lo + hi))
-    return np.clip(sec, lo, hi)
+    bx, by = domain._table - p[:, np.newaxis]
+    # phi taken increasing: a turn is added at each step back, arctan2's wrap included
+    phi = np.arctan2(by, bx)
+    phi += 2.0 * math.pi * np.cumsum(np.diff(phi, prepend=phi[0]) < 0.0)
+    if not (np.all(np.diff(phi) > 0.0) and abs(phi[-1] - phi[0] - 2.0 * math.pi) < 1.0):
+        raise NotStarShapedFromP(f"the domain is not star-shaped from {p}: seen from "
+                                 "it, the boundary does not turn once in one sense")
+    ex, ey = dirs[:, 0], dirs[:, 1]
+    alpha = phi[0] + np.mod(np.arctan2(ey, ex) - phi[0], 2.0 * math.pi)
+    k = np.minimum(np.searchsorted(phi, alpha, side="right"), phi.size - 1)
+    lo, hi = _STAR_THETAS[k - 1], _STAR_THETAS[k]
+    # A bracket spans over pi when P lies between a table chord and its arc:
+    # angles from u = B(lo) - P past pi come last, cross() orders the rest.
+    ux, uy = bx[k - 1], by[k - 1]
+    e_past_pi = alpha - phi[k - 1] > math.pi
+    for _ in range(_STAR_BISECT + 1):       # the last midpoint is the root
+        theta = 0.5 * (lo + hi)
+        r = domain.boundary_radius(theta)
+        bx, by = r * np.cos(theta) - p[0], r * np.sin(theta) - p[1]
+        short = np.where((ux * by - uy * bx < 0.0) == e_past_pi,
+                         bx * ey - by * ex >= 0.0, e_past_pi)
+        lo, hi = np.where(short, theta, lo), np.where(short, hi, theta)
+    return bx * ex + by * ey
 
 
 def interior_point(domain, kinds, P, dq=None) -> np.ndarray:
@@ -375,7 +377,8 @@ def chord_through(domain, P, e) -> Chord:
 
 def ray_hit_star(domain: StarDomain2D, P, e):
     """First boundary hit of the ray {P + t e : t > 0} of a 2-D star domain,
-    as (hit point, t): one row of ``star_hits_batch``."""
+    as (hit point, t): one row of ``star_hits_batch``, so any e raises
+    NotStarShapedFromP when the domain is not star-shaped from P."""
     p = interior_point(domain, StarDomain2D, P)
     e = check_unit(e, 2)
     t = float(star_hits_batch(domain, p, e[np.newaxis, :])[0])
@@ -628,7 +631,7 @@ def mobius_involution(P, z) -> complex:
     """
     p = _as_complex(P)
     if abs(p) >= 1.0:
-        raise PNotInterior("P must lie in the open unit disk")
+        raise PointNotInterior("P must lie in the open unit disk")
     w = _as_complex(z)
     return (p - w) / (1.0 - p.conjugate() * w)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, EmptyCap, NumericalError, PNotInterior
+from .errors import BadParameter, EmptyCap, NumericalError, PointNotInterior
 from .boundary import CapSpec, cap_indicator
 from .geometry import (
     BallDomain,
@@ -141,7 +141,7 @@ def subtended_moment(w, poly_degree: int) -> complex:
     """
     wc = _as_complex(w)
     if abs(wc) >= 1.0:
-        raise PNotInterior("w must lie in the open unit disk")
+        raise PointNotInterior("w must lie in the open unit disk")
     if not 0 <= poly_degree <= 8:
         raise BadParameter("moment degree must lie in 0..8")
     dq = default_direction_quadrature(2)

@@ -247,6 +247,18 @@ def test_bad_config_files_exit_2(argv, text, tmp_path, capsys):
     assert _exit_code(argv + ["--config", _config(tmp_path, text)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--check=moment", "--w=0.4", "--degree=2"],
+    ["hermite", "--m=4", "--a=-1", "--b=1"],
+])
+def test_seed_only_where_it_is_read(argv, tmp_path, capsys):
+    assert _exit_code(argv + ["--seed=3"]) == 2
+    assert _exit_code(argv + ["--config", _config(tmp_path, '{"seed": 3}')]) == 2
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert "seed" not in json.loads(parse_csv(out)[0][1].removeprefix("# config: "))
+
+
 def test_check_may_come_from_the_config_file(tmp_path, capsys):
     cfg = _config(tmp_path, '{"check": "cap", "point": "0.1,0.2", "half_angle": 1}')
     code, out = run_cli(["measure", "--config", cfg], capsys)

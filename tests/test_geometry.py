@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import chordmean as cm
 from chordmean.averaging import star_hits_batch
 from chordmean.geometry import (
+    _STAR_BISECT,
     _circle_nodes,
     as_point,
     ball_chord_roots,
@@ -154,6 +155,57 @@ def test_star_hits_batch_solves_boundary_equation():
     hits = p + batch[:, np.newaxis] * dirs
     rho = star.boundary_radius(np.arctan2(hits[:, 1], hits[:, 0]))
     assert np.max(np.abs(np.hypot(hits[:, 0], hits[:, 1]) - rho)) <= 1e-12
+
+
+def test_star_check_is_per_point():
+    # The peanut is not star-shaped from (0.7, 0), so even the ray along +x,
+    # which crosses the boundary once, is refused.
+    peanut = cm.StarDomain2D(lambda t: 1.0 + 0.95 * np.cos(2.0 * np.asarray(t)))
+    with pytest.raises(cm.NotStarShapedFromP):
+        cm.ray_hit_star(peanut, (0.7, 0.0), (1.0, 0.0))
+
+
+def test_radial_circle_hits_equal_the_disk_roots():
+    circle = cm.StarDomain2D(lambda t: 1.0 + 0.0 * np.asarray(t))
+    disk = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
+    rng = np.random.default_rng(4)
+    dirs = rng.standard_normal((64, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for point in ((0.0, 0.0), (0.3, -0.4), (-0.7, 0.2), (0.05, 0.9)):
+        p = np.array(point)
+        assert_allclose(circle.chord_roots(p, dirs), ball_chord_roots(disk, p, dirs),
+                        rtol=0.0, atol=1e-13)
+
+
+def test_point_between_a_table_chord_and_its_arc():
+    # 1e-7 inside the unit circle, halfway between two of the 4096 table
+    # angles: the chord of the table passes between P and the boundary, so
+    # that bracket spans more than pi as seen from P.
+    circle = cm.StarDomain2D(lambda t: 1.0 + 0.0 * np.asarray(t))
+    disk = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
+    half_step = math.pi / 4096
+    p = (1.0 - 1e-7) * np.array([math.cos(half_step), math.sin(half_step)])
+    dirs = _circle_nodes(256)
+    assert_allclose(circle.chord_roots(p, dirs), ball_chord_roots(disk, p, dirs),
+                    rtol=0.0, atol=1e-12)
+
+
+def test_scalar_only_rho_calls_per_chord_set():
+    calls = [0]
+
+    def rho(t):
+        r = 1.0 + 0.2 * math.cos(3.0 * t)      # math.cos refuses arrays
+        calls[0] += 1
+        return r
+
+    star = cm.StarDomain2D(rho)
+    p = star.require_interior((0.1, -0.2))
+    n = 16
+    dirs = _circle_nodes(n)
+    calls[0] = 0
+    a, b = star.chord_roots(p, dirs)
+    assert calls[0] <= 4096 + (_STAR_BISECT + 1) * 2 * n
+    assert np.all(a < 0.0) and np.all(b > 0.0)
 
 
 def _boundary_residual(domain, q):
@@ -336,7 +388,7 @@ def test_mobius_is_involution_on_circle():
 
 
 def test_mobius_requires_interior_point():
-    with pytest.raises(cm.PNotInterior):
+    with pytest.raises(cm.PointNotInterior):
         cm.mobius_involution(1.0, 1.0)
 
 

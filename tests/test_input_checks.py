@@ -79,6 +79,12 @@ CASES = [
     pytest.param(f, cm.DimMismatch, id=name) for name, f in _WRONG_INPUT.items()] + [
     pytest.param(lambda: cm.involution_image_measure(0.2, (math.nan, 1.0)),
                  cm.BadParameter, id="involution_image_measure-nan-angle"),
+    pytest.param(lambda: cm.subtended_moment(complex(math.nan, 0.0), 2),
+                 cm.BadParameter, id="subtended_moment-nan"),
+    pytest.param(lambda: cm.mobius_involution(complex(math.nan, 0.0), 0.5),
+                 cm.BadParameter, id="mobius_involution-nan"),
+    pytest.param(lambda: cm.involution_image_measure(complex(math.nan, 0.0), (0.0, 1.0)),
+                 cm.BadParameter, id="involution_image_measure-nan-point"),
 ]
 
 

@@ -150,7 +150,7 @@ def test_subtended_moments():
 
 
 def test_subtended_moment_validation():
-    with pytest.raises(cm.PNotInterior):
+    with pytest.raises(cm.PointNotInterior):
         cm.subtended_moment(1.2, 1)
     with pytest.raises(cm.BadParameter):
         cm.subtended_moment(0.4, 9)
@@ -166,7 +166,7 @@ def test_involution_image_measure():
     assert_allclose(got, 0.7951672353008665, atol=1e-12)
     complement = cm.involution_image_measure(0.5, (math.pi / 2, 3 * math.pi / 2))
     assert_allclose(got + complement, 1.0, atol=1e-12)
-    with pytest.raises(cm.PNotInterior):
+    with pytest.raises(cm.PointNotInterior):
         cm.involution_image_measure(1.0, (0.0, 1.0))
 
 
