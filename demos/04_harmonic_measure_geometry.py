@@ -21,7 +21,7 @@ cap = cm.arc_cap(disk, (0.5, 0.0), -math.pi / 2, math.pi / 2)
 w_ratio = cm.cap_measure_ratio(disk, (0.5, 0.0), cap)
 w_poisson = cm.cap_measure_poisson(disk, (0.5, 0.0), cap).value
 w_exact = cm.involution_image_measure(0.5, (-math.pi / 2, math.pi / 2))
-print(f"  metric-ratio quadrature : {w_ratio:.10f}")
+print(f"  metric-ratio cone rule  : {w_ratio:.10f}")
 print(f"  poisson quadrature      : {w_poisson:.10f}")
 print(f"  involution closed form  : {w_exact:.10f}")
 
@@ -30,8 +30,7 @@ print("double-cone identity w(U) + w(V) = twice one nappe's solid angle:")
 for dom, p, axis in ((disk, (0.5, 0.0), (0.0, 1.0)),
                      (ball, (0.2, -0.3, 0.1), (0.6, 0.64, 0.48))):
     for half in (0.5, math.pi / 4, 1.2):
-        w_sum, target, defect = cm.cone_identity_check(dom, p, axis, half,
-                                                       backend="poisson")
+        w_sum, target, defect = cm.cone_identity_check(dom, p, axis, half)
         print(f"  dim {dom.dim}, half-angle {half:.4f}: "
               f"w_sum {w_sum:.6f} target {target:.6f} defect {defect:.1e}")
 

@@ -435,6 +435,13 @@ def arc_cap(ball, P, theta1: float, theta2: float) -> CapSpec:
     return CapSpec(vertex=p, axis=axis, half_angle=half, nappe="plus")
 
 
+def _side(inside, edge) -> np.ndarray:
+    """1.0 where ``inside``, 0.5 on the cone edge ``edge``, 0.0 elsewhere."""
+    out = np.asarray(inside, dtype=float)
+    out[edge] = 0.5
+    return out
+
+
 def cap_indicator(cap: CapSpec, ball: BallDomain) -> BoundaryData:
     """Indicator of the boundary cap(s) of ``ball`` cut by the cone of ``cap``,
     whose vertex must lie strictly inside the ball.
@@ -452,13 +459,13 @@ def cap_indicator(cap: CapSpec, ball: BallDomain) -> BoundaryData:
         pts = np.asarray(pts, dtype=float)
         v = pts - vertex
         d = (v @ axis) / np.sqrt(row_dot(v, v))
-        def side(s):
-            return np.where(s > c, 1.0, np.where(s == c, 0.5, 0.0))
         if nappe == "plus":
-            return side(d)
+            return _side(d > c, d == c)
         if nappe == "minus":
-            return side(-d)
-        # union; a point on the shared edge of both nappes is covered fully
-        return np.minimum(side(d) + side(-d), 1.0)
+            return _side(d < -c, d == -c)
+        both = _side(d > c, d == c) + _side(d < -c, d == -c)
+        # for c > 0 the nappes are disjoint; else a point inside both (or on
+        # their shared edge) is covered once
+        return both if c > 0.0 else np.minimum(both, 1.0)
 
     return BoundaryData(value, None, "indicator")

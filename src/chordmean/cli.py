@@ -334,17 +334,14 @@ def cmd_measure(args) -> int:
     if check in ("cap", "cone", "com"):
         _require(args, "point")
         point, p, ball = _point_and_ball(args)
-        dq = bq = None
-        if args.n is not None:
-            bq = build_boundary_quadrature(ball, args.n)
-            dq = bq.rule
+        bq = None if args.n is None else build_boundary_quadrature(ball, args.n)
         if check == "cap":
             cap = _arc_or_cap(args, ball, p)
             if cap is None:
                 _require(args, "half_angle")
                 cap = CapSpec(vertex=p, axis=_axis(args, ball.dim),
                               half_angle=args.half_angle, nappe=args.nappe or "plus")
-            w_ratio = cap_measure_ratio(ball, p, cap, dq=dq)
+            w_ratio = cap_measure_ratio(ball, p, cap)
             w_poisson = cap_measure_poisson(ball, p, cap, bq=bq).value
             rows.append(["cap", json.dumps({"point": point}),
                          w_ratio, w_poisson, abs(w_ratio - w_poisson)])
@@ -353,8 +350,7 @@ def cmd_measure(args) -> int:
             _require(args, "half_angle")
             if check == "cone":
                 w_sum, target, defect = cone_identity_check(
-                    ball, p, axis, args.half_angle,
-                    backend=args.backend or "poisson", dq=dq, bq=bq)
+                    ball, p, axis, args.half_angle, bq=bq)
                 rows.append(["cone", json.dumps({"point": point,
                                                  "half_angle": args.half_angle}),
                              w_sum, target, defect])
@@ -499,11 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nappe", choices=("plus", "minus", "both"), default=None)
     p.add_argument("--cap", default=None, help="axis=..,half=..,nappe=..")
     p.add_argument("--arc", default=None, help="t1,t2 (radians)")
-    p.add_argument("--backend", choices=("ratio", "poisson"), default=None)
     p.add_argument("--w", default=None, help="moment base point re[,im]")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--a", type=float, default=None, help="conformal coefficient")
-    p.add_argument("--n", type=int, default=None, help="rule resolution (cap, cone, com)")
+    p.add_argument("--n", type=int, default=None, help="Poisson rule resolution (cap, cone, com)")
     _add_common(p)
     p.set_defaults(func=cmd_measure)
 

@@ -51,7 +51,10 @@ def philox_stream(seed: int, stream: int) -> np.random.Generator:
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking the dimension."""
-    p = np.asarray(x, dtype=float).reshape(-1)
+    try:
+        p = np.asarray(x, dtype=float).reshape(-1)
+    except OverflowError:                   # a Python int past the float range
+        raise BadParameter("point has a coordinate beyond the float range") from None
     if dim is not None and p.size != dim:
         raise DimMismatch(f"expected a {dim}-vector, got length {p.size}")
     if p.size not in (1, 2, 3):
@@ -96,13 +99,17 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _as_complex(z) -> complex:
     """z, a real or complex scalar or an (x, y) pair, as a finite complex."""
-    if isinstance(z, (complex, float, int, np.complexfloating, np.floating, np.integer)):
-        c = complex(z)
-    else:
-        arr = np.asarray(z, dtype=float).reshape(-1)
-        if arr.size != 2:
-            raise DimMismatch("expected a complex number or an (x, y) pair")
-        c = complex(arr[0], arr[1])
+    try:
+        if isinstance(z, (complex, float, int, np.complexfloating, np.floating,
+                          np.integer)):
+            c = complex(z)
+        else:
+            arr = np.asarray(z, dtype=float).reshape(-1)
+            if arr.size != 2:
+                raise DimMismatch("expected a complex number or an (x, y) pair")
+            c = complex(arr[0], arr[1])
+    except OverflowError:                   # a Python int past the float range
+        raise BadParameter("complex input beyond the float range") from None
     if not cmath.isfinite(c):
         raise BadParameter(f"{c} is not a finite complex number")
     return c

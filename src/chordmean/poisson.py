@@ -191,7 +191,7 @@ class BoundaryQuadrature:
 
     @property
     def points(self) -> np.ndarray:
-        return self.ball.center + self.ball.radius * self.rule.directions
+        return _boundary_points(self.ball, self.rule.directions)
 
     @property
     def weights(self) -> np.ndarray:
@@ -202,6 +202,14 @@ class BoundaryQuadrature:
 
     def half_resolution(self) -> "BoundaryQuadrature":
         return BoundaryQuadrature(self.ball, self.rule.half_resolution())
+
+
+def _boundary_points(ball: BallDomain, dirs: np.ndarray) -> np.ndarray:
+    """The boundary points c + R e of the unit rows e of ``dirs``: ``dirs``
+    itself, not a copy, when the ball is the unit ball about the origin."""
+    if ball.radius == 1.0 and not ball.center.any():
+        return dirs
+    return ball.center + ball.radius * dirs
 
 
 def build_boundary_quadrature(ball: BallDomain, resolution: int | None = None
@@ -262,7 +270,7 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
     p = interior_point(ball, BallDomain, x)
     return half_rule_report(
         _placed_rule(ball, bq, build_boundary_quadrature), lambda q: (
-            np.asarray(data.value(ball.center + ball.radius * q.directions), dtype=float),
+            np.asarray(data.value(_boundary_points(ball, q.directions)), dtype=float),
             kernel_values(ball, p, q.directions)))
 
 

@@ -335,7 +335,7 @@ def check_9_cone_identity() -> CheckResult:
             p = _interior_points(rng, dim, 1, 0.7)[0]
             axis = _unit(rng, dim)
             half = rng.uniform(0.25, 1.35)
-            _, _, defect = cone_identity_check(ball, p, axis, half, backend="poisson")
+            _, _, defect = cone_identity_check(ball, p, axis, half)
             worst = max(worst, defect)
     dt = time.perf_counter() - t0
     return CheckResult(9, "double-cone cap identity", worst <= 2e-3, worst, 2e-3, dt,

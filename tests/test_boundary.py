@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import chordmean as cm
 from chordmean.boundary import _basis, basis_indices
+from chordmean.geometry import row_dot
 
 
 def _fd_laplacian(f, x, h=1e-4):
@@ -260,6 +261,69 @@ def test_cap_indicator_examples():
     assert_allclose(ind.value(outside), 0.0)
     assert ind.smoothness == "indicator"
     assert ind.gradient is None
+
+
+def _reference_indicator(cap, c, pts):
+    """The cap indicator as two nested np.where over s > c and s == c."""
+    v = np.asarray(pts, dtype=float) - cap.vertex
+    d = (v @ cap.axis) / np.sqrt(row_dot(v, v))
+
+    def side(s):
+        return np.where(s > c, 1.0, np.where(s == c, 0.5, 0.0))
+    if cap.nappe == "plus":
+        return side(d)
+    if cap.nappe == "minus":
+        return side(-d)
+    return np.minimum(side(d) + side(-d), 1.0)
+
+
+def _edge_point(c, dim, scale):
+    """A point seen from the origin at cosine exactly c from e_1: (c, y) with
+    c^2 + y^2 rounding to 1, times a power of two."""
+    y = math.sqrt(1.0 - c * c)
+    while c * c + y * y != 1.0:
+        y = math.nextafter(y, math.inf if c * c + y * y < 1.0 else -math.inf)
+    point = np.zeros(dim)
+    point[0], point[-1] = c, y
+    return scale * point
+
+
+def _edge_cosine(half):
+    c = math.cos(half)
+    return 0.0 if abs(c) < 1e-15 else c
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("half", [1.1, 0.5 * math.pi, 2.3], ids=["c>0", "c=0", "c<0"])
+@pytest.mark.parametrize("nappe", ["plus", "minus", "both"])
+def test_cap_indicator_sides_are_bit_identical_to_nested_where(dim, half, nappe):
+    # vertex at the origin, axis e_1: planted points lie exactly on the edges
+    # s == c of both nappes, among random ones
+    ball = cm.BallDomain(center=np.zeros(dim), radius=1.0)
+    cap = cm.CapSpec(vertex=np.zeros(dim), axis=np.eye(dim)[0], half_angle=half,
+                     nappe=nappe)
+    ind = cm.cap_indicator(cap, ball)
+    c = _edge_cosine(half)
+    rng = np.random.default_rng(12)
+    ties = [_edge_point(sign * c, dim, scale) for sign in (1.0, -1.0)
+            for scale in (0.5, 1.0, 4.0)]
+    pts = np.concatenate([ties, rng.standard_normal((58, dim))])
+    rng.shuffle(pts)
+    cosines = pts[:, 0] / np.sqrt(row_dot(pts, pts))
+    assert np.count_nonzero(cosines == c) >= 3 and np.count_nonzero(cosines == -c) >= 3
+    for shaped in [pts, pts.reshape(4, 16, dim)] + list(pts):
+        got = ind.value(shaped)
+        want = _reference_indicator(cap, c, shaped)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64),
+                              np.asarray(want).view(np.int64))
+    # a vertex and axis off the grid: no planted ties, same bits
+    tilted = rng.standard_normal(dim)
+    cap = cm.CapSpec(vertex=rng.uniform(-0.3, 0.3, dim), axis=tilted / np.linalg.norm(tilted),
+                     half_angle=half, nappe=nappe)
+    unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    assert np.array_equal(cm.cap_indicator(cap, ball).value(unit).view(np.int64),
+                          _reference_indicator(cap, c, unit).view(np.int64))
 
 
 def test_cap_area_matches_mc_oracle():

@@ -242,6 +242,8 @@ _GOOD = '"data": "harm:2,re", "point": "0.3,0.2"'
     (["solve"], '{"data": {"dim": 2, "terms": 5}, "point": "0.3,0.2"}'),
     (["solve"], '{"data": "harm:2,re", '),
     (["hermite"], '{"m": 4, "a": -1, "b": 1, "degree": 2}'),
+    (["measure"], '{"check": "cone", "point": "0.5,0", "half_angle": 0.5, '
+                  '"backend": "poisson"}'),                    # --backend is gone
 ])
 def test_bad_config_files_exit_2(argv, text, tmp_path, capsys):
     assert _exit_code(argv + ["--config", _config(tmp_path, text)]) == 2

@@ -114,8 +114,7 @@ def measure_argv(draw):
                 [f"--arc={draw(_num(-3, 3))},{draw(_num(-3, 6))}"],
                 []])),
             *_maybe(draw, "half-angle", draw(_num(0.05, 3.1))),
-            *_maybe(draw, "nappe", draw(st.sampled_from(["plus", "minus", "both"]))),
-            *_maybe(draw, "backend", draw(st.sampled_from(["ratio", "poisson"])))]
+            *_maybe(draw, "nappe", draw(st.sampled_from(["plus", "minus", "both"])))]
 
 
 def _run(argv) -> int:

@@ -59,8 +59,6 @@ _WRONG_INPUT = {
 CASES = [
     pytest.param(lambda: cm.chord_interpolant_max(DISK, DATA, P, _rule(3)), cm.DimMismatch,
                  id="chord_interpolant_max-3d-rule"),
-    pytest.param(lambda: cm.cap_measure_ratio(DISK, P, CAP, dq=_rule(3)), cm.DimMismatch,
-                 id="cap_measure_ratio-3d-rule"),
     pytest.param(lambda: cm.solve_harmonic("disk", DATA, P, _rule(2)), cm.BadParameter,
                  id="solve_harmonic-string"),
     pytest.param(lambda: cm.solve_harmonic(ELLIPSE, DATA, P, _rule(2)), cm.BadParameter,
@@ -85,6 +83,16 @@ CASES = [
                  cm.BadParameter, id="mobius_involution-nan"),
     pytest.param(lambda: cm.involution_image_measure(complex(math.nan, 0.0), (0.0, 1.0)),
                  cm.BadParameter, id="involution_image_measure-nan-point"),
+    # a Python int beyond the float range is an input error, not an OverflowError
+    pytest.param(lambda: cm.chord_through(cm.BallDomain((0, 0), 1), (10 ** 400, 0), (1, 0)),
+                 cm.BadParameter, id="chord_through-huge-int"),
+    pytest.param(lambda: cm.mobius_involution(10 ** 400, 0.5),
+                 cm.BadParameter, id="mobius_involution-huge-int"),
+    pytest.param(lambda: cm.subtended_moment(10 ** 400, 2),
+                 cm.BadParameter, id="subtended_moment-huge-int"),
+    pytest.param(lambda: cm.cap_measure_ratio(cm.BallDomain((0.0,), 1.0), (0.2,),
+                                              cm.CapSpec((0.2,), (1.0,), 0.5)),
+                 cm.DimMismatch, id="cap_measure_ratio-1d-ball"),
 ]
 
 

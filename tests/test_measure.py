@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import chordmean as cm
 from chordmean import measure as measure_module
-from chordmean.poisson import fixed_sum
+from chordmean import selftest
+from chordmean.geometry import philox_stream
 
 
 DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
@@ -62,11 +63,7 @@ def test_cap_measure_ratio_examples():
 
 def test_density_matches_poisson():
     rng = np.random.default_rng(0)
-    for dim, (ball, dq_res, bq_res) in {
-            2: (DISK, 8192, 8192), 3: (BALL, 96, 96)}.items():
-        dq = (cm.build_direction_quadrature(2, "uniform_angle_2d", dq_res)
-              if dim == 2 else
-              cm.build_direction_quadrature(3, "gauss_product_3d", dq_res))
+    for dim, (ball, bq_res) in {2: (DISK, 8192), 3: (BALL, 96)}.items():
         from chordmean.poisson import build_boundary_quadrature
         bq = build_boundary_quadrature(ball, resolution=bq_res)
         for _ in range(5):
@@ -75,28 +72,99 @@ def test_density_matches_poisson():
             axis = rng.standard_normal(dim)
             axis /= np.linalg.norm(axis)
             cap = cm.CapSpec(vertex=p, axis=axis, half_angle=rng.uniform(0.3, 1.3))
-            w_ratio = cm.cap_measure_ratio(ball, p, cap, dq=dq)
+            w_ratio = cm.cap_measure_ratio(ball, p, cap)
             w_poisson = cm.cap_measure_poisson(ball, p, cap, bq=bq).value
             assert abs(w_ratio - w_poisson) <= 2e-3
 
 
-def test_cone_identity_ratio_backend_complementarity():
-    # with the ratio backend, w(U) + w(V) equals the direction-set mass of the
-    # double cone to summation rounding
-    dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 2 ** 14)
+def _random_cap(rng, dim, rho_max, half_range):
+    d = rng.standard_normal(dim)
+    p = rng.uniform(0.0, rho_max) * d / np.linalg.norm(d)
+    axis = rng.standard_normal(dim)
+    return p, axis / np.linalg.norm(axis), rng.uniform(*half_range)
+
+
+def test_cone_rule_nappes_sum_to_twice_the_nappe_fraction():
+    # in cone coordinates w(U) + w(V) integrates r1/L + r2/L = 1 over the
+    # cone, so the two nappes of the ratio measure sum to the cone's mass
+    # to rounding
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        p = rng.uniform(-0.6, 0.6, 2)
-        axis = rng.standard_normal(2)
-        axis /= np.linalg.norm(axis)
-        half = rng.uniform(0.3, 1.4)
-        w_sum, target, _ = cm.cone_identity_check(DISK, p, axis, half,
-                                                  backend="ratio", dq=dq)
-        cone_mass = fixed_sum(dq.weights *
-                              (np.abs(dq.directions @ axis) > math.cos(half)))
-        assert abs(w_sum - cone_mass) <= 1e-12
-        # and the direction-set mass is the analytic target up to O(1/N)
-        assert abs(w_sum - target) <= 1e-3
+    for dim, ball in ((2, DISK), (3, BALL)):
+        for _ in range(10):
+            p, axis, half = _random_cap(rng, dim, 0.9, (0.05, 1.5))
+            plus = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half, "plus"))
+            minus = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half, "minus"))
+            both = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half, "both"))
+            target = 2.0 * cm.nappe_fraction(dim, half)
+            assert abs(plus + minus - target) <= 1e-14
+            assert abs(both - target) <= 1e-14
+
+
+def test_cone_rule_matches_the_involution_closed_form():
+    rng = np.random.default_rng(4)
+    wide = 0
+    for _ in range(60):
+        p = rng.uniform(-0.7, 0.7, 2)
+        t1 = rng.uniform(0.0, 2.0 * math.pi)
+        t2 = t1 + rng.uniform(0.1, 2.0 * math.pi - 0.2)
+        cap = cm.arc_cap(DISK, p, t1, t2)
+        wide += cap.half_angle >= 0.5 * math.pi
+        w_exact = cm.involution_image_measure(complex(p[0], p[1]), (t1, t2))
+        assert abs(cm.cap_measure_ratio(DISK, p, cap) - w_exact) <= 1e-13
+    assert wide >= 10
+
+
+def test_cone_rule_complement():
+    # the plus nappe about -axis with half-angle pi - alpha is every direction
+    # outside the plus nappe about axis
+    rng = np.random.default_rng(5)
+    for dim, ball in ((2, DISK), (3, BALL)):
+        for _ in range(10):
+            p, axis, half = _random_cap(rng, dim, 0.8, (0.05, math.pi - 0.05))
+            inside = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half))
+            outside = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, -axis, math.pi - half))
+            assert abs(inside + outside - 1.0) <= 1e-14
+
+
+def test_cone_rule_both_nappes_cover_the_sphere_past_a_right_angle():
+    rng = np.random.default_rng(6)
+    for dim, ball in ((2, DISK), (3, BALL)):
+        for half in (0.5 * math.pi, 1.6, 3.0):
+            p, axis, _ = _random_cap(rng, dim, 0.9, (0.1, 0.2))
+            assert cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half, "both")) == 1.0
+
+
+def test_cone_rule_is_translation_and_scale_covariant():
+    rng = np.random.default_rng(7)
+    for dim, ball in ((2, DISK), (3, BALL)):
+        moved = cm.BallDomain(center=rng.uniform(-3.0, 3.0, dim), radius=2.5)
+        for nappe in ("plus", "minus", "both"):
+            xs, axis, half = _random_cap(rng, dim, 0.8, (0.1, 1.5))
+            p = moved.center + moved.radius * xs
+            unit = cm.cap_measure_ratio(ball, xs, cm.CapSpec(xs, axis, half, nappe))
+            got = cm.cap_measure_ratio(moved, p, cm.CapSpec(p, axis, half, nappe))
+            assert abs(got - unit) <= 1e-14
+            poisson = cm.cap_measure_poisson(moved, p, cm.CapSpec(p, axis, half, nappe))
+            assert abs(got - poisson.value) <= 2e-3
+
+
+def test_cone_rule_agrees_with_poisson_on_criterion_8_grid():
+    # criterion 8's configurations: both sides at once, each cap once
+    rng = philox_stream(selftest._SEED_GRID, 8)
+    worst = 0.0
+    for dim, ball in ((2, DISK), (3, BALL)):
+        pts, caps = selftest._measure_grid(rng, dim, 10, 20, 0.8)
+        for p in pts:
+            for axis, half in caps:
+                cap = cm.CapSpec(vertex=p, axis=axis, half_angle=half)
+                worst = max(worst, abs(cm.cap_measure_ratio(ball, p, cap)
+                                       - cm.cap_measure_poisson(ball, p, cap).value))
+    assert worst <= 2e-3
+
+
+def test_cone_identity_accepts_only_the_poisson_integral():
+    with pytest.raises(cm.BadParameter):
+        cm.cone_identity_check(DISK, (0.5, 0.0), (0.0, 1.0), 0.7, backend="ratio")
 
 
 def test_cone_identity_poisson_backend():
@@ -112,8 +180,7 @@ def test_cone_identity_poisson_backend():
 
 
 def test_cone_identity_at_center():
-    w_sum, target, defect = cm.cone_identity_check(
-        DISK, (0.0, 0.0), (1.0, 0.0), 0.7, backend="ratio")
+    w_sum, target, defect = cm.cone_identity_check(DISK, (0.0, 0.0), (1.0, 0.0), 0.7)
     assert defect <= 1e-3
 
 

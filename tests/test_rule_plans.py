@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chordmean as cm
-from chordmean import averaging, biharmonic, measure
+from chordmean import averaging, biharmonic
 from chordmean.averaging import _antipodal_half, _interpolant_values
 from chordmean.boundary import cap_indicator
 from chordmean.geometry import RULE_CACHE_SIZE, DirectionQuadrature, _build
@@ -231,7 +231,6 @@ def test_paired_solves_equal_unpaired(monkeypatch):
     ball = cm.BallDomain(center=(0.1, 0.0, -0.2), radius=1.2)
     hp3 = cm.harmonic_poly(3, 3, 2).boundary_data()
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096)
-    cap = cm.CapSpec(vertex=p, axis=(1.0, 0.0), half_angle=0.9, nappe="plus")
 
     def results():
         reports = [cm.solve_harmonic(disk, data, p, dq).report,
@@ -244,12 +243,10 @@ def test_paired_solves_equal_unpaired(monkeypatch):
                                           inner_resolution=512,
                                           inner_solver="chords").report]
         return ([(r.value.hex(), r.error_estimate.hex()) for r in reports]
-                + [cm.cap_measure_ratio(disk, p, cap, dq).hex(),
-                   cm.chord_interpolant_max(disk, data, p, dq).hex()])
+                + [cm.chord_interpolant_max(disk, data, p, dq).hex()])
 
     paired = results()
     monkeypatch.setattr(averaging, "_interpolant_values", _unpaired)
-    monkeypatch.setattr(measure, "_interpolant_values", _unpaired)
     monkeypatch.setattr(biharmonic, "_hermite_term", _hermite_reference)
     assert results() == paired
 
