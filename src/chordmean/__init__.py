@@ -17,7 +17,6 @@ from .errors import (
     ChordMeanError,
     ConfigError,
     DegenerateDirection,
-    DegenerateInterval,
     DimMismatch,
     EmptyCap,
     GradientRequired,
@@ -28,7 +27,6 @@ from .errors import (
     PointNotOnBoundary,
     RejectionBudgetExceeded,
     UnsupportedDegree,
-    XOutsideInterval,
 )
 from .geometry import (
     BallDomain,
@@ -40,12 +38,10 @@ from .geometry import (
     chord_through,
     default_direction_quadrature,
     mobius_involution,
-    philox_stream,
     plane_section,
     ray_hit_star,
 )
 from .boundary import (
-    BiharmonicPolynomial,
     BoundaryData,
     CapSpec,
     HarmonicPolynomial,
@@ -56,53 +52,38 @@ from .boundary import (
     constant_data,
     from_callable,
     harmonic_poly,
-    homogeneous_biharmonic,
-    linear_data,
 )
 from .poisson import (
     BoundaryQuadrature,
     SolveReport,
     build_boundary_quadrature,
     cap_measure_poisson,
-    dirichlet_1d,
-    measure_quadrature,
     poisson_kernel,
     poisson_solve,
 )
 from .averaging import (
     ChordAverageResult,
-    chord_interpolant,
     cross_section_solve,
     solve_harmonic,
     solve_on_domain,
     chord_interpolant_max,
 )
 from .biharmonic import (
-    HermiteCubic,
-    hermite_cubic,
     hermite_monomial_at_zero,
     solve_biharmonic,
 )
 from .measure import (
-    ConeCaps,
     cap_measure_ratio,
     center_of_mass_check,
     cone_identity_check,
     involution_image_measure,
-    make_cone_caps,
-    metric_ratio,
-    nappe_fraction,
     star_angle_measure_check,
     subtended_moment,
 )
 from .brownian import (
-    ExitSample,
     ExperimentReport,
     TravelerStats,
     compare_exit_distributions,
-    sample_exit_full,
-    sample_exit_line,
-    sample_exit_plane,
 )
 
 __version__ = "0.1.0"

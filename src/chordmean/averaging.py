@@ -23,7 +23,6 @@ from .errors import BadParameter, BadResolution, DimMismatch
 from .boundary import BoundaryData
 from .geometry import (
     BallDomain,
-    Chord,
     DirectionQuadrature,
     Ellipse2D,
     StarDomain2D,
@@ -58,12 +57,6 @@ class ChordAverageResult:
         if self.oracle_value is None:
             return None
         return abs(self.report.value - self.oracle_value)
-
-
-def chord_interpolant(chord: Chord, data: BoundaryData) -> float:
-    """Value at the chord base of the linear interpolant of the endpoint data:
-    (r1 f2 + r2 f1) / (r1 + r2)."""
-    return float(_linear_term(data, chord.q1, chord.q2, chord.r1, chord.r2, None))
 
 
 def _antipodal_half(dirs: np.ndarray) -> int | None:

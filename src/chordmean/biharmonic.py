@@ -2,8 +2,7 @@
 directional derivatives along each chord, averaged over directions.
 
 The solver takes each chord's cubic at P in the symmetric closed form of the
-Hermite basis, a term of the harmonic solver's chord kernel; ``hermite_cubic``
-builds the whole cubic in the midpoint-shifted variable for conditioning.
+Hermite basis, a term of the harmonic solver's chord kernel.
 C_m(0), the cubic interpolant of t^m evaluated at 0, is obtained as the
 remainder of t^m modulo (t-a)^2 (t-b)^2, which exposes the (ab)^2 factor
 exactly.
@@ -11,56 +10,14 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadBracket, BadDegree, DegenerateInterval, GradientRequired
+from .errors import BadBracket, BadDegree, GradientRequired
 from .boundary import BoundaryData
 from .geometry import BallDomain, DirectionQuadrature, interior_point, row_dot
 from .averaging import ChordAverageResult, _average
 
 MAX_MONOMIAL_DEGREE = 12
-
-
-@dataclass(frozen=True)
-class HermiteCubic:
-    """The unique cubic matching values and first derivatives at a and b."""
-
-    coefficients: tuple[float, float, float, float]   # A t^3 + B t^2 + C t + D
-    a: float
-    b: float
-    _shifted: tuple[float, float, float, float, float]  # (alpha..delta, mid)
-
-    def __call__(self, t: float) -> float:
-        alpha, beta, gamma, delta, mid = self._shifted
-        s = t - mid
-        return ((alpha * s + beta) * s + gamma) * s + delta
-
-    def derivative(self, t: float) -> float:
-        alpha, beta, gamma, _, mid = self._shifted
-        s = t - mid
-        return (3.0 * alpha * s + 2.0 * beta) * s + gamma
-
-
-def hermite_cubic(a: float, b: float, fa: float, fb: float,
-                  dfa: float, dfb: float) -> HermiteCubic:
-    """Hermite cubic through (a, fa, dfa) and (b, fb, dfb)."""
-    if b - a < 1e-12 * max(abs(a), abs(b), 1.0):
-        raise DegenerateInterval(f"nodes {a}, {b} are too close")
-    h = 0.5 * (b - a)           # coefficients alpha..delta in s = t - mid
-    alpha = (dfa + dfb) / (4.0 * h * h) - (fb - fa) / (4.0 * h ** 3)
-    beta = (dfb - dfa) / (4.0 * h)
-    gamma = (fb - fa) / (2.0 * h) - alpha * h * h
-    delta = 0.5 * (fa + fb) - beta * h * h
-    mid = 0.5 * (a + b)
-    coeff_a = alpha
-    coeff_b = beta - 3.0 * alpha * mid
-    coeff_c = gamma - 2.0 * beta * mid + 3.0 * alpha * mid * mid
-    coeff_d = delta - gamma * mid + beta * mid * mid - alpha * mid ** 3
-    return HermiteCubic(coefficients=(coeff_a, coeff_b, coeff_c, coeff_d),
-                        a=float(a), b=float(b),
-                        _shifted=(alpha, beta, gamma, delta, mid))
 
 
 def _monomial_remainder_at_zero(m: int, a: float, b: float) -> tuple[float, float]:

@@ -260,20 +260,6 @@ def constant_data(c: float) -> BoundaryData:
     return BoundaryData(value, gradient, "c1", exact_solution=value)
 
 
-def linear_data(coeffs, const: float = 0.0) -> BoundaryData:
-    """f(x) = coeffs . x + const with its exact gradient."""
-    a = np.asarray(coeffs, dtype=float)
-
-    def value(pts):
-        return np.asarray(pts, dtype=float) @ a + const
-
-    def gradient(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.broadcast_to(a, pts.shape).copy()
-
-    return BoundaryData(value, gradient, "c1", exact_solution=value)
-
-
 # ---------------------------------------------------------------------------
 # Harmonic polynomials
 # ---------------------------------------------------------------------------
@@ -367,16 +353,6 @@ def almansi_assemble(h1: HarmonicPolynomial, h2: HarmonicPolynomial
                      ) -> BiharmonicPolynomial:
     """Biharmonic polynomial h1 + (|x|^2 - 1) h2 with boundary-trace evaluators."""
     return BiharmonicPolynomial(h1, h2)
-
-
-def homogeneous_biharmonic(h1: HarmonicPolynomial, h2: HarmonicPolynomial
-                           ) -> BiharmonicPolynomial:
-    """Homogeneous biharmonic u = h1 + |x|^2 h2 (h1 degree m, h2 degree m-2).
-
-    Identical as a polynomial to (h1 + h2) + (|x|^2 - 1) h2, which is how it
-    is represented internally.
-    """
-    return BiharmonicPolynomial(h1 + h2, h2)
 
 
 # ---------------------------------------------------------------------------

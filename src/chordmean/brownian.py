@@ -37,15 +37,6 @@ RHO_SOFT_LIMIT = 0.8
 
 
 @dataclass(frozen=True)
-class ExitSample:
-    """One boundary exit; ``auxiliary`` holds the plane normal or line direction."""
-
-    traveler: str
-    exit_point: np.ndarray
-    auxiliary: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class TravelerStats:
     name: str
     hits: int
@@ -137,33 +128,6 @@ def exits_line_batch(ball: BallDomain, p: np.ndarray,
     forward = rng.random(n) < (-a) / (b - a)
     t = np.where(forward, b, a)
     return p + t[:, np.newaxis] * dirs, dirs
-
-
-# ---------------------------------------------------------------------------
-# Per-sample API
-# ---------------------------------------------------------------------------
-
-def sample_exit_full(ball: BallDomain, P, rng_stream: np.random.Generator
-                     ) -> ExitSample:
-    p = interior_point(ball, BallDomain, P)
-    pts, _ = exits_full_batch(ball, p, rng_stream, 1)
-    return ExitSample(traveler="full", exit_point=pts[0])
-
-
-def sample_exit_plane(ball: BallDomain, P, rng_stream: np.random.Generator
-                      ) -> ExitSample:
-    p = interior_point(ball, BallDomain, P)
-    if ball.dim != 3:
-        raise BadParameter("the plane traveler lives in 3-D")
-    pts, normals = exits_plane_batch(ball, p, rng_stream, 1)
-    return ExitSample(traveler="plane", exit_point=pts[0], auxiliary=normals[0])
-
-
-def sample_exit_line(ball: BallDomain, P, rng_stream: np.random.Generator
-                     ) -> ExitSample:
-    p = interior_point(ball, BallDomain, P)
-    pts, dirs = exits_line_batch(ball, p, rng_stream, 1)
-    return ExitSample(traveler="line", exit_point=pts[0], auxiliary=dirs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def cmd_measure(args) -> int:
         expected = 0.5 * ((0.0 if args.degree else 1.0) + w ** args.degree)
         rows.append(["moment", json.dumps({"w": args.w, "degree": args.degree}),
                      got, expected, abs(got - expected)])
-    else:                                   # star-angle, or its alias prop81
+    else:                                   # star-angle
         _require(args, "a", "arc")
         t1, t2 = _floats(args.arc, "--arc", 2)
         lhs, rhs, defect = star_angle_measure_check(args.a, (t1, t2))
@@ -485,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="harmonic-measure identity checks")
     p.add_argument("--check",
-                   choices=("cap", "cone", "com", "moment", "star-angle", "prop81"),
-                   help="star-angle checks the conformal star domain "
-                        "(prop81 is an accepted alias)")
+                   choices=("cap", "cone", "com", "moment", "star-angle"),
+                   help="star-angle checks the conformal star domain")
     p.add_argument("--dim", type=int, choices=(2, 3), default=None)
     p.add_argument("--point", default=None)
     p.add_argument("--axis", default=None)

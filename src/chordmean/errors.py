@@ -41,14 +41,6 @@ class DimMismatch(ChordMeanError, ValueError):
     """Operands have different ambient dimensions."""
 
 
-class XOutsideInterval(ChordMeanError, ValueError):
-    """Interpolation point lies outside the interval."""
-
-
-class DegenerateInterval(ChordMeanError, ValueError):
-    """Interval endpoints coincide to within tolerance."""
-
-
 class BadDegree(ChordMeanError, ValueError):
     """Monomial degree outside the supported range."""
 
@@ -78,7 +70,8 @@ class ConfigError(ChordMeanError, ValueError):
 
 
 class NumericalError(ChordMeanError, RuntimeError):
-    """A numerical routine failed during a CLI run."""
+    """A numerical routine failed: non-finite integrand values, or an
+    argument increment too large to unwrap."""
 
 
 # Errors that reject what the caller asked for rather than report a failed

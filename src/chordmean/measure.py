@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .errors import BadParameter, DimMismatch, EmptyCap, NumericalError, PointNo
 from .boundary import CapSpec, cap_indicator
 from .geometry import (
     BallDomain,
-    Chord,
     _as_complex,
     ball_chord_roots,
     default_direction_quadrature,
@@ -40,14 +38,6 @@ from .poisson import (
 )
 
 
-def metric_ratio(chord: Chord) -> float:
-    """R_P at the chord's backward endpoint: r2 / (r1 + r2).
-
-    Reversing the chord direction complements the ratio to 1.
-    """
-    return chord.r2 / (chord.r1 + chord.r2)
-
-
 def nappe_fraction(dim: int, half_angle: float) -> float:
     """Normalized solid angle of one nappe: half_angle/pi in 2-D,
     (1 - cos half_angle)/2 in 3-D."""
@@ -56,23 +46,6 @@ def nappe_fraction(dim: int, half_angle: float) -> float:
     if dim == 3:
         return 0.5 * (1.0 - math.cos(half_angle))
     raise BadParameter("nappe fractions are defined for dim 2 and 3")
-
-
-@dataclass(frozen=True)
-class ConeCaps:
-    """The two caps cut by a double cone, with one nappe's normalized solid angle."""
-
-    cap_plus: CapSpec
-    cap_minus: CapSpec
-    nappe_solid_angle_fraction: float
-
-
-def make_cone_caps(dim: int, vertex, axis, half_angle: float) -> ConeCaps:
-    return ConeCaps(
-        cap_plus=CapSpec(vertex=vertex, axis=axis, half_angle=half_angle, nappe="plus"),
-        cap_minus=CapSpec(vertex=vertex, axis=axis, half_angle=half_angle, nappe="minus"),
-        nappe_solid_angle_fraction=nappe_fraction(dim, half_angle),
-    )
 
 
 # The cone rules: Gauss-Legendre of order _CONE_ORDER on each of k equal
@@ -181,11 +154,11 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     if backend != "poisson":
         raise BadParameter("the cone identity is checked by the Poisson integral: "
                            "backend must be 'poisson'")
-    caps = make_cone_caps(ball.dim, p, axis, half_angle)
-    w_plus = cap_measure_poisson(ball, p, caps.cap_plus, bq).value
-    w_minus = cap_measure_poisson(ball, p, caps.cap_minus, bq).value
-    w_sum = w_plus + w_minus
-    target = 2.0 * caps.nappe_solid_angle_fraction
+    cap_plus = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="plus")
+    cap_minus = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="minus")
+    w_sum = (cap_measure_poisson(ball, p, cap_plus, bq).value
+             + cap_measure_poisson(ball, p, cap_minus, bq).value)
+    target = 2.0 * nappe_fraction(ball.dim, half_angle)
     return w_sum, target, abs(w_sum - target)
 
 

@@ -1,5 +1,5 @@
 """Poisson-kernel reference solvers: the ground truth the chord solvers are
-checked against, plus the 1-D interval solution and cap harmonic measures.
+checked against, and cap harmonic measures.
 
 All reductions go through ``fixed_sum``: the exactly rounded sum, equal to
 ``math.fsum`` bit for bit and independent of the order of the values, so runs
@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    DegenerateInterval,
-    NumericalError,
-    PointNotOnBoundary,
-    XOutsideInterval,
-)
+from .errors import BadParameter, NumericalError, PointNotOnBoundary
 from .boundary import BoundaryData, CapSpec, cap_indicator
 from .geometry import (
     BallDomain,
@@ -272,15 +266,6 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
         _placed_rule(ball, bq, build_boundary_quadrature), lambda q: (
             np.asarray(data.value(_boundary_points(ball, q.directions)), dtype=float),
             kernel_values(ball, p, q.directions)))
-
-
-def dirichlet_1d(a: float, b: float, fa: float, fb: float, x: float) -> float:
-    """Interval Dirichlet solution: the linear interpolant of (a, fa), (b, fb)."""
-    if b - a <= 1e-14 * max(abs(a), abs(b), 1.0):
-        raise DegenerateInterval(f"interval [{a}, {b}] is degenerate")
-    if not a < x < b:
-        raise XOutsideInterval(f"{x} is not inside ({a}, {b})")
-    return ((b - x) * fa + (x - a) * fb) / (b - a)
 
 
 def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,

@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import (
     BallDomain,
     Ellipse2D,
+    ball_chord_roots,
     build_direction_quadrature,
     default_direction_quadrature,
     philox_stream,
@@ -144,7 +145,6 @@ def check_4_root_product() -> CheckResult:
         p = center + _unit(rng, dim) * rng.uniform(0.0, 0.95) * radius
         dirs = rng.standard_normal((1000, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        from .geometry import ball_chord_roots
         a, b = ball_chord_roots(ball, p, dirs)
         prod = a * b
         gamma = float((p - center) @ (p - center)) - radius ** 2

@@ -14,21 +14,6 @@ DQ2 = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096)
 DQ3 = cm.build_direction_quadrature(3, "gauss_product_3d", 64)
 
 
-def test_chord_interpolant_examples():
-    chord = cm.chord_through(cm.BallDomain(center=(0.5, 0.0), radius=1.0),
-                             (0.0, 0.0), (1.0, 0.0))   # r1=0.5, r2=1.5
-    assert_allclose(cm.chord_interpolant(chord, cm.constant_data(5.0)), 5.0)
-    # f1 = f(-0.5, 0) = 2, f2 = f(1.5, 0) = 6 for f = 2x + 3
-    lin = cm.linear_data([2.0, 0.0], const=3.0)
-    assert_allclose(cm.chord_interpolant(chord, lin), 3.0, atol=1e-14)
-    # same numbers as the 1-D interval solution on (-0.5, 1.5)
-    assert_allclose(cm.dirichlet_1d(-0.5, 1.5, 2.0, 6.0, 0.0), 3.0)
-    # central chord averages the endpoint values
-    central = cm.chord_through(DISK, (0.0, 0.0), (1.0, 0.0))
-    f = cm.harmonic_poly(2, 1, "re").boundary_data()
-    assert_allclose(cm.chord_interpolant(central, f), 0.0, atol=1e-15)
-
-
 def test_solve_constant_is_exact():
     res = cm.solve_harmonic(DISK, cm.constant_data(1.0), (0.3, -0.4), DQ2)
     assert res.value == 1.0
@@ -124,7 +109,8 @@ def test_ellipse_breaks_chord_averaging():
 
 
 def test_linear_data_exact_on_any_domain():
-    lin = cm.linear_data([0.7, -0.2], const=0.1)
+    lin = cm.HarmonicPolynomial(2, [(1, "re", 0.7), (1, "im", -0.2),
+                                    (0, "re", 0.1)]).boundary_data()
     ellipse = cm.Ellipse2D(center=(0.0, 0.0), semi_axes=(1.5, 1.0))
     res = cm.solve_on_domain(ellipse, lin, (0.4, 0.3), DQ2)
     assert res.residual <= 1e-12
@@ -229,7 +215,8 @@ def test_scalar_only_radial_star_solves():
     assert_allclose(star.boundary_radius(thetas), 1.0 + 0.2 * np.cos(2.0 * thetas),
                     rtol=0.0, atol=1e-15)
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 256)
-    res = cm.solve_on_domain(star, cm.linear_data([0.5, -1.5], 0.25), (0.2, 0.1), dq)
+    lin = cm.HarmonicPolynomial(2, [(1, "re", 0.5), (1, "im", -1.5), (0, "re", 0.25)])
+    res = cm.solve_on_domain(star, lin.boundary_data(), (0.2, 0.1), dq)
     assert abs(res.value - (0.1 - 0.15 + 0.25)) <= 1e-12
 
 

@@ -23,45 +23,6 @@ def _cramer_c0(m, a, b):
     return float(np.linalg.solve(mat, rhs)[3])
 
 
-def test_hermite_cubic_constant():
-    c = cm.hermite_cubic(-1.0, 2.0, 1.0, 1.0, 0.0, 0.0)
-    for t in (-1.0, -0.3, 0.0, 1.7):
-        assert_allclose(c(t), 1.0, atol=1e-14)
-    assert_allclose(c.coefficients, (0.0, 0.0, 0.0, 1.0), atol=1e-14)
-
-
-def test_hermite_cubic_reproduces_cubics():
-    a, b = -0.7, 1.27
-    c = cm.hermite_cubic(a, b, a ** 3, b ** 3, 3 * a * a, 3 * b * b)
-    assert_allclose(c.coefficients, (1.0, 0.0, 0.0, 0.0), atol=1e-10)
-
-
-def test_hermite_cubic_on_quartic_data():
-    # C(t) = t^4 - (t-a)^2 (t-b)^2, so C(0) = -(ab)^2
-    a, b = -0.5, 1.5
-    c = cm.hermite_cubic(a, b, a ** 4, b ** 4, 4 * a ** 3, 4 * b ** 3)
-    assert_allclose(c(0.0), -0.5625, atol=1e-12)
-
-
-def test_hermite_cubic_interpolation_invariant():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        a = rng.uniform(-3.0, 0.0)
-        b = a + rng.uniform(0.1, 4.0)
-        fa, fb, dfa, dfb = rng.standard_normal(4) * 5.0
-        c = cm.hermite_cubic(a, b, fa, fb, dfa, dfb)
-        scale = max(1.0, abs(fa), abs(fb), (b - a) * max(abs(dfa), abs(dfb)))
-        assert abs(c(a) - fa) <= 1e-10 * scale
-        assert abs(c(b) - fb) <= 1e-10 * scale
-        assert abs(c.derivative(a) - dfa) <= 1e-10 * scale
-        assert abs(c.derivative(b) - dfb) <= 1e-10 * scale
-
-
-def test_hermite_cubic_degenerate_interval():
-    with pytest.raises(cm.DegenerateInterval):
-        cm.hermite_cubic(1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-
-
 def test_monomial_remainder_examples():
     c0, q = cm.hermite_monomial_at_zero(4, -0.5, 1.5)
     assert_allclose([c0, q], [-0.5625, -1.0], atol=1e-14)
@@ -169,7 +130,7 @@ def test_biharmonic_annihilation():
             for m in (4, 5, 6):
                 h1 = cm.harmonic_poly(dim, m, basis_indices(dim, m)[0])
                 h2 = cm.harmonic_poly(dim, m - 2, basis_indices(dim, m - 2)[-1])
-                data = cm.homogeneous_biharmonic(h1, h2).boundary_data()
+                data = cm.almansi_assemble(h1 + h2, h2).boundary_data()
                 res = cm.solve_biharmonic(ball, data, np.zeros(dim), dq)
                 assert abs(res.value) <= 1e-8
 

@@ -233,7 +233,7 @@ def test_bilaplacian_vanishes():
 def test_homogeneous_biharmonic_identity():
     h1 = cm.harmonic_poly(2, 4, "re")
     h2 = cm.harmonic_poly(2, 2, "im")
-    u = cm.homogeneous_biharmonic(h1, h2)
+    u = cm.almansi_assemble(h1 + h2, h2)   # h1 + |x|^2 h2
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((50, 2))
     r2 = np.sum(pts * pts, axis=1)
@@ -389,7 +389,8 @@ def test_from_callable_wraps_scalar_functions():
 
 
 def test_linear_and_constant_data():
-    lin = cm.linear_data([2.0, -1.0], const=0.5)
+    lin = cm.HarmonicPolynomial(2, [(1, "re", 2.0), (1, "im", -1.0),
+                                    (0, "re", 0.5)]).boundary_data()
     assert_allclose(lin(np.array([1.0, 1.0])), 1.5)
     const = cm.constant_data(3.0)
     assert_allclose(const.value(np.zeros((4, 2))), 3.0)

@@ -157,19 +157,6 @@ def test_line_sampler_exit_probability():
     assert abs(freq - 0.25) <= 0.05
 
 
-def test_sample_exit_wrappers():
-    sample = cm.sample_exit_full(DISK, (0.2, 0.1), philox_stream(14, 1))
-    assert sample.traveler == "full"
-    assert abs(np.linalg.norm(sample.exit_point) - 1.0) <= 1e-9
-    sample = cm.sample_exit_plane(BALL, (0.1, 0.0, 0.2), philox_stream(14, 2))
-    assert sample.traveler == "plane"
-    assert sample.auxiliary is not None
-    sample = cm.sample_exit_line(DISK, (0.2, 0.1), philox_stream(14, 3))
-    assert sample.traveler == "line"
-    with pytest.raises(cm.BadParameter):
-        cm.sample_exit_plane(DISK, (0.0, 0.0), philox_stream(14, 4))
-
-
 def test_compare_exit_distributions():
     p = (0.0, 0.0, 0.5)
     half = math.acos(-0.5 / math.sqrt(1.25))

@@ -83,12 +83,15 @@ def test_measure_cone_example(capsys):
     assert float(row["rhs"]) == 0.5
 
 
-def test_measure_prop81_example(capsys):
-    code, out = run_cli(["measure", "--check", "prop81", "--a", "0.4",
-                         "--arc", "0,1.5707963267948966"], capsys)
+def test_measure_star_angle_example(capsys):
+    argv = ["measure", "--check", "star-angle", "--a", "0.4",
+            "--arc", "0,1.5707963267948966"]
+    code, out = run_cli(argv, capsys)
     assert code == 0
     _, header, rows = parse_csv(out)
     assert float(rows[0][4]) <= 1e-8
+    # one name per check: the old alias is not a choice
+    assert _exit_code(["measure", "--check", "prop81"] + argv[3:]) == 2
 
 
 def test_measure_moment_example(capsys):

@@ -8,6 +8,7 @@ import chordmean as cm
 from chordmean import measure as measure_module
 from chordmean import selftest
 from chordmean.geometry import philox_stream
+from chordmean.measure import nappe_fraction
 
 
 DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
@@ -15,16 +16,18 @@ BALL = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
 
 
 def test_metric_ratio_examples():
+    # the metric ratio r2 / (r1 + r2) from the chord's backward endpoint
     for theta in (0.0, 0.7, 2.1):
         e = np.array([math.cos(theta), math.sin(theta)])
         chord = cm.chord_through(DISK, (0.0, 0.0), e)
-        assert_allclose(cm.metric_ratio(chord), 0.5, atol=1e-14)
+        assert_allclose([chord.r1, chord.r2], [1.0, 1.0], atol=1e-14)
     ball = cm.BallDomain(center=(0.5, 0.0), radius=1.0)
     fwd = cm.chord_through(ball, (0.0, 0.0), (1.0, 0.0))   # a=-0.5, b=1.5
-    assert_allclose(cm.metric_ratio(fwd), 0.75, atol=1e-14)
+    assert_allclose([fwd.r1, fwd.r2], [0.5, 1.5], atol=1e-14)
+    assert_allclose(fwd.r2 / (fwd.r1 + fwd.r2), 0.75, atol=1e-14)
+    # reversing the direction swaps the ends and complements the ratio to 1
     bwd = cm.chord_through(ball, (0.0, 0.0), (-1.0, 0.0))
-    assert_allclose(cm.metric_ratio(bwd), 0.25, atol=1e-14)
-    assert_allclose(cm.metric_ratio(fwd) + cm.metric_ratio(bwd), 1.0, atol=1e-15)
+    assert_allclose([bwd.r1, bwd.r2], [fwd.r2, fwd.r1], atol=1e-15)
 
 
 def test_nappe_fraction_quadrature_oracle():
@@ -36,15 +39,15 @@ def test_nappe_fraction_quadrature_oracle():
     for alpha in (0.3, 0.9, 1.4):
         t = 0.5 * alpha * (x + 1.0)
         quad = 0.5 * (0.5 * alpha) * float(w @ np.sin(t))
-        assert abs(cm.nappe_fraction(3, alpha) - quad) <= 1e-10
-        assert abs(cm.nappe_fraction(2, alpha) - (2.0 * alpha) / (2.0 * math.pi)) <= 1e-14
+        assert abs(nappe_fraction(3, alpha) - quad) <= 1e-10
+        assert abs(nappe_fraction(2, alpha) - (2.0 * alpha) / (2.0 * math.pi)) <= 1e-14
 
 
 def test_cone_caps_construction():
-    caps = cm.make_cone_caps(2, (0.2, 0.1), (0.0, 1.0), 0.8)
-    assert caps.cap_plus.nappe == "plus"
-    assert caps.cap_minus.nappe == "minus"
-    assert 0.0 < caps.nappe_solid_angle_fraction < 0.5
+    plus = cm.CapSpec(vertex=(0.2, 0.1), axis=(0.0, 1.0), half_angle=0.8, nappe="plus")
+    minus = cm.CapSpec(vertex=(0.2, 0.1), axis=(0.0, 1.0), half_angle=0.8, nappe="minus")
+    assert (plus.nappe, minus.nappe) == ("plus", "minus")
+    assert 0.0 < nappe_fraction(2, plus.half_angle) < 0.5
 
 
 def test_cap_measure_ratio_examples():
@@ -95,7 +98,7 @@ def test_cone_rule_nappes_sum_to_twice_the_nappe_fraction():
             plus = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half, "plus"))
             minus = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half, "minus"))
             both = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half, "both"))
-            target = 2.0 * cm.nappe_fraction(dim, half)
+            target = 2.0 * nappe_fraction(dim, half)
             assert abs(plus + minus - target) <= 1e-14
             assert abs(both - target) <= 1e-14
 

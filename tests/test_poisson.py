@@ -152,20 +152,6 @@ def test_poisson_reproduces_harmonic_polynomials_3d():
     assert worst_rim <= 2e-6
 
 
-def test_dirichlet_1d():
-    assert_allclose(cm.dirichlet_1d(-1.0, 1.0, 0.0, 1.0, 0.0), 0.5)
-    assert_allclose(cm.dirichlet_1d(-1.0, 1.0, 1.0, 1.0, 0.37), 1.0)
-    assert_allclose(cm.dirichlet_1d(-0.5, 1.5, 2.0, 6.0, 0.0), 3.0)
-    # the symmetric interval reduces to (f(1)(1+x) + f(-1)(1-x)) / 2
-    x, fa, fb = 0.3, -2.0, 5.0
-    assert_allclose(cm.dirichlet_1d(-1.0, 1.0, fa, fb, x),
-                    0.5 * (fb * (1 + x) + fa * (1 - x)), atol=1e-15)
-    with pytest.raises(cm.XOutsideInterval):
-        cm.dirichlet_1d(-1.0, 1.0, 0.0, 1.0, 2.0)
-    with pytest.raises(cm.DegenerateInterval):
-        cm.dirichlet_1d(1.0, 1.0, 0.0, 1.0, 1.0)
-
-
 def test_cap_measure_at_center_is_normalized_size():
     # indicator data: deterministic rules carry O(1/N) edge error
     disk = cm.BallDomain(center=(0.0, 0.0), radius=1.0)

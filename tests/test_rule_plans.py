@@ -252,8 +252,8 @@ def test_paired_solves_equal_unpaired(monkeypatch):
 
 
 def test_hermite_term_matches_the_shifted_form():
-    """The solver's closed form at 0 and the midpoint-shifted coefficients the
-    ``hermite_cubic`` builder uses agree to rounding, not bit for bit."""
+    """The solver's closed form at 0 and the cubic's midpoint-shifted
+    coefficients agree to rounding, not bit for bit."""
     disk, _, p = _disk_case()
     dirs = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096).directions
     closed = _interpolant_values(disk, _almansi_case(), p, dirs, biharmonic._hermite_term)
