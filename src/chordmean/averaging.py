@@ -7,10 +7,12 @@ extension; on ellipses and star domains the residual against the exact
 solution is the converse diagnostic.  A cross-section variant averages exact
 2-D solves over planes through P in a 3-ball.
 
-Even uniform-angle rules hold exact antipodal pairs, and a chord average
-over them solves and evaluates each chord once (``_interpolant_values``):
-the values equal those of evaluating every direction, bit for bit.  The
-biharmonic solver runs through the same kernel with its Hermite term.
+Even uniform-angle rules and Gauss products hold exact antipodal pairs, and
+a chord average over them solves and evaluates each chord once
+(``_interpolant_values``): the values equal those of evaluating every
+direction, bit for bit.  The biharmonic solver runs through the same kernel
+with its Hermite term.  A cross section over paired normals solves each
+plane once, since normals nu and -nu give the same plane.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class ChordAverageResult:
 
 def _antipodal_half(dirs: np.ndarray) -> int | None:
     """N/2 when the last N/2 rows of ``dirs`` are the first N/2 negated bit
-    for bit (even uniform-angle rules), else None."""
+    for bit (even uniform-angle rules, Gauss products), else None."""
     n = dirs.shape[0]
     h = n // 2
     if n % 2 or not np.array_equal(dirs[h], -dirs[0]):     # cheap reject first
@@ -147,7 +149,16 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
                     normals: np.ndarray, circle: np.ndarray,
                     inner_solver: str) -> np.ndarray:
     """Exact 2-D solve at p in the section of the ball by each plane through p
-    with a normal row, using the inner circle's nodes in every section."""
+    with a normal row, using the inner circle's nodes in every section.
+
+    On antipodal normals each plane is solved once, for the first half: the
+    section for -nu has the same centre, radius and u with v negated, so its
+    solve differs only by mirrored circle nodes (by rounding).
+    """
+    h = _antipodal_half(normals)
+    if h is not None:
+        half = _section_values(ball, data, p, normals[:h], circle, inner_solver)
+        return np.concatenate([half, half])
     secs = plane_sections(ball, p, normals)
     z = secs.base2d / secs.radius[:, np.newaxis]        # p in each unit section
 
@@ -171,8 +182,9 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
     inside each plane section of the ball.
 
     Planes through P are parametrized by unit normals carrying the normalized
-    sphere measure (each plane appears under both nu and -nu, which the
-    averaging cancels).  The error estimate halves the normal quadrature only;
+    sphere measure.  Each plane appears under both nu and -nu; on a normal
+    rule with exact antipodal pairs (a Gauss product) it is solved once and
+    counted for both.  The error estimate halves the normal quadrature only;
     the inner resolution is held fixed.
     """
     p = interior_point(ball, BallDomain, P, normal_dq)

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import chordmean as cm
+from chordmean import averaging
 from chordmean.boundary import basis_indices
+from chordmean.geometry import _circle_nodes
 
 
 DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
@@ -181,6 +183,53 @@ def test_cross_section_matches_per_section_loop():
     res = cm.cross_section_solve(BALL, data, p, ndq, m)
     ref = math.fsum(ndq.weights * np.array(values))
     assert abs(res.value - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("normals,planes", [
+    (cm.build_direction_quadrature(3, "gauss_product_3d", 16), [256, 64]),
+    (cm.build_direction_quadrature(3, "monte_carlo_design", 11, seed=2), [66]),
+], ids=["gauss", "design"])
+def test_cross_section_solves_each_plane_once(monkeypatch, normals, planes):
+    """Normals nu and -nu give one plane: antipodal (Gauss) normals solve
+    their first half, for the full and the half rule, and design normals,
+    which hold no antipodes, solve every row of their nested rule once."""
+    seen, evaluated = [], []
+    sections = averaging.plane_sections
+
+    def counted_sections(ball, p, rows):
+        seen.append(len(rows))
+        return sections(ball, p, rows)
+
+    def value(pts):
+        evaluated.append(len(pts))
+        return cm.constant_data(1.0).value(pts)
+
+    monkeypatch.setattr(averaging, "plane_sections", counted_sections)
+    cm.cross_section_solve(BALL, cm.BoundaryData(value, None, "c0"), (0.1, 0.2, 0.3),
+                           normals, 64)
+    assert seen == planes
+    assert evaluated == [64 * k for k in planes]
+
+
+@pytest.mark.parametrize("inner_solver", ["poisson", "chords"])
+def test_paired_cross_section_equals_per_normal_solves(inner_solver):
+    """The paired Gauss-16 cross section against one unpaired section solve
+    per normal, full and half rule: equal to 1e-14 relative.  The data is not
+    harmonic, so the section values vary from ring to ring of normals."""
+    data = cm.BoundaryData(lambda x: np.exp(x[:, 0]) * np.cos(2.0 * x[:, 1]) + x[:, 2] ** 3,
+                           None, "c0")
+    ndq = cm.build_direction_quadrature(3, "gauss_product_3d", 16)
+    p, circle = np.array([0.3, -0.2, 0.25]), _circle_nodes(256)
+
+    def reference(dq):
+        values = [averaging._section_values(BALL, data, p, dq.directions[k:k + 1], circle,
+                                            inner_solver)[0] for k in range(len(dq))]
+        return math.fsum(dq.weights * np.array(values))
+
+    full, half = reference(ndq), reference(ndq.half_resolution())
+    res = cm.cross_section_solve(BALL, data, p, ndq, 256, inner_solver)
+    assert abs(res.value - full) <= 1e-14 * abs(full)
+    assert abs(res.report.error_estimate - abs(full - half)) <= 1e-14 * abs(full)
 
 
 @pytest.mark.parametrize("inner_solver", ["poisson", "chords"])

@@ -5,15 +5,18 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import chordmean as cm
-from chordmean.averaging import star_hits_batch
+from chordmean.averaging import _antipodal_half, star_hits_batch
 from chordmean.geometry import (
     _STAR_BISECT,
     _circle_nodes,
+    _gauss_product_3d,
     as_point,
     ball_chord_roots,
+    measure_rule,
     philox_stream,
     plane_sections,
 )
+from chordmean.poisson import fixed_sum
 
 
 def test_chord_through_offset_ball():
@@ -361,6 +364,86 @@ def test_every_other_node_holds_an_odd_half_rules_angles(n):
 @pytest.mark.parametrize("n", [5, 255, 4095])
 def test_odd_circle_nodes_are_the_plain_angles(n):
     assert_array_equal(_bits(_circle_nodes(n)), _bits(_angle_nodes(n, n)))
+
+
+def _gauss_reference(n):
+    """The n-polar Gauss product node by node: ring i (Legendre node x_i),
+    azimuth j of m = 2n; nodes (n, m, 3) and weights (n, m)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    m = 2 * n
+    phi = 2.0 * math.pi * np.arange(m) / m
+    s = np.sqrt(1.0 - x * x)[:, np.newaxis]
+    nodes = np.stack([s * np.cos(phi), s * np.sin(phi),
+                      np.broadcast_to(x[:, np.newaxis], (n, m))], axis=-1)
+    return nodes, np.broadcast_to((w / 2.0 / m)[:, np.newaxis], (n, m)), x
+
+
+def _sphere_moment(a, b, c):
+    """Mean of x^a y^b z^c over the unit sphere: 0 unless all are even, else
+    Gamma(al) Gamma(be) Gamma(ga) / (2 pi Gamma(al + be + ga)), al = (a+1)/2."""
+    if a % 2 or b % 2 or c % 2:
+        return 0.0
+    al, be, ga = (a + 1) / 2, (b + 1) / 2, (c + 1) / 2
+    return math.exp(math.lgamma(al) + math.lgamma(be) + math.lgamma(ga)
+                    - math.lgamma(al + be + ga)) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8, 15, 16, 64, 256])
+def test_gauss_product_holds_exact_antipodes(n):
+    """The last N/2 rows are the first N/2 negated bit for bit, the weights
+    repeat, and the rows are the (ring, azimuth) product as a set: each row's
+    z is a Legendre node exactly, its azimuth rounds to one of the 2n, every
+    pair occurs once, and the row is that node to rounding of the azimuth."""
+    dq = _gauss_product_3d(n)
+    dirs, weights = dq.directions, dq.weights
+    h = n * n
+    assert len(dq) == 2 * h and _antipodal_half(dirs) == h
+    assert_array_equal(_bits(weights[h:]), _bits(weights[:h]))
+    assert abs(fixed_sum(weights) - 1.0) <= 2 * 2.0 ** -52
+
+    nodes, ref_weights, x = _gauss_reference(n)
+    ring = np.searchsorted(x, dirs[:, 2])
+    assert_array_equal(x[ring], dirs[:, 2])
+    m = 2 * n
+    azimuth = np.mod(np.rint(np.arctan2(dirs[:, 1], dirs[:, 0]) * m / (2.0 * math.pi)),
+                     m).astype(int)
+    assert np.array_equal(np.sort(ring * m + azimuth), np.arange(2 * h))
+    assert np.max(np.abs(dirs - nodes[ring, azimuth])) <= 1.5e-15
+    assert_array_equal(_bits(weights), _bits(ref_weights[ring, azimuth]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8, 15, 16, 64, 256])
+def test_gauss_product_integrates_monomials(n):
+    """Exact to 1e-14 for x^a y^b z^c of degree <= 2n - 1: every monomial up
+    to degree min(2n - 1, 8), and pure and mixed powers of degree 2n - 2 and
+    2n - 1."""
+    dq = _gauss_product_3d(n)
+    top = 2 * n - 1
+    powers = [(a, b, d - a - b) for d in range(min(top, 8) + 1)
+              for a in range(d + 1) for b in range(d - a + 1)]
+    for d in (top - 1, top):
+        powers += [(d, 0, 0), (0, d, 0), (0, 0, d), (d // 2, d - d // 2, 0),
+                   (0, d // 2, d - d // 2), (d // 3, d // 3, d - 2 * (d // 3))]
+    # rows 0..8 of each table are the coordinate's powers by repeated products
+    tables = [np.cumprod(np.vstack([np.ones(len(dq))] + [col] * 8), axis=0)
+              for col in dq.directions.T]
+
+    def power(i, k):
+        return tables[i][k] if k <= 8 else dq.directions[:, i] ** k
+
+    for a, b, c in powers:
+        mean = fixed_sum(dq.weights * power(0, a) * power(1, b) * power(2, c))
+        assert abs(mean - _sphere_moment(a, b, c)) <= 1e-14, (a, b, c)
+
+
+@pytest.mark.parametrize("rule", [
+    cm.default_direction_quadrature(2), cm.default_direction_quadrature(3),
+    measure_rule(2), measure_rule(3)], ids=["default2d", "default3d", "measure2d",
+                                           "measure3d"])
+def test_default_rules_and_their_halves_are_antipodal(rule):
+    """The chord solves pair every default rule and its half rule."""
+    for dq in (rule, rule.half_resolution()):
+        assert _antipodal_half(dq.directions) == len(dq) // 2
 
 
 def test_mobius_examples():

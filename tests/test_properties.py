@@ -1,8 +1,8 @@
-"""Properties of the 2-D chord average that hold for every input: antipodal
-symmetry (harmonic and biharmonic), linearity in the data, rotation,
-translation and scale covariance and the constant root product along
-chords.  Derandomised, with few examples, so the suite stays deterministic
-and quick."""
+"""Properties of the chord average that hold for every input: antipodal
+symmetry (harmonic and biharmonic, 2-D and 3-D), and in 2-D linearity in
+the data, rotation, translation and scale covariance and the constant root
+product along chords.  Derandomised, with few examples, so the suite stays
+deterministic and quick."""
 
 import math
 
@@ -43,6 +43,29 @@ def test_negated_direction_set_gives_the_same_solve(r, t, m, k, n):
                      (cm.solve_biharmonic, almansi.boundary_data())):
         a = solve(DISK, d, _point(r, t), dq).report
         b = solve(DISK, d, _point(r, t), negated).report
+        assert (a.value.hex(), a.error_estimate.hex()) == (b.value.hex(),
+                                                           b.error_estimate.hex())
+
+
+BALL = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
+
+
+@PROPERTY
+@given(radii, angles, angles, st.integers(2, 5), st.integers(0, 4),
+       st.sampled_from([("gauss_product_3d", 5, None), ("gauss_product_3d", 16, None),
+                        ("gauss_product_3d", 64, None), ("monte_carlo", 1001, 3)]))
+def test_negated_3d_direction_set_gives_the_same_solve(r, t, s, m, k, rule):
+    dq = cm.build_direction_quadrature(3, *rule)
+    negated = DirectionQuadrature(-dq.directions, dq.weights, dq.scheme, dq.resolution,
+                                  dq.seed)
+    p = r * np.array([math.sin(s) * math.cos(t), math.sin(s) * math.sin(t), math.cos(s)])
+    data = cm.harmonic_poly(3, m, k - 2).boundary_data()
+    almansi = cm.almansi_assemble(cm.harmonic_poly(3, m, k - 2),
+                                  cm.harmonic_poly(3, m - 1, 0))
+    for solve, d in ((cm.solve_harmonic, data),
+                     (cm.solve_biharmonic, almansi.boundary_data())):
+        a = solve(BALL, d, p, dq).report
+        b = solve(BALL, d, p, negated).report
         assert (a.value.hex(), a.error_estimate.hex()) == (b.value.hex(),
                                                            b.error_estimate.hex())
 

@@ -203,7 +203,16 @@ def _chord_cases():
     data = cm.harmonic_poly(2, 5, "im").boundary_data()
     disk = cm.BallDomain(center=(0.2, -0.1), radius=1.5)
     cap = cm.CapSpec(vertex=(0.3, 0.2), axis=(0.6, 0.8), half_angle=0.7, nappe="both")
+    data3 = cm.harmonic_poly(3, 5, -2).boundary_data()
+    ball = cm.BallDomain(center=(0.2, -0.1, 0.3), radius=1.5)
+    cap3 = cm.CapSpec(vertex=(0.3, 0.2, 0.1), axis=(0.0, 0.6, 0.8), half_angle=0.7,
+                      nappe="both")
     return {
+        "ball3d": (ball, data3, np.array([0.31, -0.42, 0.5])),
+        "cap_indicator3d": (ball, cap_indicator(cap3, ball), np.array([0.3, 0.2, 0.1])),
+        "base_points3d": (cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0), data3,
+                          np.array([[0.0, 0.0, 0.0], [0.5, -0.25, 0.1],
+                                    [-0.1, 0.2, 0.7]])),
         "ball": (disk, data, np.array([0.31, -0.42])),
         "ellipse": (cm.Ellipse2D(center=(0.0, 0.0), semi_axes=(1.5, 1.0)), data,
                     np.array([0.4, -0.3])),
@@ -218,11 +227,16 @@ def _chord_cases():
 
 @pytest.mark.parametrize("name", sorted(_chord_cases()))
 def test_paired_interpolant_equals_unpaired(name):
+    """Uniform 4096 angles in 2-D, the Gauss 64 x 128 product in 3-D."""
     domain, data, p = _chord_cases()[name]
-    dirs = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096).directions
-    assert _antipodal_half(dirs) == 2048
+    if p.shape[-1] == 2:
+        dirs = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096).directions
+    else:
+        dirs = cm.build_direction_quadrature(3, "gauss_product_3d", 64).directions
+    n = len(dirs)
+    assert _antipodal_half(dirs) == n // 2
     paired = _interpolant_values(domain, data, p, dirs)
-    assert paired.shape == p.shape[:-1] + (4096,)
+    assert paired.shape == p.shape[:-1] + (n,)
     assert np.array_equal(_bits(paired), _bits(_unpaired(domain, data, p, dirs)))
 
 
@@ -231,10 +245,15 @@ def test_paired_solves_equal_unpaired(monkeypatch):
     ball = cm.BallDomain(center=(0.1, 0.0, -0.2), radius=1.2)
     hp3 = cm.harmonic_poly(3, 3, 2).boundary_data()
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 4096)
+    gauss = cm.build_direction_quadrature(3, "gauss_product_3d", 64)
+    almansi3 = cm.almansi_assemble(cm.harmonic_poly(3, 3, 1),
+                                   cm.harmonic_poly(3, 2, -1)).boundary_data()
 
     def results():
         reports = [cm.solve_harmonic(disk, data, p, dq).report,
                    cm.solve_biharmonic(disk, _almansi_case(), p, dq).report,
+                   cm.solve_harmonic(ball, hp3, (0.2, -0.1, 0.3), gauss).report,
+                   cm.solve_biharmonic(ball, almansi3, (0.2, -0.1, 0.3), gauss).report,
                    cm.solve_on_domain(cm.StarDomain2D.conformal(0.3), data, (0.2, 0.1),
                                       dq).report,
                    cm.cross_section_solve(ball, hp3, (0.2, -0.1, 0.3),
@@ -266,12 +285,14 @@ def test_hermite_term_matches_the_shifted_form():
     (cm.build_direction_quadrature(2, "uniform_angle_2d", 4094), [2047, 2047]),
     (cm.build_direction_quadrature(2, "uniform_angle_2d", 4095), [4095, 4095, 2047, 2047]),
     (cm.build_direction_quadrature(2, "monte_carlo", 1000, seed=5), [1000, 1000]),
-    (cm.build_direction_quadrature(3, "gauss_product_3d", 8), [128, 128, 32, 32]),
-], ids=["even", "half_odd", "odd", "monte_carlo", "gauss_product"])
+    (cm.build_direction_quadrature(3, "gauss_product_3d", 8), [64, 64, 16, 16]),
+    (cm.build_direction_quadrature(3, "gauss_product_3d", 5), [25, 25, 4, 4]),
+], ids=["even", "half_odd", "odd", "monte_carlo", "gauss_product", "gauss_product_odd"])
 def test_only_antipodal_rules_are_paired(dq, counts):
     """Data evaluations of a chord solve: one per antipodal pair and chord end
-    on the even uniform rules, one per node and end otherwise; a half rule
-    that does not nest (odd, Gauss) is evaluated on its own."""
+    on the even uniform rules and the Gauss products (an odd product's
+    equatorial ring pairs with itself), one per node and end otherwise; a
+    half rule that does not nest (odd, Gauss) is evaluated on its own."""
     ball = cm.BallDomain(center=np.zeros(dq.dim), radius=1.0)
     data = cm.harmonic_poly(dq.dim, 2, "re" if dq.dim == 2 else 0).boundary_data()
     seen = []
