@@ -418,6 +418,14 @@ def _side(inside, edge) -> np.ndarray:
     return out
 
 
+def _edge_cosine(half_angle: float) -> float:
+    """cos(half_angle), the cone cosine the cap indicator compares against;
+    0 within 1e-15 of it, so a half-angle of pi/2 leaves no crack at the
+    equator and the two nappes then share their edge."""
+    c = math.cos(half_angle)
+    return 0.0 if abs(c) < 1e-15 else c
+
+
 def cap_indicator(cap: CapSpec, ball: BallDomain) -> BoundaryData:
     """Indicator of the boundary cap(s) of ``ball`` cut by the cone of ``cap``,
     whose vertex must lie strictly inside the ball.
@@ -426,9 +434,7 @@ def cap_indicator(cap: CapSpec, ball: BallDomain) -> BoundaryData:
     """
     vertex = interior_point(ball, BallDomain, cap.vertex)
     axis = cap.axis
-    c = math.cos(cap.half_angle)
-    if abs(c) < 1e-15:
-        c = 0.0      # a half-angle of pi/2 must leave no crack at the equator
+    c = _edge_cosine(cap.half_angle)
     nappe = cap.nappe
 
     def value(pts):

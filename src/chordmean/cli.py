@@ -131,6 +131,8 @@ def parse_poly(dim: int, spec: str) -> HarmonicPolynomial:
         m = _parse(int, fields[0], what)
         k = fields[1].strip() if dim == 2 else _parse(int, fields[1], what)
         coeff = _parse(float, fields[2], what) if len(fields) == 3 else 1.0
+        if not math.isfinite(coeff):
+            raise ConfigError(f"{what} has a non-finite coefficient")
         terms.append((m, k, coeff))
     return HarmonicPolynomial(dim, terms)
 
@@ -595,11 +597,14 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:i] + _config_tokens(args) + argv[i:])
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError("--seed must be a non-negative integer")
-        return args.func(args)
+        # an overflow or an invalid operation (huge polynomial coefficients)
+        # is a numerical error, not a numpy warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ChordMeanError as exc:
+    except (ChordMeanError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

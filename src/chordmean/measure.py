@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import BadParameter, DimMismatch, EmptyCap, NumericalError, PointNotInterior
-from .boundary import CapSpec, cap_indicator
+from .boundary import CapSpec, _edge_cosine, cap_indicator
 from .geometry import (
     BallDomain,
     _as_complex,
@@ -29,11 +29,11 @@ from .geometry import (
 )
 from .poisson import (
     BoundaryQuadrature,
-    _boundary_points,
+    _clamp_unit,
+    _indicator_terms,
+    _indicator_values,
     _placed_rule,
-    cap_measure_poisson,
     fixed_sum,
-    kernel_values,
     measure_quadrature,
 )
 
@@ -147,6 +147,12 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     Returns (w_sum, target, defect).  In cone coordinates the identity holds
     term by term (r1/L + r2/L = 1), so only the sphere rule tests it;
     ``backend`` names that one way and accepts only 'poisson'.
+
+    One indicator pass serves both nappes, and w(U) and w(V) are summed and
+    clamped apart, with the bits of two ``cap_measure_poisson`` values: the
+    terms of the double cone split by the sign of (x - P) . axis at their
+    boundary point x.  When the cone cosine is 0 the nappes share their
+    edge, each scoring 1/2 on it, and V's indicator is 1 minus U's.
     """
     p = interior_point(ball, BallDomain, P)
     if not 0.0 < half_angle < 0.5 * math.pi:
@@ -154,29 +160,56 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     if backend != "poisson":
         raise BadParameter("the cone identity is checked by the Poisson integral: "
                            "backend must be 'poisson'")
-    cap_plus = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="plus")
-    cap_minus = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="minus")
-    w_sum = (cap_measure_poisson(ball, p, cap_plus, bq).value
-             + cap_measure_poisson(ball, p, cap_minus, bq).value)
+    shared_edge = _edge_cosine(half_angle) == 0.0
+    cap = CapSpec(vertex=p, axis=axis, half_angle=half_angle,
+                  nappe="plus" if shared_edge else "both")
+    rule = _placed_rule(ball, bq, measure_quadrature)
+    xs = (p - ball.center) / ball.radius
+    ind = _indicator_values(ball, cap_indicator(cap, ball), rule)
+    if shared_edge:
+        w_plus, w_minus = (fixed_sum(_indicator_terms(ball, xs, rule, part)[1])
+                           for part in (ind, 1.0 - ind))
+    else:
+        inside, terms = _indicator_terms(ball, xs, rule, ind)
+        del ind
+        up = _axial_offset(ball, p, cap.axis, rule.directions, inside) > 0.0
+        w_plus, w_minus = fixed_sum(terms[up]), fixed_sum(terms[~up])
+    w_sum = _clamp_unit(w_plus) + _clamp_unit(w_minus)
     target = 2.0 * nappe_fraction(ball.dim, half_angle)
     return w_sum, target, abs(w_sum - target)
+
+
+def _axial_offset(ball: BallDomain, p: np.ndarray, axis: np.ndarray,
+                  dirs: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """(x - p) . axis at the boundary points x = c + R e of the rows ``inside``
+    of ``dirs``, a column at a time.  x - p has the bits of the cap
+    indicator's difference and only the dot product's rounding differs, far
+    below the cosine of a cone that is not 0, so on every node inside a
+    nappe the sign is the indicator's."""
+    return sum((ball.center[j] + ball.radius * dirs[:, j][inside] - p[j]) * axis[j]
+               for j in range(ball.dim))
 
 
 def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
                          bq: BoundaryQuadrature | None = None):
     """Center of mass of the double-cone caps under the harmonic-measure
-    density; returns (com, offset) where offset = |com - P|."""
+    density; returns (com, offset) where offset = |com - P|.  The mass and
+    the moments are summed over the nodes inside the caps only."""
     p = interior_point(ball, BallDomain, P)
     rule = _placed_rule(ball, bq, measure_quadrature)
     cap_both = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="both")
-    ind = np.asarray(cap_indicator(cap_both, ball).value(
-        _boundary_points(ball, rule.directions)), dtype=float)
-    density = rule.weights * ind * kernel_values(ball, p, rule.directions)
+    xs = (p - ball.center) / ball.radius
+    ind = _indicator_values(ball, cap_indicator(cap_both, ball), rule)
+    inside, density = _indicator_terms(ball, xs, rule, ind)
+    del ind                     # the full-size values go before the gathers
     denom = fixed_sum(density)
     if denom < 1e-12:
         raise EmptyCap("cap carries no quadrature mass")
-    mean_dir = np.array([fixed_sum(density * rule.directions[:, j])
-                         for j in range(ball.dim)]) / denom
+    moments = []
+    for j in range(ball.dim):
+        e = rule.directions[:, j][inside]
+        moments.append(fixed_sum(np.multiply(e, density, out=e)))
+    mean_dir = np.array(moments) / denom
     com = ball.center + ball.radius * mean_dir
     return com, float(np.linalg.norm(com - p))
 

@@ -9,7 +9,8 @@ special cases go to ``math.fsum`` itself.
 
 Every solve reports |full - half| as its error estimate through
 ``half_rule_report``; rules whose half rule is a subset of their own nodes
-evaluate the integrand once.
+evaluate the integrand once.  Cap measures sum w * indicator * kernel over
+the nodes inside the cap only, the terms elsewhere being exactly 0.
 
 A boundary quadrature is a direction rule from ``geometry`` placed on a
 ball, and every integral over the boundary is one over the rule's directions
@@ -129,31 +130,34 @@ class SolveReport:
     clamp_applied: float = 0.0
 
 
-def half_rule_report(rule, factors, nodes_used: int | None = None) -> SolveReport:
+def half_rule_report(rule, factors, nodes_used: int | None = None,
+                     integral=None) -> SolveReport:
     """The integral over ``rule`` with |full - half rule| as its error estimate.
 
     ``factors(q)`` returns the integrand on the nodes of rule ``q`` as a tuple
     of per-node arrays, and each integral is fixed_sum(q.weights * f1 * f2 ...)
-    multiplied in that order.  When the half rule's nodes are some of the
-    rule's own (``rule.half_nodes``), its values are taken from the full
-    evaluation instead of being computed again.  A non-finite term (data
-    returning nan or inf) raises NumericalError before anything is summed.
+    multiplied in that order, or ``integral(q, factors)`` when given.  When
+    the half rule's nodes are some of the rule's own (``rule.half_nodes``),
+    its values are taken from the full evaluation instead of being computed
+    again.  A non-finite term (data returning nan or inf) raises
+    NumericalError before anything is summed.
     """
+    integral = integral or _weighted_sum
     values = factors(rule)
-    value = _weighted_sum(rule.weights, values)
+    value = integral(rule, values)
     half = rule.half_resolution()
     nested = rule.half_nodes
     if nested is None:
         half_values = factors(half)
     else:
         half_values = tuple(v if np.ndim(v) == 0 else v[nested] for v in values)
-    error = abs(value - _weighted_sum(half.weights, half_values))
+    error = abs(value - integral(half, half_values))
     return SolveReport(value=value, error_estimate=error,
                        nodes_used=len(rule) if nodes_used is None else nodes_used)
 
 
-def _weighted_sum(weights: np.ndarray, factors) -> float:
-    return fixed_sum(require_finite(functools.reduce(operator.mul, factors, weights)))
+def _weighted_sum(rule, factors) -> float:
+    return fixed_sum(require_finite(functools.reduce(operator.mul, factors, rule.weights)))
 
 
 def require_finite(terms: np.ndarray) -> np.ndarray:
@@ -244,8 +248,15 @@ def kernel_values(ball: BallDomain, x: np.ndarray, dirs: np.ndarray) -> np.ndarr
     xs = (x - ball.center) / ball.radius
     # Column by column as in row_dot, without a (K, N, dim) difference array.
     dist2 = sum((dirs[:, j] - xs[..., j, np.newaxis]) ** 2 for j in range(ball.dim))
+    return _kernel_of_dist2(ball, xs, dist2)
+
+
+def _kernel_of_dist2(ball: BallDomain, xs: np.ndarray, dist2: np.ndarray) -> np.ndarray:
+    """The kernel (1 - |xs|^2) / dist2^(n/2) from the squared distances
+    dist2 = |e - xs|^2, xs broadcast against dist2 as in ``kernel_values``."""
     num = 1.0 - row_dot(xs, xs)[..., np.newaxis]
-    return num / dist2 ** (ball.dim / 2.0)
+    power = dist2 ** (ball.dim / 2.0)
+    return np.divide(num, power, out=power)
 
 
 def poisson_kernel(ball: BallDomain, x, y) -> float:
@@ -268,21 +279,59 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
             kernel_values(ball, p, q.directions)))
 
 
+def _indicator_values(ball: BallDomain, data: BoundaryData,
+                      rule: DirectionQuadrature) -> np.ndarray:
+    """The indicator ``data`` at the boundary points of the rule's nodes."""
+    return np.asarray(data.value(_boundary_points(ball, rule.directions)), dtype=float)
+
+
+def _indicator_terms(ball: BallDomain, xs: np.ndarray, rule: DirectionQuadrature,
+                     ind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the rule's nodes where the indicator values ``ind`` are
+    not 0, and the terms w * ind * kernel at xs = (x - c) / R on those nodes.
+
+    The kernel is evaluated on the selected rows alone, gathered a column at
+    a time.  Every term left out is exactly 0, and fixed_sum is exactly
+    rounded, so the sum of these terms has the bits of the sum over all the
+    nodes.
+    """
+    inside = ind != 0.0
+    dist2 = None
+    for j in range(ball.dim):          # in place, in the order of kernel_values
+        d = rule.directions[:, j][inside]
+        d -= xs[j]
+        d *= d
+        dist2 = d if dist2 is None else np.add(dist2, d, out=dist2)
+    terms = rule.weights[inside]
+    terms *= ind[inside]
+    terms *= _kernel_of_dist2(ball, xs, dist2)
+    return inside, require_finite(terms)
+
+
+def _clamp_unit(value: float) -> float:
+    """A measure clamped into [0, 1]."""
+    return min(max(value, 0.0), 1.0)
+
+
 def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
                         bq: BoundaryQuadrature | None = None) -> SolveReport:
     """Harmonic measure of the cap(s) at P via the Poisson integral.
 
-    The result is clamped into [0, 1]; the clamp magnitude is recorded on the
-    report rather than silently discarded.
+    The indicator is evaluated on every node, the kernel and the sums only
+    on the nodes inside the cap.  The result is clamped into [0, 1]; the
+    clamp magnitude is recorded on the report rather than silently
+    discarded.
     """
     p = interior_point(ball, BallDomain, P)
     data = cap_indicator(cap, ball)
     if not np.allclose(cap.vertex, p):
         raise BadParameter("cap vertex must coincide with the evaluation point")
-    if bq is None:
-        bq = measure_quadrature(ball)
-    report = poisson_solve(ball, data, p, bq)
-    clamped = min(max(report.value, 0.0), 1.0)
+    xs = (p - ball.center) / ball.radius
+    report = half_rule_report(
+        _placed_rule(ball, bq, measure_quadrature),
+        lambda q: (_indicator_values(ball, data, q),),
+        integral=lambda q, values: fixed_sum(_indicator_terms(ball, xs, q, *values)[1]))
+    clamped = _clamp_unit(report.value)
     return SolveReport(value=clamped, error_estimate=report.error_estimate,
                        nodes_used=report.nodes_used,
                        clamp_applied=abs(report.value - clamped))

@@ -318,6 +318,24 @@ def test_rejected_inputs_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("data", ["harm:1,0,inf", "almansi:0,0;1,1,-inf",
+                                  "almansi:1,0,nan;0,0"])
+def test_non_finite_coefficients_exit_2(data, capsys):
+    assert main(["solve", "--dim=3", f"--data={data}", "--point=0,0,0", "--n=64"]) == 2
+    assert "non-finite coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("data", ["almansi:1,0,1e308+1,1,1e308;0,0",
+                                  "almansi:0,0;0,0,1e308+0,0,1e308"])
+def test_overflowing_data_is_a_numerical_error(data, capsys):
+    # numpy's overflow and invalid-value warnings become exit 3
+    assert main(["solve", "--operator=biharmonic", "--dim=3", f"--data={data}",
+                 "--point=0.1,0,0", "--n=64"]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
+
+
 @pytest.mark.parametrize("check", ["cap", "cone", "com"])
 def test_measure_without_point_names_the_flag(check, capsys):
     assert main(["measure", f"--check={check}", "--half-angle=1", "--n=64"]) == 2

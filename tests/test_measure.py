@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,12 @@ from chordmean import measure as measure_module
 from chordmean import selftest
 from chordmean.geometry import philox_stream
 from chordmean.measure import nappe_fraction
+from chordmean.poisson import (
+    build_boundary_quadrature,
+    fixed_sum,
+    kernel_values,
+    measure_quadrature,
+)
 
 
 DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
@@ -205,6 +212,130 @@ def test_center_of_mass_empty_cap():
     axis = np.array([2.0, 1.0]) / math.sqrt(5.0)   # misses every grid node
     with pytest.raises(cm.EmptyCap):
         cm.center_of_mass_check(DISK, (0.0, 0.0), axis, 1e-9)
+    # in 3-D a 1e-9 rad double cone about a generic axis misses all 131072
+    # nodes of the default rule and all of its half rule: empty sums, no
+    # numpy warnings, a zero measure with a zero error estimate
+    axis = np.array([0.3, 0.5, math.sqrt(1.0 - 0.34)])
+    cap = cm.CapSpec((0.0, 0.0, 0.0), axis, 1e-9, "both")
+    bq = measure_quadrature(BALL)
+    for rule in (bq, bq.half_resolution()):
+        assert not cm.cap_indicator(cap, BALL).value(rule.points).any()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        report = cm.cap_measure_poisson(BALL, (0.0, 0.0, 0.0), cap)
+        with pytest.raises(cm.EmptyCap):
+            cm.center_of_mass_check(BALL, (0.0, 0.0, 0.0), axis, 1e-9)
+    assert (report.value, report.error_estimate, report.clamp_applied) == (0.0, 0.0, 0.0)
+
+
+# The cap paths sum w * indicator * kernel over the nodes inside the cap
+# only.  The references below take the same integrals over every node of the
+# sphere rule; the terms they add are exactly 0 and fixed_sum is exactly
+# rounded, so both must agree bit for bit.
+
+_MOVED = {2: cm.BallDomain(center=(0.4, -1.3), radius=2.5),
+          3: cm.BallDomain(center=(-0.7, 0.2, 1.1), radius=0.6)}
+
+
+def _balls_and_rules(dim):
+    """The unit and a moved ball, each with its default measure rule (2-D:
+    nested half rule; 3-D: Gauss, half rule built apart) and with a supplied
+    odd rule (half rule built apart; in 3-D an equatorial ring)."""
+    for ball in ((DISK if dim == 2 else BALL), _MOVED[dim]):
+        yield ball, None
+        yield ball, build_boundary_quadrature(ball, 1001 if dim == 2 else 15)
+
+
+def _points_and_axes(ball, rng):
+    """A point on the first axis with the last coordinate axis as cone axis,
+    so that nodes with e_last = 0 lie on the plane through the point normal
+    to the axis (edge ties when the cone cosine is 0), and a random pair."""
+    dim = ball.dim
+    tie_axis = np.zeros(dim)
+    tie_axis[-1] = 1.0
+    random_xs, random_axis, _ = _random_cap(rng, dim, 0.8, (0.1, 0.2))
+    for xs, axis in ((0.3 * np.eye(dim)[0], tie_axis), (random_xs, random_axis)):
+        yield ball.center + ball.radius * xs, axis
+
+
+def _whole_sphere_cap(ball, p, cap, bq):
+    report = cm.poisson_solve(ball, cm.cap_indicator(cap, ball), p,
+                              measure_quadrature(ball) if bq is None else bq)
+    clamped = min(max(report.value, 0.0), 1.0)
+    return clamped, report.error_estimate, abs(report.value - clamped)
+
+
+def _has_ties(ball, cap, bq):
+    points = (measure_quadrature(ball) if bq is None else bq).points
+    return bool(np.any(cm.cap_indicator(cap, ball).value(points) == 0.5))
+
+
+def test_cap_measure_poisson_keeps_the_bits_of_the_whole_sphere_integral():
+    rng = np.random.default_rng(15)
+    ties = 0
+    # cone cosine c > 0, c = 0 (pi/2 - 1e-16 is pi/2 in floating point and
+    # its cosine, 6e-17, rounds to 0), c < 0
+    for half in (0.7, math.pi / 2 - 1e-16, 2.2):
+        for dim in (2, 3):
+            for ball, bq in _balls_and_rules(dim):
+                for p, axis in _points_and_axes(ball, rng):
+                    for nappe in ("plus", "minus", "both"):
+                        cap = cm.CapSpec(p, axis, half, nappe)
+                        got = cm.cap_measure_poisson(ball, p, cap, bq)
+                        assert (got.value, got.error_estimate, got.clamp_applied) == \
+                            _whole_sphere_cap(ball, p, cap, bq)
+                        ties += _has_ties(ball, cap, bq)
+    assert ties >= 12          # edge ties in 2-D and in 3-D were summed
+
+
+def test_cone_identity_sums_the_two_nappe_measures_bit_for_bit(monkeypatch):
+    # one indicator pass for both nappes: each nappe's sum must be the
+    # whole-sphere integral of its own indicator, edge ties split 1/2 : 1/2
+    sums = []
+
+    def recorded(values):
+        sums.append(fixed_sum(values))
+        return sums[-1]
+
+    monkeypatch.setattr(measure_module, "fixed_sum", recorded)
+    rng = np.random.default_rng(16)
+    shared_edge = float(np.nextafter(0.5 * math.pi, 0.0))   # cosine rounds to 0
+    ties = 0
+    for dim in (2, 3):
+        for ball, bq in _balls_and_rules(dim):
+            rule = measure_quadrature(ball) if bq is None else bq
+            for p, axis in _points_and_axes(ball, rng):
+                for half in (0.7, 1.3, shared_edge):
+                    sums.clear()
+                    w_sum, _, _ = cm.cone_identity_check(ball, p, axis, half, bq=bq)
+                    caps = [cm.CapSpec(p, axis, half, n) for n in ("plus", "minus")]
+                    assert sums == [cm.poisson_solve(ball, cm.cap_indicator(cap, ball),
+                                                     p, rule).value for cap in caps]
+                    assert w_sum == sum(cm.cap_measure_poisson(ball, p, cap, bq).value
+                                        for cap in caps)
+                    ties += half == shared_edge and _has_ties(ball, caps[0], bq)
+    assert ties >= 4
+    with pytest.raises(cm.BadParameter):     # pi/2 - 1e-16 == pi/2
+        cm.cone_identity_check(DISK, (0.3, 0.0), (0.0, 1.0), math.pi / 2 - 1e-16)
+
+
+def test_center_of_mass_keeps_the_bits_of_the_whole_sphere_sums():
+    rng = np.random.default_rng(17)
+    for dim in (2, 3):
+        for ball, bq in _balls_and_rules(dim):
+            rule = (measure_quadrature(ball) if bq is None else bq).rule
+            points = cm.BoundaryQuadrature(ball, rule).points
+            for p, axis in _points_and_axes(ball, rng):
+                for half in (0.4, 1.2):
+                    cap = cm.CapSpec(p, axis, half, "both")
+                    density = (rule.weights * cm.cap_indicator(cap, ball).value(points)
+                               * kernel_values(ball, p, rule.directions))
+                    mean_dir = np.array([fixed_sum(density * rule.directions[:, j])
+                                         for j in range(dim)]) / fixed_sum(density)
+                    com = ball.center + ball.radius * mean_dir
+                    got, offset = cm.center_of_mass_check(ball, p, axis, half, bq=bq)
+                    assert got.tolist() == com.tolist()
+                    assert offset == float(np.linalg.norm(com - p))
 
 
 def test_subtended_moments():
