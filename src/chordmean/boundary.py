@@ -438,16 +438,26 @@ def cap_indicator(cap: CapSpec, ball: BallDomain) -> BoundaryData:
     nappe = cap.nappe
 
     def value(pts):
-        pts = np.asarray(pts, dtype=float)
-        v = pts - vertex
-        d = (v @ axis) / np.sqrt(row_dot(v, v))
-        if nappe == "plus":
-            return _side(d > c, d == c)
-        if nappe == "minus":
-            return _side(d < -c, d == -c)
-        both = _side(d > c, d == c) + _side(d < -c, d == -c)
-        # for c > 0 the nappes are disjoint; else a point inside both (or on
-        # their shared edge) is covered once
-        return both if c > 0.0 else np.minimum(both, 1.0)
+        return _nappe_values(_cone_cosines(vertex, axis, pts), c, nappe)
 
     return BoundaryData(value, None, "indicator")
+
+
+def _cone_cosines(vertex: np.ndarray, axis: np.ndarray, pts) -> np.ndarray:
+    """Cosine of the angle between ``axis`` and x - vertex at each row x of
+    ``pts``: the one quantity the cap indicator compares."""
+    v = np.asarray(pts, dtype=float) - vertex
+    return (v @ axis) / np.sqrt(row_dot(v, v))
+
+
+def _nappe_values(d: np.ndarray, c: float, nappe: str) -> np.ndarray:
+    """The indicator of ``nappe`` of the cone with edge cosine ``c`` from the
+    cone cosines ``d``; points on an edge score 1/2."""
+    if nappe == "plus":
+        return _side(d > c, d == c)
+    if nappe == "minus":
+        return _side(d < -c, d == -c)
+    both = _side(d > c, d == c) + _side(d < -c, d == -c)
+    # for c > 0 the nappes are disjoint; else a point inside both (or on
+    # their shared edge) is covered once
+    return both if c > 0.0 else np.minimum(both, 1.0)

@@ -409,7 +409,6 @@ class DirectionQuadrature:
     scheme: str
     resolution: int
     seed: int | None = None
-    exactness: int | None = None    # gauss_product_3d only
 
     @property
     def dim(self) -> int:
@@ -506,8 +505,7 @@ def _uniform_angle_2d(n: int) -> DirectionQuadrature:
 
 def _gauss_product_3d(n_polar: int) -> DirectionQuadrature:
     dirs, weights = _gauss_product_nodes(n_polar)
-    return DirectionQuadrature(dirs, weights, "gauss_product_3d", n_polar,
-                               exactness=2 * n_polar - 1)
+    return DirectionQuadrature(dirs, weights, "gauss_product_3d", n_polar)
 
 
 def uniform_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import BadParameter, DimMismatch, EmptyCap, NumericalError, PointNotInterior
-from .boundary import CapSpec, _edge_cosine, cap_indicator
+from .boundary import CapSpec, _cone_cosines, _edge_cosine, _nappe_values, cap_indicator
 from .geometry import (
     BallDomain,
     _as_complex,
@@ -29,9 +29,10 @@ from .geometry import (
 )
 from .poisson import (
     BoundaryQuadrature,
+    _boundary_points,
+    _boundary_values,
     _clamp_unit,
     _indicator_terms,
-    _indicator_values,
     _placed_rule,
     fixed_sum,
     measure_quadrature,
@@ -148,11 +149,10 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     term by term (r1/L + r2/L = 1), so only the sphere rule tests it;
     ``backend`` names that one way and accepts only 'poisson'.
 
-    One indicator pass serves both nappes, and w(U) and w(V) are summed and
-    clamped apart, with the bits of two ``cap_measure_poisson`` values: the
-    terms of the double cone split by the sign of (x - P) . axis at their
-    boundary point x.  When the cone cosine is 0 the nappes share their
-    edge, each scoring 1/2 on it, and V's indicator is 1 minus U's.
+    One pass of cone cosines at the rule's boundary points serves both
+    nappes; w(U) and w(V) are summed and clamped apart, with the bits of two
+    ``cap_measure_poisson`` values.  Edge points score 1/2 in their nappe,
+    so when the cone cosine is 0 a tie on the shared edge splits 1/2 : 1/2.
     """
     p = interior_point(ball, BallDomain, P)
     if not 0.0 < half_angle < 0.5 * math.pi:
@@ -160,34 +160,17 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     if backend != "poisson":
         raise BadParameter("the cone identity is checked by the Poisson integral: "
                            "backend must be 'poisson'")
-    shared_edge = _edge_cosine(half_angle) == 0.0
-    cap = CapSpec(vertex=p, axis=axis, half_angle=half_angle,
-                  nappe="plus" if shared_edge else "both")
+    cap = CapSpec(vertex=p, axis=axis, half_angle=half_angle)
+    c = _edge_cosine(half_angle)
     rule = _placed_rule(ball, bq, measure_quadrature)
     xs = (p - ball.center) / ball.radius
-    ind = _indicator_values(ball, cap_indicator(cap, ball), rule)
-    if shared_edge:
-        w_plus, w_minus = (fixed_sum(_indicator_terms(ball, xs, rule, part)[1])
-                           for part in (ind, 1.0 - ind))
-    else:
-        inside, terms = _indicator_terms(ball, xs, rule, ind)
-        del ind
-        up = _axial_offset(ball, p, cap.axis, rule.directions, inside) > 0.0
-        w_plus, w_minus = fixed_sum(terms[up]), fixed_sum(terms[~up])
+    d = _cone_cosines(p, cap.axis, _boundary_points(ball, rule.directions))
+    w_plus, w_minus = (
+        fixed_sum(_indicator_terms(ball, xs, rule, _nappe_values(d, c, nappe))[1])
+        for nappe in ("plus", "minus"))
     w_sum = _clamp_unit(w_plus) + _clamp_unit(w_minus)
     target = 2.0 * nappe_fraction(ball.dim, half_angle)
     return w_sum, target, abs(w_sum - target)
-
-
-def _axial_offset(ball: BallDomain, p: np.ndarray, axis: np.ndarray,
-                  dirs: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """(x - p) . axis at the boundary points x = c + R e of the rows ``inside``
-    of ``dirs``, a column at a time.  x - p has the bits of the cap
-    indicator's difference and only the dot product's rounding differs, far
-    below the cosine of a cone that is not 0, so on every node inside a
-    nappe the sign is the indicator's."""
-    return sum((ball.center[j] + ball.radius * dirs[:, j][inside] - p[j]) * axis[j]
-               for j in range(ball.dim))
 
 
 def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
@@ -199,7 +182,7 @@ def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
     rule = _placed_rule(ball, bq, measure_quadrature)
     cap_both = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="both")
     xs = (p - ball.center) / ball.radius
-    ind = _indicator_values(ball, cap_indicator(cap_both, ball), rule)
+    ind = _boundary_values(ball, cap_indicator(cap_both, ball), rule)
     inside, density = _indicator_terms(ball, xs, rule, ind)
     del ind                     # the full-size values go before the gathers
     denom = fixed_sum(density)

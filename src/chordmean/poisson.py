@@ -275,13 +275,12 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
     p = interior_point(ball, BallDomain, x)
     return half_rule_report(
         _placed_rule(ball, bq, build_boundary_quadrature), lambda q: (
-            np.asarray(data.value(_boundary_points(ball, q.directions)), dtype=float),
-            kernel_values(ball, p, q.directions)))
+            _boundary_values(ball, data, q), kernel_values(ball, p, q.directions)))
 
 
-def _indicator_values(ball: BallDomain, data: BoundaryData,
-                      rule: DirectionQuadrature) -> np.ndarray:
-    """The indicator ``data`` at the boundary points of the rule's nodes."""
+def _boundary_values(ball: BallDomain, data: BoundaryData,
+                     rule: DirectionQuadrature) -> np.ndarray:
+    """The boundary data ``data`` at the boundary points of the rule's nodes."""
     return np.asarray(data.value(_boundary_points(ball, rule.directions)), dtype=float)
 
 
@@ -329,7 +328,7 @@ def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
     xs = (p - ball.center) / ball.radius
     report = half_rule_report(
         _placed_rule(ball, bq, measure_quadrature),
-        lambda q: (_indicator_values(ball, data, q),),
+        lambda q: (_boundary_values(ball, data, q),),
         integral=lambda q, values: fixed_sum(_indicator_terms(ball, xs, q, *values)[1]))
     clamped = _clamp_unit(report.value)
     return SolveReport(value=clamped, error_estimate=report.error_estimate,

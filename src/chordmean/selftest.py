@@ -339,8 +339,8 @@ def check_9_cone_identity() -> CheckResult:
             worst = max(worst, defect)
     dt = time.perf_counter() - t0
     return CheckResult(9, "double-cone cap identity", worst <= 2e-3, worst, 2e-3, dt,
-                       "w(U) + w(V) vs twice the nappe solid angle, Poisson backend, "
-                       "20 random configurations per dim")
+                       "w(U) + w(V) vs twice the nappe solid angle, Poisson integral "
+                       "over the sphere rule, 20 random configurations per dim")
 
 
 def check_10_center_of_mass() -> CheckResult:

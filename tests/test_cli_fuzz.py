@@ -5,7 +5,9 @@ exception.  Most drawn values are well formed, so the solvers run; the rest
 are edge values (zero, NaN, infinities, huge or tiny numbers, wrong lengths,
 stray text).  Derandomised, with ``--n=64`` fixed, so the suite stays
 deterministic and quick; the cross-section operator and ``brownian`` are
-left out for their cost.
+left out for their cost.  What Hypothesis draws still depends on the
+modules loaded (it mixes constants from loaded source into its strategies),
+so the known edge cases run as fixed examples, each with its exit code.
 
 Fuzzed ``--config`` files for ``solve``, ``measure`` and ``brownian`` end
 the same way: a working config with some known keys set to values of the
@@ -20,7 +22,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chordmean.cli import main
 
@@ -127,11 +129,38 @@ def _run(argv) -> int:
             return 2
 
 
+CONE = ["measure", "--check=cone", "--n=64", "--dim=2", "--point=0.1,0.2"]
+KNOWN_EXITS = [
+    (["solve", "--n=64", "--dim=2", "--data=harm:2,re,inf", "--point=0.1,0.2"], 2),
+    (["solve", "--n=64", "--dim=2", "--data=harm:2,re,nan", "--point=0.1,0.2"], 2),
+    (["solve", "--n=64", "--dim=2", "--data=harm:6,re,1e308", "--point=0.5,0.5"], 3),
+    (["solve", "--n=64", "--operator=biharmonic", "--dim=3",
+      "--data=almansi:6,2,1e308;5,1,-1e308", "--point=0.1,0.2,0.3"], 3),
+    (CONE + ["--axis=1e308,1e308", "--half-angle=0.7"], 0),
+    (CONE + ["--axis=1e-160,1e-160", "--half-angle=0.7"], 0),
+    (CONE + ["--axis=1,0", "--half-angle=1.5707963267948963"], 0),   # shared edge
+    (CONE + ["--axis=1,0", "--half-angle=1.5707963267948966"], 2),   # pi/2
+]
+
+
+def _with_known_exits(test):
+    for argv, _ in KNOWN_EXITS:
+        test = example(argv)(test)
+    return test
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")   # numpy warnings reach users
 @FUZZ
 @given(st.one_of(solve_argv(), measure_argv()))
+@_with_known_exits
 def test_command_lines_exit_cleanly(argv):
     assert _run(argv) in (0, 2, 3), argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code", KNOWN_EXITS)
+def test_known_edge_cases_exit_codes(argv, code):
+    assert _run(argv) == code
 
 
 BASE_CONFIGS = {
