@@ -30,7 +30,7 @@ from .geometry import (
     plane_sections,
     uniform_directions,
 )
-from .poisson import cap_measure_poisson, kernel_values
+from .poisson import cap_measure_ratio, kernel_values
 
 REJECTION_BUDGET_PER_SAMPLE = 10 ** 6
 RHO_SOFT_LIMIT = 0.8
@@ -147,8 +147,8 @@ def start_rho(ball: BallDomain, p: np.ndarray) -> float:
 
 def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
                                seed: int) -> ExperimentReport:
-    """Cap-hit frequencies of all applicable travelers against the Poisson
-    oracle and against each other, in binomial standard-error units.
+    """Cap-hit frequencies of all applicable travelers against the exact
+    ``cap_measure_ratio`` and against each other, in binomial standard-error units.
 
     The full traveler is drawn by rejection, except from a 2-D start with
     rho > RHO_SOFT_LIMIT, where rejection slows and the exact disk sampler
@@ -158,7 +158,7 @@ def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
     if N < 10 ** 3:
         raise BadParameter("need at least 1000 samples per traveler")
     ind = cap_indicator(cap, ball)
-    oracle = cap_measure_poisson(ball, p, cap).value
+    oracle = cap_measure_ratio(ball, p, cap)
 
     if ball.dim == 2 and start_rho(ball, p) > RHO_SOFT_LIMIT:
         full_draw = lambda rng: exits_disk_exact_batch(ball, p, rng, N)

@@ -304,11 +304,11 @@ def cmd_solve(args) -> int:
 
 
 def _point_and_ball(args):
-    """--point as a list and an array, and the unit ball of --dim (default:
-    the point's length)."""
+    """--point as a list and as an array checked to lie inside the unit ball
+    of --dim (default: the point's length), and that ball."""
     point = _floats(args.point, "--point")
-    dim = args.dim or len(point)
-    return point, np.asarray(point), BallDomain(center=np.zeros(dim), radius=1.0)
+    ball = BallDomain(center=np.zeros(args.dim or len(point)), radius=1.0)
+    return point, ball.require_interior(point), ball
 
 
 def _arc_or_cap(args, ball: BallDomain, p: np.ndarray) -> CapSpec | None:
@@ -329,8 +329,23 @@ def _axis(args, dim: int) -> np.ndarray:
                       "--axis")
 
 
+def _refuse_unread(args) -> None:
+    """Refuse --n and the cap options that the --check given does not read:
+    a cap is read from --arc, else --cap, else --axis, --half-angle, --nappe."""
+    check = args.check
+    given = next((name for name in ("arc", "cap") if getattr(args, name) is not None), None)
+    read = {"cap": ("n", given) if given else ("n", "axis", "half-angle", "nappe"),
+            "cone": ("n", "axis", "half-angle"), "com": ("n", "axis", "half-angle"),
+            "star-angle": ("arc",), "moment": ()}[check]
+    for name in ("n", "axis", "half-angle", "nappe", "cap", "arc"):
+        if name not in read and getattr(args, name.replace("-", "_")) is not None:
+            where = f" with --{given}" if check == "cap" else ""
+            raise ConfigError(f"--{name} does not apply to --check={check}{where}")
+
+
 def cmd_measure(args) -> int:
     _require(args, "check")
+    _refuse_unread(args)
     rows = []
     check = args.check
     if check in ("cap", "cone", "com"):
@@ -343,26 +358,19 @@ def cmd_measure(args) -> int:
                 _require(args, "half_angle")
                 cap = CapSpec(vertex=p, axis=_axis(args, ball.dim),
                               half_angle=args.half_angle, nappe=args.nappe or "plus")
-            w_ratio = cap_measure_ratio(ball, p, cap)
-            w_poisson = cap_measure_poisson(ball, p, cap, bq=bq).value
-            rows.append(["cap", json.dumps({"point": point}),
-                         w_ratio, w_poisson, abs(w_ratio - w_poisson)])
+            report = cap_measure_poisson(ball, p, cap, bq=bq)   # defect: |rhs - lhs|
+            rows.append(["cap", json.dumps({"point": point}), cap_measure_ratio(ball, p, cap),
+                         report.value, report.error_estimate])
         else:
             axis = _axis(args, ball.dim)
             _require(args, "half_angle")
+            half = args.half_angle
+            params = json.dumps({"point": point, "half_angle": half})
             if check == "cone":
-                w_sum, target, defect = cone_identity_check(
-                    ball, p, axis, args.half_angle, bq=bq)
-                rows.append(["cone", json.dumps({"point": point,
-                                                 "half_angle": args.half_angle}),
-                             w_sum, target, defect])
+                rows.append(["cone", params, *cone_identity_check(ball, p, axis, half, bq=bq)])
             else:
-                _, offset = center_of_mass_check(ball, p, axis, args.half_angle, bq=bq)
-                rows.append(["com", json.dumps({"point": point,
-                                                "half_angle": args.half_angle}),
-                             offset, 0.0, offset])
-    elif args.n is not None:
-        raise ConfigError(f"--n does not apply to --check={check}")
+                _, offset = center_of_mass_check(ball, p, axis, half, bq=bq)
+                rows.append(["com", params, offset, 0.0, offset])
     elif check == "moment":
         _require(args, "w", "degree")
         w_vals = _floats(args.w, "--w")

@@ -1,23 +1,16 @@
-"""Harmonic-measure geometry in balls: the metric-ratio density, double-cone
-cap identities, the center-of-mass identity, subtended-angle moments, and the
-star-domain counterexample built from q(z) = a z^2 + z + a.
-
-The measure of a cone cap is taken in cone coordinates.  Pairing each
-direction e with its antipode, Malmheden's formula gives w_P(cap) =
-2 * integral over the cone C of r1 / (r1 + r2) d sigma(e), with r1, r2 the
-backward and forward chord lengths from P and sigma the normalized sphere
-measure.  The integrand is smooth on C, so a Gauss rule on the cone alone is
-exact to rounding, where a rule on the whole sphere sees the cap's edge.
+"""Harmonic-measure geometry in balls: the double-cone cap identity, the
+center-of-mass identity, subtended-angle moments, and the star-domain
+counterexample built from q(z) = a z^2 + z + a.  The metric-ratio density,
+``cap_measure_ratio`` in cone coordinates, is ``poisson``'s, exported here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .errors import BadParameter, DimMismatch, EmptyCap, NumericalError, PointNotInterior
+from .errors import BadParameter, EmptyCap, NumericalError, PointNotInterior
 from .boundary import CapSpec, _cone_cosines, _edge_cosine, _nappe_values, cap_indicator
 from .geometry import (
     BallDomain,
@@ -34,6 +27,7 @@ from .poisson import (
     _clamp_unit,
     _indicator_terms,
     _placed_rule,
+    cap_measure_ratio,
     fixed_sum,
     measure_quadrature,
 )
@@ -47,96 +41,6 @@ def nappe_fraction(dim: int, half_angle: float) -> float:
     if dim == 3:
         return 0.5 * (1.0 - math.cos(half_angle))
     raise BadParameter("nappe fractions are defined for dim 2 and 3")
-
-
-# The cone rules: Gauss-Legendre of order _CONE_ORDER on each of k equal
-# panels, in the angle on [-alpha, alpha] in 2-D and in cos(theta) on
-# [cos(alpha), 1] times 2 k _CONE_ORDER equal azimuths in 3-D.  2 r1 / L is
-# analytic in the direction, but its complex singularities approach the real
-# directions as |xs| -> 1, so k, a power of two up to _MAX_PANELS, grows
-# towards the rim (see _panel_count).
-_CONE_ORDER = {2: 32, 3: 16}
-_MAX_PANELS = {2: 64, 3: 16}
-
-
-@functools.cache
-def _cone_gauss(dim: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] of the dimension's order,
-    built on first use (importing numpy.polynomial costs every process)."""
-    return np.polynomial.legendre.leggauss(_CONE_ORDER[dim])
-
-
-def _panel_count(dim: int, r2: float, half_angle: float) -> int:
-    """Panels of the cone rule at |xs|^2 = r2.  In 2-D the singularities lie
-    w = asinh(sqrt(1 - r2) / r) off the real angles, and each panel is at
-    most 1.5 w long in half-angle; in 3-D k >= 0.7 / (1 - r2).  Both hold
-    the rule to rounding up to the cap (2-D |xs| <= 0.999; 3-D |xs| <= 0.95,
-    with about 1e-12 at 0.99 and 1e-7 at 0.999)."""
-    if dim == 2:
-        need = 0.0 if r2 == 0.0 else half_angle / (1.5 * math.asinh(math.sqrt((1.0 - r2) / r2)))
-    else:
-        need = 0.7 / (1.0 - r2)
-    k = 1
-    while k < need and k < _MAX_PANELS[dim]:
-        k *= 2
-    return k
-
-
-def _cone_terms(xs: np.ndarray, axis: np.ndarray, half_angle: float) -> np.ndarray:
-    """Weighted values of 2 r1 / L on the cone rule of the directions within
-    ``half_angle`` of ``axis``, seen from xs in the unit ball; they sum to
-    the harmonic measure of that nappe's cap.
-
-    Along e, beta = e . xs and s = sqrt(beta^2 + 1 - |xs|^2) give r1 = beta + s
-    and L = 2 s.  Only e . xs enters, so the azimuths of the 3-D rule start
-    at the component of xs normal to the axis.
-    """
-    dim = xs.size
-    r2 = float(xs @ xs)
-    k = _panel_count(dim, r2, half_angle)
-    x, w = _cone_gauss(dim)
-    nodes = ((2 * np.arange(k)[:, np.newaxis] + 1 + x) / k - 1.0).reshape(-1)
-    weights = np.tile(w, k) / k
-    along = float(axis @ xs)
-    if dim == 2:
-        theta = half_angle * nodes
-        beta = along * np.cos(theta) + float(axis[0] * xs[1] - axis[1] * xs[0]) * np.sin(theta)
-        weights = half_angle / (2.0 * math.pi) * weights
-    else:
-        normal = xs - along * axis
-        depth = 2.0 * math.sin(0.5 * half_angle) ** 2       # 1 - cos(half_angle)
-        cos_t = 1.0 - 0.5 * depth * (1.0 - nodes)
-        sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
-        m = 2 * k * x.size
-        ring = np.cos(2.0 * math.pi * np.arange(m) / m)
-        beta = (along * cos_t[:, np.newaxis]
-                + math.sqrt(float(normal @ normal)) * sin_t[:, np.newaxis] * ring)
-        weights = (depth / (4.0 * m) * weights)[:, np.newaxis]
-    s = np.sqrt(beta * beta + (1.0 - r2))
-    return weights * (beta + s) / s
-
-
-def cap_measure_ratio(ball: BallDomain, P, cap: CapSpec) -> float:
-    """Harmonic measure of the cap via the metric-ratio density, in cone
-    coordinates: 2 r1 / L integrated over the cone of ``cap`` (about -axis
-    for the minus nappe, both for "both"), exact to rounding.
-
-    The measure does not change under translation and scaling, so the
-    integral is taken in the unit ball at xs = (P - c) / R.
-    """
-    p = interior_point(ball, BallDomain, P)
-    vertex = interior_point(ball, BallDomain, cap.vertex)
-    if not np.allclose(vertex, p):
-        raise BadParameter("cap vertex must coincide with the evaluation point")
-    if ball.dim not in _CONE_ORDER:
-        raise DimMismatch(f"cone rules exist in dimension 2 and 3, not {ball.dim}")
-    if cap.nappe == "both" and cap.half_angle >= 0.5 * math.pi:
-        return 1.0                      # the two nappes cover every direction
-    axes = {"plus": (cap.axis,), "minus": (-cap.axis,),
-            "both": (cap.axis, -cap.axis)}[cap.nappe]
-    xs = (p - ball.center) / ball.radius
-    return fixed_sum(np.concatenate([_cone_terms(xs, a, cap.half_angle).reshape(-1)
-                                     for a in axes]))
 
 
 def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,

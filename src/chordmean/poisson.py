@@ -7,15 +7,22 @@ are bit-reproducible.  It splits the values exactly into parts that numpy
 adds without rounding and rounds once at the end; small arrays and the
 special cases go to ``math.fsum`` itself.
 
-Every solve reports |full - half| as its error estimate through
-``half_rule_report``; rules whose half rule is a subset of their own nodes
-evaluate the integrand once.  Cap measures sum w * indicator * kernel over
-the nodes inside the cap only, the terms elsewhere being exactly 0.
+Solves report |full - half| as their error estimate (``half_rule_report``;
+a half rule made of the rule's own nodes reuses their values), cap measures
+their distance from ``cap_measure_ratio``.  Cap measures sum w * indicator
+* kernel over the nodes inside the cap only, the other terms being exactly 0.
 
 A boundary quadrature is a direction rule from ``geometry`` placed on a
 ball, and every integral over the boundary is one over the rule's directions
 e against ``kernel_values``, the density of harmonic measure relative to the
 normalized sphere measure: sum_e w_e f(c + R e) (1 - |xs|^2) / |e - xs|^n.
+
+The measure of a cone cap is also taken in cone coordinates.  Pairing each
+direction e with its antipode, Malmheden's formula gives w_P(cap) =
+2 * integral over the cone C of r1 / (r1 + r2) d sigma(e), with r1, r2 the
+backward and forward chord lengths from P and sigma the normalized sphere
+measure.  The integrand is smooth on C, so a Gauss rule on the cone alone is
+exact to rounding, where a rule on the whole sphere sees the cap's edge.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, NumericalError, PointNotOnBoundary
+from .errors import BadParameter, DimMismatch, NumericalError, PointNotOnBoundary
 from .boundary import BoundaryData, CapSpec, cap_indicator
 from .geometry import (
     BallDomain,
@@ -120,7 +127,8 @@ def fixed_sum(values: np.ndarray) -> float:
 class SolveReport:
     """Value of a quadrature solve with an a-posteriori error indicator.
 
-    ``error_estimate`` is |full - half resolution|: an indicator, not a bound.
+    ``error_estimate`` is |full - half resolution|, an indicator, not a bound;
+    for a cap measure, |value - cap_measure_ratio|, the error to rounding.
     ``clamp_applied`` records how far a measure was clamped into [0, 1].
     """
 
@@ -130,28 +138,25 @@ class SolveReport:
     clamp_applied: float = 0.0
 
 
-def half_rule_report(rule, factors, nodes_used: int | None = None,
-                     integral=None) -> SolveReport:
+def half_rule_report(rule, factors, nodes_used: int | None = None) -> SolveReport:
     """The integral over ``rule`` with |full - half rule| as its error estimate.
 
     ``factors(q)`` returns the integrand on the nodes of rule ``q`` as a tuple
     of per-node arrays, and each integral is fixed_sum(q.weights * f1 * f2 ...)
-    multiplied in that order, or ``integral(q, factors)`` when given.  When
-    the half rule's nodes are some of the rule's own (``rule.half_nodes``),
-    its values are taken from the full evaluation instead of being computed
-    again.  A non-finite term (data returning nan or inf) raises
-    NumericalError before anything is summed.
+    multiplied in that order.  When the half rule's nodes are some of the
+    rule's own (``rule.half_nodes``), its values are taken from the full
+    evaluation instead of being computed again.  A non-finite term (data
+    returning nan or inf) raises NumericalError before anything is summed.
     """
-    integral = integral or _weighted_sum
     values = factors(rule)
-    value = integral(rule, values)
+    value = _weighted_sum(rule, values)
     half = rule.half_resolution()
     nested = rule.half_nodes
     if nested is None:
         half_values = factors(half)
     else:
         half_values = tuple(v if np.ndim(v) == 0 else v[nested] for v in values)
-    error = abs(value - integral(half, half_values))
+    error = abs(value - _weighted_sum(half, half_values))
     return SolveReport(value=value, error_estimate=error,
                        nodes_used=len(rule) if nodes_used is None else nodes_used)
 
@@ -314,23 +319,107 @@ def _clamp_unit(value: float) -> float:
 
 def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
                         bq: BoundaryQuadrature | None = None) -> SolveReport:
-    """Harmonic measure of the cap(s) at P via the Poisson integral.
+    """Harmonic measure of the cap(s) at P via the Poisson integral over one
+    rule: the indicator on every node, the kernel and the sum on the nodes
+    inside the cap only.  The sum is clamped into [0, 1] (``clamp_applied``
+    records by how much); the error estimate is the clamped value's distance
+    from the exact ``cap_measure_ratio``.
+    """
+    exact = cap_measure_ratio(ball, P, cap)         # checks P, the vertex and dim
+    p = interior_point(ball, BallDomain, P)
+    rule = _placed_rule(ball, bq, measure_quadrature)
+    ind = _boundary_values(ball, cap_indicator(cap, ball), rule)
+    total = fixed_sum(_indicator_terms(ball, (p - ball.center) / ball.radius, rule, ind)[1])
+    value = _clamp_unit(total)
+    return SolveReport(value=value, error_estimate=abs(value - exact), nodes_used=len(rule),
+                       clamp_applied=abs(total - value))
 
-    The indicator is evaluated on every node, the kernel and the sums only
-    on the nodes inside the cap.  The result is clamped into [0, 1]; the
-    clamp magnitude is recorded on the report rather than silently
-    discarded.
+
+# The cone rules: Gauss-Legendre of order _CONE_ORDER on each of k equal
+# panels, in the angle on [-alpha, alpha] in 2-D and in cos(theta) on
+# [cos(alpha), 1] times 2 k _CONE_ORDER equal azimuths in 3-D.  2 r1 / L is
+# analytic in the direction, but its complex singularities approach the real
+# directions as |xs| -> 1, so k, a power of two up to _MAX_PANELS, grows
+# towards the rim (see _panel_count).
+_CONE_ORDER = {2: 32, 3: 16}
+_MAX_PANELS = {2: 64, 3: 16}
+
+
+@functools.cache
+def _cone_gauss(dim: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] of the dimension's order,
+    built on first use (importing numpy.polynomial costs every process)."""
+    return np.polynomial.legendre.leggauss(_CONE_ORDER[dim])
+
+
+def _panel_count(dim: int, r2: float, half_angle: float) -> int:
+    """Panels of the cone rule at |xs|^2 = r2.  In 2-D the singularities lie
+    w = asinh(sqrt(1 - r2) / r) off the real angles, and each panel is at
+    most 1.5 w long in half-angle; in 3-D k >= 0.7 / (1 - r2).  Both hold
+    the rule to rounding up to the cap (2-D |xs| <= 0.999; 3-D |xs| <= 0.95,
+    with about 1e-12 at 0.99 and 1e-7 at 0.999)."""
+    if dim == 2:
+        need = 0.0 if r2 == 0.0 else half_angle / (1.5 * math.asinh(math.sqrt((1.0 - r2) / r2)))
+    else:
+        need = 0.7 / (1.0 - r2)
+    k = 1
+    while k < need and k < _MAX_PANELS[dim]:
+        k *= 2
+    return k
+
+
+def _cone_terms(xs: np.ndarray, axis: np.ndarray, half_angle: float) -> np.ndarray:
+    """Weighted values of 2 r1 / L on the cone rule of the directions within
+    ``half_angle`` of ``axis``, seen from xs in the unit ball; they sum to
+    the harmonic measure of that nappe's cap.
+
+    Along e, beta = e . xs and s = sqrt(beta^2 + 1 - |xs|^2) give r1 = beta + s
+    and L = 2 s.  Only e . xs enters, so the azimuths of the 3-D rule start
+    at the component of xs normal to the axis.
+    """
+    dim = xs.size
+    r2 = float(xs @ xs)
+    k = _panel_count(dim, r2, half_angle)
+    x, w = _cone_gauss(dim)
+    nodes = ((2 * np.arange(k)[:, np.newaxis] + 1 + x) / k - 1.0).reshape(-1)
+    weights = np.tile(w, k) / k
+    along = float(axis @ xs)
+    if dim == 2:
+        theta = half_angle * nodes
+        beta = along * np.cos(theta) + float(axis[0] * xs[1] - axis[1] * xs[0]) * np.sin(theta)
+        weights = half_angle / (2.0 * math.pi) * weights
+    else:
+        normal = xs - along * axis
+        depth = 2.0 * math.sin(0.5 * half_angle) ** 2       # 1 - cos(half_angle)
+        cos_t = 1.0 - 0.5 * depth * (1.0 - nodes)
+        sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
+        m = 2 * k * x.size
+        ring = np.cos(2.0 * math.pi * np.arange(m) / m)
+        beta = (along * cos_t[:, np.newaxis]
+                + math.sqrt(float(normal @ normal)) * sin_t[:, np.newaxis] * ring)
+        weights = (depth / (4.0 * m) * weights)[:, np.newaxis]
+    s = np.sqrt(beta * beta + (1.0 - r2))
+    return weights * (beta + s) / s
+
+
+def cap_measure_ratio(ball: BallDomain, P, cap: CapSpec) -> float:
+    """Harmonic measure of the cap via the metric-ratio density, in cone
+    coordinates: 2 r1 / L integrated over the cone of ``cap`` (about -axis
+    for the minus nappe, both for "both"), exact to rounding.
+
+    The measure does not change under translation and scaling, so the
+    integral is taken in the unit ball at xs = (P - c) / R.
     """
     p = interior_point(ball, BallDomain, P)
-    data = cap_indicator(cap, ball)
-    if not np.allclose(cap.vertex, p):
+    vertex = interior_point(ball, BallDomain, cap.vertex)
+    if not np.allclose(vertex, p):
         raise BadParameter("cap vertex must coincide with the evaluation point")
+    if ball.dim not in _CONE_ORDER:
+        raise DimMismatch(f"cone rules exist in dimension 2 and 3, not {ball.dim}")
+    if cap.nappe == "both" and cap.half_angle >= 0.5 * math.pi:
+        return 1.0                      # the two nappes cover every direction
+    axes = {"plus": (cap.axis,), "minus": (-cap.axis,),
+            "both": (cap.axis, -cap.axis)}[cap.nappe]
     xs = (p - ball.center) / ball.radius
-    report = half_rule_report(
-        _placed_rule(ball, bq, measure_quadrature),
-        lambda q: (_boundary_values(ball, data, q),),
-        integral=lambda q, values: fixed_sum(_indicator_terms(ball, xs, q, *values)[1]))
-    clamped = _clamp_unit(report.value)
-    return SolveReport(value=clamped, error_estimate=report.error_estimate,
-                       nodes_used=report.nodes_used,
-                       clamp_applied=abs(report.value - clamped))
+    return fixed_sum(np.concatenate([_cone_terms(xs, a, cap.half_angle).reshape(-1)
+                                     for a in axes]))

@@ -177,6 +177,21 @@ def test_compare_exit_distributions():
     assert report2d.max_deviation_in_sigmas <= 4.0
 
 
+def test_oracle_is_the_exact_cap_measure():
+    # 3-D: the hemisphere z > 0 seen from (0, 0, z), whose cone passes
+    # through the equator; 2-D: the right half circle from (0.5, 0)
+    z = 0.5
+    p = (0.0, 0.0, z)
+    cap = cm.CapSpec(vertex=p, axis=(0.0, 0.0, 1.0), half_angle=math.acos(-z / math.hypot(1.0, z)))
+    report = cm.compare_exit_distributions(BALL, p, cap, 1000, seed=1)
+    exact = (1.0 - z * z) / (2.0 * z) * (1.0 / (1.0 - z) - 1.0 / math.sqrt(1.0 + z * z))
+    assert abs(report.oracle_measure - exact) <= 1e-14
+    arc = cm.arc_cap(DISK, (0.5, 0.0), -0.5 * math.pi, 0.5 * math.pi)
+    report = cm.compare_exit_distributions(DISK, (0.5, 0.0), arc, 1000, seed=1)
+    exact = cm.involution_image_measure(0.5, (-0.5 * math.pi, 0.5 * math.pi))
+    assert abs(report.oracle_measure - exact) <= 1e-14
+
+
 @pytest.mark.parametrize("p, exact", [((0.5, 0.0), False), ((0.85, 0.0), True)])
 def test_compare_picks_the_exact_disk_sampler_past_the_soft_limit(p, exact):
     arc = cm.arc_cap(DISK, p, 0.0, 1.0)

@@ -157,6 +157,15 @@ def test_brownian_rim_refused_3d(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point, cap", [("1.5,0", "axis=1,0,half=0.5"),
+                                        ("0.5,0,1.2", "axis=0,0,1,half=0.5")])
+def test_brownian_refuses_a_start_outside_the_ball_before_the_rim_checks(point, cap, capsys):
+    code = main(["brownian", f"--point={point}", f"--cap={cap}", "--n=1000", "--seed=7"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "not strictly inside" in err
+
+
 def test_json_output(tmp_path):
     out = tmp_path / "r.json"
     code = main(["solve", "--data", "harm:1,re", "--point", "0.4,0.1",
@@ -416,6 +425,18 @@ def test_parse_helpers():
     ["measure", "--check=cap", "--point=0.1", "--half-angle=0.5"],    # 1-D: DimMismatch
     ["measure", "--check=moment", "--w=0.2", "--degree=3", "--n=4"],  # --n: cap/cone/com only
     ["measure", "--check=star-angle", "--a=0.25", "--arc=0,1", "--n=16"],
+    # cap options the check does not read
+    ["measure", "--check=cone", "--point=0.1,0", "--half-angle=0.5", "--nappe=minus"],
+    ["measure", "--check=com", "--point=0.1,0", "--half-angle=0.5", "--arc=0,1"],
+    ["measure", "--check=cone", "--point=0.1,0", "--half-angle=0.5",
+     "--cap=axis=1,0,half=0.5"],
+    ["measure", "--check=cap", "--point=0.1,0", "--arc=0,1", "--half-angle=0.5"],
+    ["measure", "--check=cap", "--point=0.1,0", "--arc=0,1", "--cap=axis=1,0,half=0.5"],
+    ["measure", "--check=cap", "--point=0.1,0", "--cap=axis=1,0,half=0.5", "--axis=0,1"],
+    ["measure", "--check=cap", "--point=0.1,0", "--cap=axis=1,0,half=0.5", "--nappe=both"],
+    ["measure", "--check=star-angle", "--a=0.25", "--arc=0,1", "--axis=1,0"],
+    ["measure", "--check=moment", "--w=0.2", "--degree=3", "--half-angle=0.5"],
+    ["measure", "--check=moment", "--w=0.2", "--degree=3", "--arc=0,1"],
 ])
 def test_config_errors_exit_2_without_traceback(argv):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

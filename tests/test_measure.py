@@ -172,6 +172,29 @@ def test_cone_rule_agrees_with_poisson_on_criterion_8_grid():
     assert worst <= 2e-3
 
 
+def test_cap_error_estimate_is_the_true_error():
+    # criterion 8's 50 closed-form arcs, drawn after its grid from the same
+    # stream, and 3-D caps seen from the centre, where a nappe's measure is
+    # its solid angle
+    rng = philox_stream(selftest._SEED_GRID, 8)
+    for dim in (2, 3):
+        selftest._measure_grid(rng, dim, 10, 20, 0.8)
+    for _ in range(50):
+        p = selftest._interior_points(rng, 2, 1, 0.8)[0]
+        t1 = rng.uniform(0.0, 2.0 * math.pi)
+        t2 = t1 + rng.uniform(0.1, 2.0 * math.pi - 0.2)
+        report = cm.cap_measure_poisson(DISK, p, cm.arc_cap(DISK, p, t1, t2))
+        exact = cm.involution_image_measure(complex(p[0], p[1]), (t1, t2))
+        assert abs(report.error_estimate - abs(report.value - exact)) <= 1e-14
+    centre = np.zeros(3)
+    for _ in range(20):
+        axis, half = selftest._unit(rng, 3), rng.uniform(0.25, 1.35)
+        for nappe, nappes in (("plus", 1), ("both", 2)):
+            report = cm.cap_measure_poisson(BALL, centre, cm.CapSpec(centre, axis, half, nappe))
+            exact = nappes * nappe_fraction(3, half)
+            assert abs(report.error_estimate - abs(report.value - exact)) <= 1e-14
+
+
 def test_cone_identity_accepts_only_the_poisson_integral():
     with pytest.raises(cm.BadParameter):
         cm.cone_identity_check(DISK, (0.5, 0.0), (0.0, 1.0), 0.7, backend="ratio")
@@ -213,19 +236,18 @@ def test_center_of_mass_empty_cap():
     with pytest.raises(cm.EmptyCap):
         cm.center_of_mass_check(DISK, (0.0, 0.0), axis, 1e-9)
     # in 3-D a 1e-9 rad double cone about a generic axis misses all 131072
-    # nodes of the default rule and all of its half rule: empty sums, no
-    # numpy warnings, a zero measure with a zero error estimate
+    # nodes of the default rule: empty sums, no numpy warnings, a zero
+    # measure whose error is the missed cap's measure, 1 - cos(1e-9) = 5e-19
     axis = np.array([0.3, 0.5, math.sqrt(1.0 - 0.34)])
     cap = cm.CapSpec((0.0, 0.0, 0.0), axis, 1e-9, "both")
-    bq = measure_quadrature(BALL)
-    for rule in (bq, bq.half_resolution()):
-        assert not cm.cap_indicator(cap, BALL).value(rule.points).any()
+    assert not cm.cap_indicator(cap, BALL).value(measure_quadrature(BALL).points).any()
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         report = cm.cap_measure_poisson(BALL, (0.0, 0.0, 0.0), cap)
         with pytest.raises(cm.EmptyCap):
             cm.center_of_mass_check(BALL, (0.0, 0.0, 0.0), axis, 1e-9)
-    assert (report.value, report.error_estimate, report.clamp_applied) == (0.0, 0.0, 0.0)
+    assert (report.value, report.clamp_applied) == (0.0, 0.0)
+    assert report.error_estimate == pytest.approx(0.5e-18, rel=1e-6, abs=0.0)
 
 
 # The cap paths sum w * indicator * kernel over the nodes inside the cap
@@ -238,9 +260,8 @@ _MOVED = {2: cm.BallDomain(center=(0.4, -1.3), radius=2.5),
 
 
 def _balls_and_rules(dim):
-    """The unit and a moved ball, each with its default measure rule (2-D:
-    nested half rule; 3-D: Gauss, half rule built apart) and with a supplied
-    odd rule (half rule built apart; in 3-D an equatorial ring)."""
+    """The unit and a moved ball, each with its default measure rule and
+    with a supplied odd rule (in 3-D one with an equatorial ring)."""
     for ball in ((DISK if dim == 2 else BALL), _MOVED[dim]):
         yield ball, None
         yield ball, build_boundary_quadrature(ball, 1001 if dim == 2 else 15)
@@ -262,7 +283,7 @@ def _whole_sphere_cap(ball, p, cap, bq):
     report = cm.poisson_solve(ball, cm.cap_indicator(cap, ball), p,
                               measure_quadrature(ball) if bq is None else bq)
     clamped = min(max(report.value, 0.0), 1.0)
-    return clamped, report.error_estimate, abs(report.value - clamped)
+    return clamped, abs(report.value - clamped)
 
 
 def _has_ties(ball, cap, bq):
@@ -282,8 +303,10 @@ def test_cap_measure_poisson_keeps_the_bits_of_the_whole_sphere_integral():
                     for nappe in ("plus", "minus", "both"):
                         cap = cm.CapSpec(p, axis, half, nappe)
                         got = cm.cap_measure_poisson(ball, p, cap, bq)
-                        assert (got.value, got.error_estimate, got.clamp_applied) == \
+                        assert (got.value, got.clamp_applied) == \
                             _whole_sphere_cap(ball, p, cap, bq)
+                        assert got.error_estimate == \
+                            abs(got.value - cm.cap_measure_ratio(ball, p, cap))
                         ties += _has_ties(ball, cap, bq)
     assert ties >= 12          # edge ties in 2-D and in 3-D were summed
 
