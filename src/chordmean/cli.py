@@ -248,10 +248,58 @@ def emit(args, meta: dict, columns: list[str], rows: list[list]) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required")
+# What each command reads, by mode (see _mode): the options it needs, then the
+# others.  Every command also reads --config, --output and --format.
+_READS = {
+    "solve --operator=harmonic": ("data point", "operator dim domain n scheme seed"),
+    "solve --operator=biharmonic": ("data point", "operator dim domain n scheme seed"),
+    "solve --operator=cross-section": ("data point", "operator dim domain normal-scheme "
+                                       "normal-n inner inner-solver seed"),
+    "measure": ("check", ""),
+    "measure --check=cap": ("check point half-angle", "dim n axis nappe"),
+    "measure --check=cap with --arc": ("check point arc", "dim n"),
+    "measure --check=cap with --cap": ("check point cap", "dim n"),
+    "measure --check=cone": ("check point half-angle", "dim n axis"),
+    "measure --check=com": ("check point half-angle", "dim n axis"),
+    "measure --check=moment": ("check w degree", ""),
+    "measure --check=star-angle": ("check a arc", ""),
+    "hermite": ("m a b", ""),
+    "brownian": ("point seed cap", "dim n"),
+    "brownian with --arc": ("point seed arc", "dim n"),
+    "brownian with --cap": ("point seed cap", "dim n"),
+    "selftest": ("", "quick full json"),
+    "selftest --criteria": ("criteria", "json"),
+}
+
+
+def _mode(args) -> str:
+    """The row of _READS for args: the command, then what picks its mode."""
+    mode = args.command
+    if mode == "solve":
+        mode += f" --operator={args.operator or 'harmonic'}"
+    if getattr(args, "check", None) is not None:
+        mode += f" --check={args.check}"
+    if getattr(args, "criteria", None) is not None:
+        mode += " --criteria"
+    if mode in ("measure --check=cap", "brownian"):     # a cap from --arc, --cap or neither
+        source = "arc" if args.arc is not None else "cap" if args.cap is not None else None
+        mode += f" with --{source}" if source else ""
+    return mode
+
+
+def _check_reads(args) -> None:
+    """Refuse a command line that lacks an option its mode needs, or gives
+    one its mode does not read: the echoed config is what was read."""
+    mode = _mode(args)
+    needs, reads = (names.split() for names in _READS[mode])
+    given = [dest.replace("_", "-") for dest, value in vars(args).items()
+             if value is not None and dest not in ("command", "func")]
+    for flag in needs:
+        if flag not in given:
+            raise ConfigError(f"--{flag} is required")
+    for flag in given:
+        if flag not in needs + reads + ["config", "output", "format"]:
+            raise ConfigError(f"--{flag} does not apply to {mode}")
 
 
 _SCHEMES = {"uniform": "uniform_angle_2d", "gauss": "gauss_product_3d",
@@ -259,26 +307,20 @@ _SCHEMES = {"uniform": "uniform_angle_2d", "gauss": "gauss_product_3d",
 
 
 def cmd_solve(args) -> int:
-    _require(args, "data", "point")
     point = _floats(args.point, "--point")
     dim = args.dim or len(point)
     if len(point) != dim:
         raise ConfigError(f"--point needs {dim} coordinates")
     domain = parse_domain(dim, args.domain)
-    if domain.dim != dim:
-        raise ConfigError("domain dimension does not match --dim")
     data = parse_data(dim, args.data, np.asarray(point))
 
-    scheme = _SCHEMES[args.scheme or ("uniform" if dim == 2 else "gauss")]
-    n = args.n
-    if n is None:
-        if data.smoothness == "indicator":
-            n = MEASURE_RES_2D if dim == 2 else MEASURE_RES_3D
-        else:
-            n = SMOOTH_RES_2D if dim == 2 else SMOOTH_RES_3D
-    dq = build_direction_quadrature(dim, scheme, n, seed=args.seed)
-
     operator = args.operator or "harmonic"
+    if operator != "cross-section":
+        scheme = _SCHEMES[args.scheme or ("uniform" if dim == 2 else "gauss")]
+        default_n = (MEASURE_RES_2D, MEASURE_RES_3D) if data.smoothness == "indicator" \
+            else (SMOOTH_RES_2D, SMOOTH_RES_3D)
+        n = default_n[dim - 2] if args.n is None else args.n
+        dq = build_direction_quadrature(dim, scheme, n, seed=args.seed)
     if operator == "harmonic":
         solve = solve_harmonic if isinstance(domain, BallDomain) else solve_on_domain
         result = solve(domain, data, point, dq)
@@ -311,59 +353,35 @@ def _point_and_ball(args):
     return point, ball.require_interior(point), ball
 
 
-def _arc_or_cap(args, ball: BallDomain, p: np.ndarray) -> CapSpec | None:
-    """The cap of --arc (2-D only) or of --cap, seen from p; None without either."""
-    if args.arc is not None:
-        if ball.dim != 2:
-            raise ConfigError("--arc is 2-D only")
-        t1, t2 = _floats(args.arc, "--arc", 2)
-        return arc_cap(ball, p, t1, t2)
-    if args.cap is not None:
-        return parse_cap(ball.dim, args.cap, vertex=p)
-    return None
-
-
 def _axis(args, dim: int) -> np.ndarray:
     """--axis as a unit vector (default: the first coordinate axis)."""
     return _unit_axis(_floats(args.axis or "1," + "0," * (dim - 1), "--axis", dim),
                       "--axis")
 
 
-def _refuse_unread(args) -> None:
-    """Refuse --n and the cap options that the --check given does not read:
-    a cap is read from --arc, else --cap, else --axis, --half-angle, --nappe."""
-    check = args.check
-    given = next((name for name in ("arc", "cap") if getattr(args, name) is not None), None)
-    read = {"cap": ("n", given) if given else ("n", "axis", "half-angle", "nappe"),
-            "cone": ("n", "axis", "half-angle"), "com": ("n", "axis", "half-angle"),
-            "star-angle": ("arc",), "moment": ()}[check]
-    for name in ("n", "axis", "half-angle", "nappe", "cap", "arc"):
-        if name not in read and getattr(args, name.replace("-", "_")) is not None:
-            where = f" with --{given}" if check == "cap" else ""
-            raise ConfigError(f"--{name} does not apply to --check={check}{where}")
+def _cap(args, ball: BallDomain, p: np.ndarray) -> CapSpec:
+    """The cap seen from p: of --arc, else --cap, else --axis, --half-angle, --nappe."""
+    if args.arc is not None:
+        return arc_cap(ball, p, *_floats(args.arc, "--arc", 2))
+    if args.cap is not None:
+        return parse_cap(ball.dim, args.cap, vertex=p)
+    return CapSpec(vertex=p, axis=_axis(args, ball.dim), half_angle=args.half_angle,
+                   nappe=args.nappe or "plus")
 
 
 def cmd_measure(args) -> int:
-    _require(args, "check")
-    _refuse_unread(args)
     rows = []
     check = args.check
     if check in ("cap", "cone", "com"):
-        _require(args, "point")
         point, p, ball = _point_and_ball(args)
         bq = None if args.n is None else build_boundary_quadrature(ball, args.n)
         if check == "cap":
-            cap = _arc_or_cap(args, ball, p)
-            if cap is None:
-                _require(args, "half_angle")
-                cap = CapSpec(vertex=p, axis=_axis(args, ball.dim),
-                              half_angle=args.half_angle, nappe=args.nappe or "plus")
+            cap = _cap(args, ball, p)
             report = cap_measure_poisson(ball, p, cap, bq=bq)   # defect: |rhs - lhs|
             rows.append(["cap", json.dumps({"point": point}), cap_measure_ratio(ball, p, cap),
                          report.value, report.error_estimate])
         else:
             axis = _axis(args, ball.dim)
-            _require(args, "half_angle")
             half = args.half_angle
             params = json.dumps({"point": point, "half_angle": half})
             if check == "cone":
@@ -372,7 +390,6 @@ def cmd_measure(args) -> int:
                 _, offset = center_of_mass_check(ball, p, axis, half, bq=bq)
                 rows.append(["com", params, offset, 0.0, offset])
     elif check == "moment":
-        _require(args, "w", "degree")
         w_vals = _floats(args.w, "--w")
         w = complex(w_vals[0], w_vals[1] if len(w_vals) > 1 else 0.0)
         got = subtended_moment(w, args.degree)
@@ -380,17 +397,14 @@ def cmd_measure(args) -> int:
         rows.append(["moment", json.dumps({"w": args.w, "degree": args.degree}),
                      got, expected, abs(got - expected)])
     else:                                   # star-angle
-        _require(args, "a", "arc")
-        t1, t2 = _floats(args.arc, "--arc", 2)
-        lhs, rhs, defect = star_angle_measure_check(args.a, (t1, t2))
-        rows.append([check, json.dumps({"a": args.a, "arc": [t1, t2]}),
-                     lhs, rhs, defect])
+        arc = _floats(args.arc, "--arc", 2)
+        rows.append([check, json.dumps({"a": args.a, "arc": arc}),
+                     *star_angle_measure_check(args.a, arc)])
     emit(args, {"seed": None}, ["check", "parameters", "lhs", "rhs", "defect"], rows)
     return 0
 
 
 def cmd_hermite(args) -> int:
-    _require(args, "m", "a", "b")
     ms = [_parse(int, v, "--m") for v in str(args.m).split(",")]
     a_vals = _floats(args.a, "--a")
     b_vals = _floats(args.b, "--b")
@@ -405,11 +419,8 @@ def cmd_hermite(args) -> int:
 
 
 def cmd_brownian(args) -> int:
-    _require(args, "point", "seed")
     _, p, ball = _point_and_ball(args)
-    cap = _arc_or_cap(args, ball, p)
-    if cap is None:
-        raise ConfigError("brownian needs --cap or --arc")
+    cap = _cap(args, ball, p)
     rho = start_rho(ball, p)
     if rho > RHO_SOFT_LIMIT:
         if ball.dim == 3:
@@ -428,8 +439,10 @@ def cmd_brownian(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    if args.criteria:
-        ids = tuple(int(v) for v in args.criteria.split(","))
+    if args.criteria is not None:
+        ids = tuple(_parse(int, v, "--criteria") for v in args.criteria.split(","))
+        if not set(ids) <= set(selftest_mod.CHECKS):
+            raise ConfigError(f"--criteria names criteria 1-{max(selftest_mod.CHECKS)}")
     elif args.full:
         ids = selftest_mod.FULL_IDS
     else:
@@ -530,9 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--quick", action="store_true",
+    group.add_argument("--quick", action="store_true", default=None,
                        help="deterministic subset (criteria 1, 3, 4, 7, 11, 12)")
-    group.add_argument("--full", action="store_true", help="all criteria 1-14")
+    group.add_argument("--full", action="store_true", default=None, help="all criteria 1-14")
     p.add_argument("--criteria", default=None, help="explicit comma list of criteria")
     p.add_argument("--json", default=None, help="write a JSON report here")
     p.set_defaults(func=cmd_selftest)
@@ -603,6 +616,7 @@ def main(argv=None) -> int:
             # the file's options first, so the command line's own win
             i = argv.index(args.command) + 1
             args = parser.parse_args(argv[:i] + _config_tokens(args) + argv[i:])
+        _check_reads(args)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError("--seed must be a non-negative integer")
         # an overflow or an invalid operation (huge polynomial coefficients)

@@ -603,6 +603,7 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
     monte_carlo_design (3-D): ``resolution`` random rotations of the
         icosahedral axis set (6 directions each); unbiased, variance-reduced
         for plane averaging.
+    The Monte Carlo schemes need a seed; the deterministic ones refuse one.
 
     The rule is shared, not copied: the last RULE_CACHE_SIZE rules built are
     kept by (dim, scheme, resolution, seed), and their arrays are read-only.
@@ -613,6 +614,8 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
         raise BadResolution("direction resolution must be at least 4")
     if scheme in _MC_SCHEMES and seed is None:
         raise MissingSeed("Monte Carlo schemes require a seed")
+    if scheme not in _MC_SCHEMES and seed is not None:
+        raise BadParameter(f"{scheme} is deterministic and takes no seed")
     return _build(dim, scheme, resolution, seed)
 
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from chordmean.cli import main, parse_cap, parse_domain, parse_poly
+from chordmean.cli import _READS, build_parser, main, parse_cap, parse_domain, parse_poly
 from chordmean.geometry import StarDomain2D
 
 
@@ -321,10 +321,54 @@ def test_exit_codes(capsys):
      "--point=0.1,0"],
     ["solve", "--operator=cross-section", "--domain=conformal:0.2", "--data=harm:1,re",
      "--point=0.1,0"],
+    # a planar domain with --dim=3, and a 3-D --arc (DimMismatch)
+    ["solve", "--dim=3", "--domain=ellipse:1.5,1", "--data=harm:2,1", "--point=0.1,0,0"],
+    ["measure", "--check=cap", "--dim=3", "--point=0.1,0,0", "--arc=0,1"],
+    # options the command's mode does not read
+    ["solve", "--data=harm:2,re", "--point=0.3,0", "--inner=5", "--normal-n=3",
+     "--inner-solver=chords"],
+    ["solve", "--data=harm:2,re", "--point=0.3,0", "--seed=3"],
+    ["brownian", "--point=0.5,0", "--arc=0,1", "--cap=axis=1,0,half=0.5", "--n=1000",
+     "--seed=7"],
+    ["measure", "--check=moment", "--w=0.2", "--degree=2", "--point=0.3,0", "--a=0.1"],
+    ["measure", "--check=cap", "--point=0.3,0", "--half-angle=0.5", "--degree=3"],
+    ["measure", "--check=star-angle", "--a=0.25", "--arc=0,1", "--dim=3"],
+    ["solve", "--operator=cross-section", "--dim=3", "--data=harm:2,2",
+     "--point=0.3,0.2,0.1", "--normal-n=8", "--inner=64", "--seed=3"],
+    ["solve", "--operator=cross-section", "--dim=3", "--data=harm:2,2",
+     "--point=0.3,0.2,0.1", "--normal-n=8", "--inner=64", "--n=7", "--scheme=mc"],
+    ["selftest", "--criteria=abc"],
+    ["selftest", "--criteria=99"],
 ])
 def test_rejected_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--data=harm:2,re", "--point=0.3,0", "--inner=5"],
+     "--inner does not apply to solve --operator=harmonic"),
+    (["solve", "--operator=cross-section", "--dim=3", "--data=harm:2,2",
+      "--point=0.3,0.2,0.1", "--n=7", "--scheme=mc"],
+     "--n does not apply to solve --operator=cross-section"),
+    (["solve", "--data=harm:2,re", "--point=0.3,0", "--seed=3"],
+     "uniform_angle_2d is deterministic and takes no seed"),
+    (["brownian", "--point=0.5,0", "--arc=0,1", "--cap=axis=1,0,half=0.5", "--seed=7"],
+     "--cap does not apply to brownian with --arc"),
+    (["brownian", "--point=0.5,0", "--seed=7"], "--cap is required"),
+    (["measure", "--check=cap", "--point=0.3,0", "--cap=axis=1,0,half=0.5", "--nappe=both"],
+     "--nappe does not apply to measure --check=cap with --cap"),
+    (["measure", "--check=moment", "--w=0.2", "--degree=2", "--n=64"],
+     "--n does not apply to measure --check=moment"),
+    (["measure", "--w=0.2"], "--check is required"),
+    (["hermite", "--m=4", "--a=-1"], "--b is required"),
+    (["selftest", "--criteria=4", "--full"], "--full does not apply to selftest --criteria"),
+    (["selftest", "--criteria="], "--criteria: cannot read '' as int"),
+    (["selftest", "--criteria=4,99"], "--criteria names criteria 1-14"),
+])
+def test_the_read_table_names_the_option(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -446,3 +490,11 @@ def test_config_errors_exit_2_without_traceback(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_the_read_table_names_each_commands_own_options():
+    parser = build_parser()
+    for mode, (needs, reads) in _READS.items():
+        options = vars(parser.parse_args([mode.split()[0]]))
+        for flag in (needs + " " + reads).split():
+            assert flag.replace("-", "_") in options, (mode, flag)

@@ -315,6 +315,22 @@ def test_direction_quadrature_errors():
         cm.build_direction_quadrature(2, "gauss_product_3d", 8)
 
 
+@pytest.mark.parametrize("dim, scheme", [(2, "uniform_angle_2d"), (3, "gauss_product_3d")])
+def test_deterministic_schemes_refuse_a_seed(dim, scheme):
+    # a seed would change nothing, so it is refused rather than ignored
+    with pytest.raises(cm.BadParameter, match="takes no seed"):
+        cm.build_direction_quadrature(dim, scheme, 16, seed=3)
+    assert cm.build_direction_quadrature(dim, scheme, 16).seed is None
+
+
+@pytest.mark.parametrize("dim, scheme", [(2, "monte_carlo"), (3, "monte_carlo"),
+                                         (3, "monte_carlo_design")])
+def test_monte_carlo_schemes_take_their_seed(dim, scheme):
+    dq = cm.build_direction_quadrature(dim, scheme, 16, seed=3)
+    assert dq.seed == 3
+    assert dq.directions.shape[1] == dim
+
+
 def test_half_resolution():
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 64)
     half = dq.half_resolution()
