@@ -25,7 +25,6 @@ from .errors import (
     NumericalError,
     PointNotInterior,
     PointNotOnBoundary,
-    RejectionBudgetExceeded,
     UnsupportedDegree,
 )
 from .geometry import (

@@ -1,7 +1,9 @@
 """Exit-distribution samplers for three kinds of Brownian traveler in a ball.
 
-All three exit laws are sampled exactly (no path discretization):
-  full  -- rejection against the ball's exit density on the boundary;
+All three exit laws are sampled exactly (no path discretization, no loop):
+  full  -- in 2-D the disk automorphism pushforward of a uniform angle; in
+           3-D the inverse CDF of the exit's cosine about P, with a uniform
+           azimuth;
   plane -- random plane through P, then the in-plane exit via the disk
            automorphism pushforward of a uniform angle;
   line  -- random chord through P, then the 1-D gambler's-ruin endpoint.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, RejectionBudgetExceeded
+from .errors import BadParameter
 from .boundary import CapSpec, cap_indicator
 from .geometry import (
     STREAM_TRAVELER_FULL,
@@ -30,10 +32,7 @@ from .geometry import (
     plane_sections,
     uniform_directions,
 )
-from .poisson import cap_measure_ratio, kernel_values
-
-REJECTION_BUDGET_PER_SAMPLE = 10 ** 6
-RHO_SOFT_LIMIT = 0.8
+from .poisson import cap_measure_ratio
 
 
 @dataclass(frozen=True)
@@ -65,43 +64,52 @@ def _disk_exits(z0, rng: np.random.Generator, n: int) -> np.ndarray:
 # Batch samplers
 # ---------------------------------------------------------------------------
 
+def _exit_cosines(rho: float, u: np.ndarray):
+    """The exit cosine t = F^{-1}(u) about P in the unit 3-ball, |P| = rho, as
+    (t, 1 - t, sqrt(1 - t^2)), where F(t) = (1 - rho^2)/(2 rho) ((1 - 2 rho t
+    + rho^2)^(-1/2) - 1/(1 + rho)).  With q = 1 - rho + 2 rho u and
+    s = (1 - rho^2)/q = |exit - P|, 1 + t and 1 - t are each a product, so
+    neither cancels and nothing divides by rho; t = 2u - 1 at rho = 0."""
+    q = 1.0 - rho + 2.0 * rho * u
+    s = (1.0 - rho) * (1.0 + rho) / q
+    above = u * (1.0 + rho) * (1.0 + rho + s) / q             # 1 + t
+    below = (1.0 - rho) * (1.0 - u) * (1.0 - rho + s) / q     # 1 - t
+    t = np.where(above < below, above - 1.0, 1.0 - below)
+    return t, below, np.sqrt(above * below)
+
+
 def exits_full_batch(ball: BallDomain, p: np.ndarray, rng: np.random.Generator,
                      n: int):
-    """n exact samples of the full traveler's exit law; returns (points, acceptance rate).
+    """n exact samples of the full traveler's exit law; returns (points, 1.0).
 
-    Rejection sampling: uniform boundary proposals accepted in proportion to
-    the exit density (``kernel_values``), whose maximum over the boundary is
-    (1 + rho) / (1 - rho)^(dim-1) at rho = |p - c|/R (relative to uniform).
+    2-D: the disk automorphism pushforward of a uniform angle (``_disk_exits``).
+    3-D: by inversion, the exit cosine about e = (p - c)/|p - c| is
+    ``_exit_cosines`` of a uniform draw and the azimuth about e is uniform, in
+    the frame of the plane section normal to e (any e at the center).  The
+    second value, the share of draws used, is 1.0 since nothing is rejected;
+    it stays so that callers that unpack (points, rate), such as
+    ``bench/tracer.py``, keep working.
     """
-    dim = ball.dim
-    rho = start_rho(ball, p)
-    max_density = (1.0 + rho) / (1.0 - rho) ** (dim - 1)
-    budget = REJECTION_BUDGET_PER_SAMPLE * max(n, 1)
-    out = np.empty((n, dim))
-    filled = 0
-    proposals = 0
-    accepted_total = 0
-    while filled < n:
-        chunk = min(int((n - filled) * max_density * 1.2) + 64, 4_000_000)
-        dirs = uniform_directions(rng, chunk, dim)
-        u = rng.random(chunk)
-        accepted = dirs[u * max_density <= kernel_values(ball, p, dirs)]
-        take = min(len(accepted), n - filled)
-        out[filled:filled + take] = accepted[:take]
-        filled += take
-        proposals += chunk
-        accepted_total += len(accepted)
-        if proposals > budget:
-            raise RejectionBudgetExceeded(
-                f"{proposals} proposals for {n} samples: point too close to the boundary")
-    rate = accepted_total / proposals
-    return ball.center + ball.radius * out, rate
+    x = (p - ball.center) / ball.radius
+    if ball.dim == 2:
+        z = _disk_exits(complex(*x), rng, n)
+        return ball.center + ball.radius * np.column_stack([z.real, z.imag]), 1.0
+    rho = float(np.linalg.norm(x))
+    e = x / rho if rho > 0.0 else np.array([0.0, 0.0, 1.0])
+    t, _, r = _exit_cosines(rho, rng.random(n))
+    phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    r_cos, r_sin = r * np.cos(phi), r * np.sin(phi)
+    frame = plane_sections(ball, p, e[np.newaxis, :])
+    out = np.column_stack([t * e[k] + r_cos * frame.u[0, k] + r_sin * frame.v[0, k]
+                           for k in range(3)])
+    return ball.center + ball.radius * out, 1.0
 
 
 def exits_disk_exact_batch(ball: BallDomain, p: np.ndarray,
                            rng: np.random.Generator, n: int) -> np.ndarray:
-    """Exact 2-D exit sampler: pushforward of a uniform angle under the disk
-    automorphism sending 0 to the (normalized) start point."""
+    """Exact 2-D exit sampler, the same draw as ``exits_full_batch`` in 2-D:
+    pushforward of a uniform angle under the disk automorphism sending 0 to
+    the (normalized) start point."""
     if ball.dim != 2:
         raise BadParameter("the exact disk sampler is 2-D only")
     t = _disk_exits(complex(*((p - ball.center) / ball.radius)), rng, n)
@@ -140,19 +148,14 @@ def _sigma(freq: float, se: float, target: float) -> float:
     return abs(freq - target) / se
 
 
-def start_rho(ball: BallDomain, p: np.ndarray) -> float:
-    """Relative distance |p - c| / R of a start point from the center."""
-    return float(np.linalg.norm((p - ball.center) / ball.radius))
-
-
 def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
                                seed: int) -> ExperimentReport:
     """Cap-hit frequencies of all applicable travelers against the exact
     ``cap_measure_ratio`` and against each other, in binomial standard-error units.
 
-    The full traveler is drawn by rejection, except from a 2-D start with
-    rho > RHO_SOFT_LIMIT, where rejection slows and the exact disk sampler
-    draws it instead.
+    Every traveler's sampler is exact at every interior start.  Past
+    |P - c|/R of about 0.95 in 3-D the oracle, not the samplers, sets the
+    accuracy (the cone rule is good to 1e-12 at 0.99 and 1e-7 at 0.999).
     """
     p = interior_point(ball, BallDomain, P)
     if N < 10 ** 3:
@@ -160,11 +163,8 @@ def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
     ind = cap_indicator(cap, ball)
     oracle = cap_measure_ratio(ball, p, cap)
 
-    if ball.dim == 2 and start_rho(ball, p) > RHO_SOFT_LIMIT:
-        full_draw = lambda rng: exits_disk_exact_batch(ball, p, rng, N)
-    else:
-        full_draw = lambda rng: exits_full_batch(ball, p, rng, N)[0]
-    samplers = [("full", STREAM_TRAVELER_FULL, full_draw)]
+    samplers = [("full", STREAM_TRAVELER_FULL,
+                 lambda rng: exits_full_batch(ball, p, rng, N)[0])]
     if ball.dim == 3:
         samplers.append(("plane", STREAM_TRAVELER_PLANE,
                          lambda rng: exits_plane_batch(ball, p, rng, N)[0]))

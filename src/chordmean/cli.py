@@ -42,7 +42,7 @@ from .measure import (
     star_angle_measure_check,
     subtended_moment,
 )
-from .brownian import RHO_SOFT_LIMIT, compare_exit_distributions, start_rho
+from .brownian import compare_exit_distributions
 from . import selftest as selftest_mod
 
 NONBALL_THRESHOLD = 1e-3
@@ -421,13 +421,6 @@ def cmd_hermite(args) -> int:
 def cmd_brownian(args) -> int:
     _, p, ball = _point_and_ball(args)
     cap = _cap(args, ball, p)
-    rho = start_rho(ball, p)
-    if rho > RHO_SOFT_LIMIT:
-        if ball.dim == 3:
-            raise ConfigError(f"start point rho={rho:.3f} > {RHO_SOFT_LIMIT}: "
-                              f"rejection sampling refused in 3-D")
-        print(f"warning: rho={rho:.3f} > {RHO_SOFT_LIMIT}, switching the full traveler "
-              f"to the exact disk sampler", file=sys.stderr)
     report = compare_exit_distributions(ball, p, cap, args.n, seed=args.seed)
     rows = [[t.name, t.hits, t.frequency, t.std_error, t.sigma_vs_oracle]
             for t in report.travelers]

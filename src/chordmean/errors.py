@@ -61,10 +61,6 @@ class BadParameter(ChordMeanError, ValueError):
     """Parameter outside its admissible range."""
 
 
-class RejectionBudgetExceeded(ChordMeanError, RuntimeError):
-    """Rejection sampler exhausted its proposal budget."""
-
-
 class ConfigError(ChordMeanError, ValueError):
     """Invalid command-line or config-file input."""
 

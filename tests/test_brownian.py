@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import chordmean as cm
 from chordmean.brownian import (
+    _exit_cosines,
     exits_disk_exact_batch,
     exits_full_batch,
     exits_line_batch,
@@ -41,13 +42,12 @@ def test_exit_points_lie_on_boundary():
 
 def test_full_sampler_from_center_is_uniform():
     rng = philox_stream(2, 1)
-    pts, rate = exits_full_batch(DISK, np.zeros(2), rng, 50000)
+    pts, _ = exits_full_batch(DISK, np.zeros(2), rng, 50000)
     cap = cm.arc_cap(DISK, (0.0, 0.0), 0.2, 1.7)
     ind = cm.cap_indicator(cap, DISK)
     target = 1.5 / (2.0 * math.pi)
     sigma = math.sqrt(target * (1.0 - target) / 50000)
     assert abs(_freq(ind, pts) - target) <= 3.0 * sigma
-    assert rate > 0.9   # at the center every proposal is accepted
 
 
 def test_full_sampler_matches_exit_density():
@@ -59,16 +59,6 @@ def test_full_sampler_matches_exit_density():
     target = 0.7951672353008665
     sigma = math.sqrt(target * (1.0 - target) / 10 ** 5)
     assert abs(_freq(ind, pts) - target) <= 3.0 * sigma
-
-
-def test_full_sampler_acceptance_rate():
-    rng = philox_stream(4, 1)
-    p = np.array([0.8, 0.0])
-    _, rate = exits_full_batch(DISK, p, rng, 20000)
-    # acceptance is the reciprocal of the normalized kernel maximum
-    expected = (1.0 - 0.8) / (1.0 + 0.8)
-    assert rate > 0.05
-    assert abs(rate - expected) <= 0.02
 
 
 def test_full_sampler_chi_square_against_bin_integrals():
@@ -85,11 +75,57 @@ def test_full_sampler_chi_square_against_bin_integrals():
     assert chi2 <= CHI2_63_Q999
 
 
-def test_rejection_budget_guard():
-    rng = philox_stream(6, 1)
-    p = np.array([0.0, 0.0, 1.0 - 2e-5])
-    with pytest.raises(cm.RejectionBudgetExceeded):
-        exits_full_batch(BALL, p, rng, 1)
+def _exit_cosine_cdf(rho, one_minus_t):
+    """F(t) = (1 - rho^2)/(2 rho) ((1 - 2 rho t + rho^2)^(-1/2) - 1/(1 + rho)),
+    the law of the 3-D exit's cosine about P, written in 1 - t with
+    1 - rho^2 = (1 - rho)(1 + rho) and 1 - 2 rho t + rho^2 = (1 - rho)^2
+    + 2 rho (1 - t), so that evaluating it cancels nothing near the rim."""
+    d = (1.0 - rho) ** 2 + 2.0 * rho * one_minus_t
+    return (1.0 - rho) * (1.0 + rho) / (2.0 * rho) * (d ** -0.5 - 1.0 / (1.0 + rho))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.8, 0.95, 0.999])
+def test_exit_cosines_invert_the_cdf(rho):
+    u = np.concatenate([np.linspace(0.0, 1.0, 1025)[:-1],
+                        np.logspace(-17.0, -1.0, 65), 1.0 - np.logspace(-16.0, -1.0, 65)])
+    t, one_minus_t, r = _exit_cosines(rho, u)
+    assert np.all((-1.0 <= t) & (t <= 1.0))
+    assert np.max(np.abs((1.0 - t) - one_minus_t)) <= 2e-15
+    assert np.max(np.abs(t * t + r * r - 1.0)) <= 2e-15
+    if rho == 0.0:
+        assert np.array_equal(t, 2.0 * u - 1.0)
+    else:
+        assert np.max(np.abs(_exit_cosine_cdf(rho, one_minus_t) - u)) <= 2e-14
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_full_sampler_3d_chi_square_against_the_cosine_cdf(rho):
+    e = np.array([2.0, -1.0, 2.0]) / 3.0
+    n = 10 ** 5
+    pts, _ = exits_full_batch(BALL, rho * e, philox_stream(6, 1), n)
+    t = pts @ e
+    counts = np.histogram(t, bins=64, range=(-1.0, 1.0))[0]
+    edges = np.linspace(-1.0, 1.0, 65)
+    probs = np.diff(_exit_cosine_cdf(rho, 1.0 - edges))
+    assert abs(probs.sum() - 1.0) <= 1e-14
+    chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
+    assert chi2 <= CHI2_63_Q999
+
+
+def test_full_sampler_3d_on_a_moved_ball():
+    center = np.array([0.3, -0.2, 0.1])
+    ball = cm.BallDomain(center=tuple(center), radius=2.5)
+    p = center + 2.5 * np.array([0.2, 0.5, -0.4])
+    n = 2 * 10 ** 5
+    pts, _ = exits_full_batch(ball, p, philox_stream(14, 1), n)
+    assert np.max(np.abs(np.linalg.norm(pts - center, axis=1) / 2.5 - 1.0)) <= 1e-15
+    for axis, half, nappe in (((1.0, 0.0, 0.0), 0.7, "plus"),
+                              ((0.0, 0.6, -0.8), 1.2, "plus"),
+                              ((0.0, 0.0, 1.0), 0.4, "both")):
+        cap = cm.CapSpec(vertex=p, axis=axis, half_angle=half, nappe=nappe)
+        oracle = cm.cap_measure_ratio(ball, p, cap)
+        sigma = math.sqrt(oracle * (1.0 - oracle) / n)
+        assert abs(_freq(cm.cap_indicator(cap, ball), pts) - oracle) <= 4.0 * sigma
 
 
 def test_exact_disk_sampler_matches_rejection_law():
@@ -114,7 +150,7 @@ def test_plane_sampler_matches_poisson_oracle():
     p = np.array([0.0, 0.0, 0.5])
     half = math.acos(-0.5 / math.sqrt(1.25))
     cap = cm.CapSpec(vertex=p, axis=(0.0, 0.0, 1.0), half_angle=half)
-    oracle = cm.cap_measure_poisson(BALL, p, cap).value
+    oracle = cm.cap_measure_ratio(BALL, p, cap)
     pts, _ = exits_plane_batch(BALL, p, philox_stream(9, 1), 10 ** 5)
     ind = cm.cap_indicator(cap, BALL)
     sigma = math.sqrt(oracle * (1.0 - oracle) / 10 ** 5)
@@ -192,13 +228,11 @@ def test_oracle_is_the_exact_cap_measure():
     assert abs(report.oracle_measure - exact) <= 1e-14
 
 
-@pytest.mark.parametrize("p, exact", [((0.5, 0.0), False), ((0.85, 0.0), True)])
-def test_compare_picks_the_exact_disk_sampler_past_the_soft_limit(p, exact):
+@pytest.mark.parametrize("p", [(0.5, 0.0), (0.85, 0.0)])
+def test_full_traveler_2d_is_the_disk_automorphism(p):
     arc = cm.arc_cap(DISK, p, 0.0, 1.0)
     report = cm.compare_exit_distributions(DISK, p, arc, 2000, seed=7)
-    rng = philox_stream(7, STREAM_TRAVELER_FULL)
-    pts = (exits_disk_exact_batch(DISK, np.asarray(p), rng, 2000) if exact
-           else exits_full_batch(DISK, np.asarray(p), rng, 2000)[0])
+    pts = exits_disk_exact_batch(DISK, np.asarray(p), philox_stream(7, STREAM_TRAVELER_FULL), 2000)
     hits = int(np.count_nonzero(np.asarray(cm.cap_indicator(arc, DISK).value(pts)) == 1.0))
     assert report.travelers[0].hits == hits
 
