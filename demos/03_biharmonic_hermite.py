@@ -40,7 +40,7 @@ def cubic_grad(pts):
     g = np.zeros(pts.shape)
     g[..., 0] = 3.0 * pts[..., 0] ** 2
     return g
-data = cm.BoundaryData(cubic, cubic_grad, "c1", exact_solution=cubic)
+data = cm.BoundaryData(cubic, cubic_grad, exact_solution=cubic)
 res = cm.solve_biharmonic(disk, data, (0.2, 0.0), dq)
 print(f"  f = x^3 at (0.2, 0): value {res.value:.15f} (exact 0.008), "
       f"residual {res.residual:.2e}")

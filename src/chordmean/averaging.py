@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, BadResolution, DimMismatch
-from .boundary import BoundaryData
+from .boundary import BoundaryData, require_data
 from .geometry import (
     BallDomain,
     DirectionQuadrature,
@@ -114,7 +114,9 @@ def solve_harmonic(ball: BallDomain, data: BoundaryData, P,
                    dq: DirectionQuadrature) -> ChordAverageResult:
     """Average of chord interpolants over the direction set: the harmonic
     extension of the data evaluated at P (exact on balls)."""
-    return _average(ball, data, interior_point(ball, BallDomain, P, dq), dq)
+    p = interior_point(ball, BallDomain, P, dq)
+    require_data(data)
+    return _average(ball, data, p, dq)
 
 
 def solve_on_domain(domain, data: BoundaryData, P,
@@ -125,6 +127,7 @@ def solve_on_domain(domain, data: BoundaryData, P,
     residual measures how far the domain is from being a ball.
     """
     p = interior_point(domain, (Ellipse2D, StarDomain2D), P, dq)
+    require_data(data)
     return _average(domain, data, p, dq)
 
 
@@ -135,6 +138,7 @@ def chord_interpolant_max(domain, data: BoundaryData, P,
     A discrete stand-in (lower bound) for the sup over all chords; dominates
     the chord average computed with the same node set."""
     p = interior_point(domain, (BallDomain, Ellipse2D, StarDomain2D), P, dq)
+    require_data(data)
     return float(np.max(_interpolant_values(domain, data, p, dq.directions)))
 
 
@@ -170,7 +174,7 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
     if inner_solver == "poisson":
         terms = values(circle[np.newaxis]) * kernel_values(_UNIT_DISK, z, circle)
     else:
-        terms = _interpolant_values(_UNIT_DISK, BoundaryData(values, None, "c0"), z, circle)
+        terms = _interpolant_values(_UNIT_DISK, BoundaryData(values), z, circle)
     return np.array([fixed_sum(row) for row in require_finite(terms)]) / len(circle)
 
 
@@ -188,6 +192,7 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
     the inner resolution is held fixed.
     """
     p = interior_point(ball, BallDomain, P, normal_dq)
+    require_data(data)
     if ball.dim != 3:
         raise DimMismatch("cross_section_solve requires a 3-dimensional ball")
     if inner_solver not in ("poisson", "chords"):

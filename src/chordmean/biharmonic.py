@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadBracket, BadDegree, GradientRequired
-from .boundary import BoundaryData
+from .boundary import BoundaryData, require_data
 from .geometry import BallDomain, DirectionQuadrature, interior_point, row_dot
 from .averaging import ChordAverageResult, _average
 
@@ -74,9 +74,10 @@ def solve_biharmonic(ball: BallDomain, data: BoundaryData, P,
     """Average over directions of the chord Hermite cubic evaluated at P.
 
     Endpoint slopes are the directional derivatives <grad f, e> of the data;
-    indicator or c0 data is rejected (no finite-difference fallback here).
+    data without a gradient is rejected (no finite-difference fallback here).
     """
     p = interior_point(ball, BallDomain, P, dq)
-    if data.smoothness != "c1" or data.gradient is None:
-        raise GradientRequired("biharmonic solver needs c1 data with a gradient")
+    require_data(data)
+    if data.gradient is None:
+        raise GradientRequired("biharmonic solver needs data with a gradient")
     return _average(ball, data, p, dq, _hermite_term)

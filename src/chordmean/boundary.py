@@ -16,7 +16,7 @@ few ulps of the sum of |c x^e| over the terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -215,37 +215,29 @@ class BoundaryData:
 
     value: object
     gradient: object = None
-    smoothness: str = "c1"
+    _: KW_ONLY
     exact_solution: object = None
 
-    def __post_init__(self):
-        if self.smoothness not in ("c1", "c0", "indicator"):
-            raise BadParameter(f"unknown smoothness tag {self.smoothness!r}")
-        if self.smoothness == "c1" and self.gradient is None:
-            raise BadParameter("c1 data requires a gradient")
 
-    def __call__(self, x):
-        return float(self.value(as_point(x)))
+def require_data(data) -> None:
+    """The data check of every solve: ``data`` must be a BoundaryData."""
+    if not isinstance(data, BoundaryData):
+        raise BadParameter(f"expected BoundaryData, got {type(data).__name__} "
+                           "(polynomials give theirs by .boundary_data())")
 
 
 def from_callable(f, gradient=None) -> BoundaryData:
-    """Wrap scalar user callables, looped over rows: c1 data with a gradient,
-    c0 data without."""
-    def value(pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            return f(pts)
-        return np.array([f(p) for p in pts])
-
-    grad = None
-    if gradient is not None:
-        def grad(pts):
+    """Wrap scalar user callables, looped over rows, with the gradient if
+    one is given."""
+    def rowwise(g):
+        def batch(pts):
             pts = np.asarray(pts, dtype=float)
             if pts.ndim == 1:
-                return np.asarray(gradient(pts), dtype=float)
-            return np.array([gradient(p) for p in pts])
+                return np.asarray(g(pts), dtype=float)
+            return np.array([g(p) for p in pts])
+        return batch
 
-    return BoundaryData(value, grad, "c1" if gradient is not None else "c0")
+    return BoundaryData(rowwise(f), None if gradient is None else rowwise(gradient))
 
 
 def constant_data(c: float) -> BoundaryData:
@@ -257,7 +249,7 @@ def constant_data(c: float) -> BoundaryData:
         pts = np.asarray(pts, dtype=float)
         return np.zeros(pts.shape)
 
-    return BoundaryData(value, gradient, "c1", exact_solution=value)
+    return BoundaryData(value, gradient, exact_solution=value)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +270,7 @@ class _PolynomialData:
                         axis=-1)
 
     def boundary_data(self) -> BoundaryData:
-        return BoundaryData(self.value, self.gradient, "c1",
-                            exact_solution=self.value)
+        return BoundaryData(self.value, self.gradient, exact_solution=self.value)
 
 
 class HarmonicPolynomial(_PolynomialData):
@@ -440,7 +431,7 @@ def cap_indicator(cap: CapSpec, ball: BallDomain) -> BoundaryData:
     def value(pts):
         return _nappe_values(_cone_cosines(vertex, axis, pts), c, nappe)
 
-    return BoundaryData(value, None, "indicator")
+    return BoundaryData(value)
 
 
 def _cone_cosines(vertex: np.ndarray, axis: np.ndarray, pts) -> np.ndarray:

@@ -3,8 +3,8 @@
 Every output starts with a metadata block (tool version, effective config,
 seed) so a run can be reproduced byte for byte.  Floats print with 17
 significant digits.  Exit codes: 0 success, 2 config error (a bad option, or
-an input the library rejects: errors.INPUT_ERRORS), 3 numerical error,
-4 selftest failure.
+an input the library rejects), 3 numerical error (NumericalError or a numpy
+floating-point error), 4 selftest failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import INPUT_ERRORS, ChordMeanError, ConfigError
+from .errors import ChordMeanError, ConfigError, NumericalError
 from .geometry import (MEASURE_RES_2D, MEASURE_RES_3D, SMOOTH_RES_2D, SMOOTH_RES_3D,
                        BallDomain, Ellipse2D, StarDomain2D, build_direction_quadrature,
                        point_norm)
@@ -180,23 +180,22 @@ def parse_domain(dim: int, spec: str):
     raise ConfigError(f"unknown domain spec {spec!r}")
 
 
-def parse_data(dim: int, spec: str, point) -> BoundaryData:
+def parse_data(domain, spec: str, point) -> BoundaryData:
+    """The data of ``spec``; a cap or arc indicator is built on ``domain``."""
     kind, _, rest = spec.partition(":")
     if kind == "harm":
-        return parse_poly(dim, rest).boundary_data()
+        return parse_poly(domain.dim, rest).boundary_data()
     if kind == "almansi":
         h1_spec, _, h2_spec = rest.partition(";")
         if not h2_spec:
             raise ConfigError("almansi spec is 'almansi:<h1>;<h2>'")
-        u = almansi_assemble(parse_poly(dim, h1_spec), parse_poly(dim, h2_spec))
+        u = almansi_assemble(parse_poly(domain.dim, h1_spec), parse_poly(domain.dim, h2_spec))
         return u.boundary_data()
     if kind == "cap":
-        cap = parse_cap(dim, rest, vertex=point)
-        return cap_indicator(cap, BallDomain(center=np.zeros(dim), radius=1.0))
+        return cap_indicator(parse_cap(domain.dim, rest, vertex=point), domain)
     if kind == "arc":
         t1, t2 = _floats(rest, "arc", 2)
-        disk = BallDomain(center=np.zeros(2), radius=1.0)
-        return cap_indicator(arc_cap(disk, point, t1, t2), disk)
+        return cap_indicator(arc_cap(domain, point, t1, t2), domain)
     if kind == "const":
         (value,) = _floats(rest, "const", 1)
         return constant_data(value)
@@ -267,7 +266,8 @@ _READS = {
     "brownian": ("point seed cap", "dim n"),
     "brownian with --arc": ("point seed arc", "dim n"),
     "brownian with --cap": ("point seed cap", "dim n"),
-    "selftest": ("", "quick full json"),
+    "selftest": ("", "quick json"),
+    "selftest --full": ("full", "json"),
     "selftest --criteria": ("criteria", "json"),
 }
 
@@ -281,6 +281,8 @@ def _mode(args) -> str:
         mode += f" --check={args.check}"
     if getattr(args, "criteria", None) is not None:
         mode += " --criteria"
+    elif getattr(args, "full", None):
+        mode += " --full"
     if mode in ("measure --check=cap", "brownian"):     # a cap from --arc, --cap or neither
         source = "arc" if args.arc is not None else "cap" if args.cap is not None else None
         mode += f" with --{source}" if source else ""
@@ -312,12 +314,12 @@ def cmd_solve(args) -> int:
     if len(point) != dim:
         raise ConfigError(f"--point needs {dim} coordinates")
     domain = parse_domain(dim, args.domain)
-    data = parse_data(dim, args.data, np.asarray(point))
+    data = parse_data(domain, args.data, np.asarray(point))
 
     operator = args.operator or "harmonic"
     if operator != "cross-section":
         scheme = _SCHEMES[args.scheme or ("uniform" if dim == 2 else "gauss")]
-        default_n = (MEASURE_RES_2D, MEASURE_RES_3D) if data.smoothness == "indicator" \
+        default_n = (MEASURE_RES_2D, MEASURE_RES_3D) if args.data[:4] in ("cap:", "arc:") \
             else (SMOOTH_RES_2D, SMOOTH_RES_3D)
         n = default_n[dim - 2] if args.n is None else args.n
         dq = build_direction_quadrature(dim, scheme, n, seed=args.seed)
@@ -436,10 +438,8 @@ def cmd_selftest(args) -> int:
         ids = tuple(_parse(int, v, "--criteria") for v in args.criteria.split(","))
         if not set(ids) <= set(selftest_mod.CHECKS):
             raise ConfigError(f"--criteria names criteria 1-{max(selftest_mod.CHECKS)}")
-    elif args.full:
-        ids = selftest_mod.FULL_IDS
     else:
-        ids = selftest_mod.QUICK_IDS
+        ids = selftest_mod.FULL_IDS if args.full else selftest_mod.QUICK_IDS
     results = selftest_mod.run_checks(ids, verbose=True)
     if args.json:
         payload = {"tool": "chordmean", "version": __version__,
@@ -535,10 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_brownian)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--quick", action="store_true", default=None,
-                       help="deterministic subset (criteria 1, 3, 4, 7, 11, 12)")
-    group.add_argument("--full", action="store_true", default=None, help="all criteria 1-14")
+    p.add_argument("--quick", action="store_true", default=None,
+                   help="deterministic subset (criteria 1, 3, 4, 7, 11, 12)")
+    p.add_argument("--full", action="store_true", default=None, help="all criteria 1-14")
     p.add_argument("--criteria", default=None, help="explicit comma list of criteria")
     p.add_argument("--json", default=None, help="write a JSON report here")
     p.set_defaults(func=cmd_selftest)
@@ -616,12 +615,12 @@ def main(argv=None) -> int:
         # is a numerical error, not a numpy warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ChordMeanError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except ChordMeanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -69,9 +69,3 @@ class NumericalError(ChordMeanError, RuntimeError):
     """A numerical routine failed: non-finite integrand values, or an
     argument increment too large to unwrap."""
 
-
-# Errors that reject what the caller asked for rather than report a failed
-# computation; the command line treats them as config errors (exit 2).
-INPUT_ERRORS = (ConfigError, BadParameter, BadResolution, BadIndex, UnsupportedDegree,
-                PointNotInterior, MissingSeed, DimMismatch, BadDegree, BadBracket,
-                DegenerateDirection)

@@ -352,10 +352,13 @@ def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
     return bx * ex + by * ey
 
 
-def interior_point(domain, kinds, P, dq=None) -> np.ndarray:
+_NO_RULE = object()      # interior_point's dq for a solve that takes no rule
+
+
+def interior_point(domain, kinds, P, dq=_NO_RULE) -> np.ndarray:
     """The one input check of every solve: ``domain`` must be one of the
-    types ``kinds``, P strictly inside it and the direction rule ``dq``, if
-    given, of its dimension.  Returns P as an array.
+    types ``kinds``, P strictly inside it, and ``dq``, for a solve that takes
+    a rule, a DirectionQuadrature of its dimension.  Returns P as an array.
 
     Every domain type offers ``dim``, ``require_interior(P)`` and
     ``chord_roots(p, dirs)``: the chord parameters a < 0 < b along each unit
@@ -366,7 +369,9 @@ def interior_point(domain, kinds, P, dq=None) -> np.ndarray:
         names = " or ".join(k.__name__ for k in kinds)
         raise BadParameter(f"expected a {names}, got {type(domain).__name__}")
     p = domain.require_interior(P)
-    if dq is not None and dq.dim != domain.dim:
+    if dq is not _NO_RULE and not isinstance(dq, DirectionQuadrature):
+        raise BadParameter(f"expected a DirectionQuadrature, got {type(dq).__name__}")
+    if dq is not _NO_RULE and dq.dim != domain.dim:
         raise DimMismatch(f"{dq.dim}-D direction rule for a {domain.dim}-D domain")
     return p
 

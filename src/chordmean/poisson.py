@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, DimMismatch, NumericalError, PointNotOnBoundary
-from .boundary import BoundaryData, CapSpec, cap_indicator
+from .boundary import BoundaryData, CapSpec, cap_indicator, require_data
 from .geometry import (
     BallDomain,
     DirectionQuadrature,
@@ -278,6 +278,7 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
                   bq: BoundaryQuadrature | None = None) -> SolveReport:
     """Poisson integral of the boundary data at interior x."""
     p = interior_point(ball, BallDomain, x)
+    require_data(data)
     return half_rule_report(
         _placed_rule(ball, bq, build_boundary_quadrature), lambda q: (
             _boundary_values(ball, data, q), kernel_values(ball, p, q.directions)))

@@ -199,7 +199,7 @@ def _cubic_data(dim: int) -> BoundaryData:
         g[..., 0] = 3.0 * pts[..., 0] ** 2
         return g
 
-    return BoundaryData(value, gradient, "c1", exact_solution=value)
+    return BoundaryData(value, gradient, exact_solution=value)
 
 
 _ALMANSI_PAIRS = {

@@ -205,7 +205,7 @@ def test_cross_section_solves_each_plane_once(monkeypatch, normals, planes):
         return cm.constant_data(1.0).value(pts)
 
     monkeypatch.setattr(averaging, "plane_sections", counted_sections)
-    cm.cross_section_solve(BALL, cm.BoundaryData(value, None, "c0"), (0.1, 0.2, 0.3),
+    cm.cross_section_solve(BALL, cm.BoundaryData(value), (0.1, 0.2, 0.3),
                            normals, 64)
     assert seen == planes
     assert evaluated == [64 * k for k in planes]
@@ -216,8 +216,7 @@ def test_paired_cross_section_equals_per_normal_solves(inner_solver):
     """The paired Gauss-16 cross section against one unpaired section solve
     per normal, full and half rule: equal to 1e-14 relative.  The data is not
     harmonic, so the section values vary from ring to ring of normals."""
-    data = cm.BoundaryData(lambda x: np.exp(x[:, 0]) * np.cos(2.0 * x[:, 1]) + x[:, 2] ** 3,
-                           None, "c0")
+    data = cm.BoundaryData(lambda x: np.exp(x[:, 0]) * np.cos(2.0 * x[:, 1]) + x[:, 2] ** 3)
     ndq = cm.build_direction_quadrature(3, "gauss_product_3d", 16)
     p, circle = np.array([0.3, -0.2, 0.25]), _circle_nodes(256)
 
@@ -254,7 +253,7 @@ def test_cross_section_non_finite_data_raises_numerical_error(inner_solver):
     ndq = cm.build_direction_quadrature(3, "gauss_product_3d", 8)
     with pytest.raises(cm.NumericalError, match="not finite"), \
             np.errstate(invalid="ignore"):
-        cm.cross_section_solve(BALL, cm.BoundaryData(value, None, "c0"), (0.1, 0.2, 0.0),
+        cm.cross_section_solve(BALL, cm.BoundaryData(value), (0.1, 0.2, 0.0),
                                ndq, 64, inner_solver)
 
 

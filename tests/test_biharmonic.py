@@ -98,7 +98,7 @@ def test_solve_biharmonic_cubic_data():
         g[..., 0] = 3.0 * pts[..., 0] ** 2
         return g
 
-    data = cm.BoundaryData(value, gradient, "c1", exact_solution=value)
+    data = cm.BoundaryData(value, gradient, exact_solution=value)
     res = cm.solve_biharmonic(DISK, data, (0.2, 0.0), DQ2)
     assert abs(res.value - 0.008) <= 1e-10
     res3 = cm.solve_biharmonic(BALL, data, (0.2, 0.1, -0.3), DQ3)

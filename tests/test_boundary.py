@@ -259,7 +259,6 @@ def test_cap_indicator_examples():
     outside = np.column_stack([np.cos([0.8, math.pi]), np.sin([0.8, math.pi])])
     assert_allclose(ind.value(inside), 1.0)
     assert_allclose(ind.value(outside), 0.0)
-    assert ind.smoothness == "indicator"
     assert ind.gradient is None
 
 
@@ -372,26 +371,19 @@ def test_arc_cap_roundtrip():
         assert_allclose(ind.value(pts), 0.0)
 
 
-def test_boundary_data_validation():
-    with pytest.raises(cm.BadParameter):
-        cm.BoundaryData(lambda p: 0.0, None, "c1")
-    with pytest.raises(cm.BadParameter):
-        cm.BoundaryData(lambda p: 0.0, None, "smoothish")
-
-
 def test_from_callable_wraps_scalar_functions():
     data = cm.from_callable(lambda p: p[0] + 2.0 * p[1],
                             gradient=lambda p: np.array([1.0, 2.0]))
     pts = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert_allclose(data.value(pts), [1.0, 2.0])
     assert_allclose(data.gradient(pts), [[1.0, 2.0], [1.0, 2.0]])
-    assert data.smoothness == "c1"
+    assert cm.from_callable(lambda p: p[0]).gradient is None
 
 
 def test_linear_and_constant_data():
     lin = cm.HarmonicPolynomial(2, [(1, "re", 2.0), (1, "im", -1.0),
                                     (0, "re", 0.5)]).boundary_data()
-    assert_allclose(lin(np.array([1.0, 1.0])), 1.5)
+    assert_allclose(lin.value(np.array([1.0, 1.0])), 1.5)
     const = cm.constant_data(3.0)
     assert_allclose(const.value(np.zeros((4, 2))), 3.0)
     assert_allclose(const.gradient(np.zeros((4, 2))), 0.0)

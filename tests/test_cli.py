@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from chordmean.cli import _READS, build_parser, main, parse_cap, parse_domain, parse_poly
+from chordmean.boundary import CapSpec, arc_cap
 from chordmean.geometry import StarDomain2D
+from chordmean.measure import cap_measure_ratio
 
 
 def run_cli(args, capsys):
@@ -304,9 +306,9 @@ def test_exit_codes(capsys):
     # config error: unknown domain
     assert main(["solve", "--domain", "square:1", "--data", "harm:1,re",
                  "--point", "0,0"]) == 2
-    # numerical-domain error: biharmonic needs gradient data
+    # an input the library refuses: biharmonic needs gradient data
     assert main(["solve", "--operator", "biharmonic", "--data", "cap:axis=1,0,half=0.5",
-                 "--point", "0,0", "--n", "64"]) == 3
+                 "--point", "0,0", "--n", "64"]) == 2
     # selftest failure propagates as 4 is covered in test_selftest_subset
 
 
@@ -342,6 +344,13 @@ def test_exit_codes(capsys):
      "--point=0.3,0.2,0.1", "--normal-n=8", "--inner=64", "--n=7", "--scheme=mc"],
     ["selftest", "--criteria=abc"],
     ["selftest", "--criteria=99"],
+    # refusals of input, not numerical errors: GradientRequired, NotStarShapedFromP
+    ["solve", "--operator=biharmonic", "--dim=2", "--data=cap:axis=1,0,half=0.5",
+     "--point=0.2,0"],
+    ["solve", "--dim=2", "--domain=conformal:0.45", "--data=harm:2,re", "--point=0.5,0.6"],
+    # cap and arc data are indicators on a ball domain
+    ["solve", "--domain=ellipse:1.5,1", "--data=cap:axis=1,0,half=0.5", "--point=0.2,0"],
+    ["solve", "--domain=conformal:0.2", "--data=arc:0,1", "--point=0.2,0"],
 ])
 def test_rejected_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -368,10 +377,30 @@ def test_rejected_inputs_exit_2(argv, capsys):
     (["selftest", "--criteria=4", "--full"], "--full does not apply to selftest --criteria"),
     (["selftest", "--criteria="], "--criteria: cannot read '' as int"),
     (["selftest", "--criteria=4,99"], "--criteria names criteria 1-14"),
+    (["selftest", "--quick", "--full"], "--quick does not apply to selftest --full"),
 ])
 def test_the_read_table_names_the_option(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("domain, point, data, cap", [
+    ("ball:0,0,2", (1.5, 0.0), "cap:axis=1,0,half=0.5", ((1.0, 0.0), 0.5)),
+    ("ball:3,0,1", (3.2, 0.0), "cap:axis=1,0,half=0.5", ((1.0, 0.0), 0.5)),
+    ("ball:3,0,1", (3.2, 0.0), "arc:0,1", None),
+])
+def test_cap_data_lies_on_the_solve_domain(domain, point, data, cap, capsys):
+    """A cap: or arc: spec is the indicator of a cap of the --domain ball,
+    seen from --point: its solve is the cap's harmonic measure there."""
+    code, out = run_cli(["solve", "--dim=2", f"--domain={domain}", f"--data={data}",
+                         f"--point={point[0]},{point[1]}"], capsys)
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    row = dict(zip(header, rows[0]))
+    ball = parse_domain(2, domain)
+    spec = (arc_cap(ball, point, 0.0, 1.0) if cap is None
+            else CapSpec(vertex=point, axis=cap[0], half_angle=cap[1]))
+    assert abs(float(row["value"]) - cap_measure_ratio(ball, point, spec)) <= 1e-4
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

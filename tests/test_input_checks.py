@@ -1,6 +1,6 @@
-"""Every public entry point checks its domain type, point, direction rule
-and directions first, and rejects a bad one with a typed error instead of a
-numpy or attribute error or a silently wrong value."""
+"""Every public entry point checks its domain type, point, data, direction
+rule and directions first, and rejects a bad one with a typed error instead
+of a numpy or attribute error or a silently wrong value."""
 
 import math
 
@@ -56,6 +56,27 @@ _WRONG_INPUT = {
     "subtended_moment-3-vector": lambda: cm.subtended_moment([0.1, 0.2, 0.3], 2),
 }
 
+POLY = cm.harmonic_poly(2, 2, "re")
+
+# a solve takes BoundaryData and a DirectionQuadrature, nothing else
+_NOT_DATA_OR_RULE = {
+    "solve_harmonic-polynomial": lambda: cm.solve_harmonic(DISK, POLY, P, _rule(2)),
+    "solve_biharmonic-polynomial": lambda: cm.solve_biharmonic(DISK, POLY, P, _rule(2)),
+    "poisson_solve-polynomial": lambda: cm.poisson_solve(DISK, POLY, P),
+    "solve_on_domain-polynomial": lambda: cm.solve_on_domain(ELLIPSE, POLY, P, _rule(2)),
+    "chord_interpolant_max-polynomial": lambda: cm.chord_interpolant_max(
+        DISK, POLY, P, _rule(2)),
+    "cross_section_solve-polynomial": lambda: cm.cross_section_solve(
+        BALL3, cm.harmonic_poly(3, 2, 1), P3, _rule(3)),
+    "solve_harmonic-lambda": lambda: cm.solve_harmonic(DISK, lambda x: x[:, 0], P, _rule(2)),
+    "solve_biharmonic-lambda": lambda: cm.solve_biharmonic(
+        DISK, lambda x: x[:, 0], P, _rule(2)),
+    "solve_harmonic-rule-none": lambda: cm.solve_harmonic(DISK, DATA, P, None),
+    "solve_harmonic-rule-list": lambda: cm.solve_harmonic(DISK, DATA, P, [1, 2]),
+    "cross_section_solve-rule-none": lambda: cm.cross_section_solve(
+        BALL3, cm.harmonic_poly(3, 2, 1).boundary_data(), P3, None),
+}
+
 CASES = [
     pytest.param(lambda: cm.chord_interpolant_max(DISK, DATA, P, _rule(3)), cm.DimMismatch,
                  id="chord_interpolant_max-3d-rule"),
@@ -71,6 +92,7 @@ CASES = [
         DISK, P, AXIS, 0.6,
         bq=cm.build_boundary_quadrature(cm.BallDomain(center=(0.0, 0.0), radius=2.0), 4096)),
                  cm.BadParameter, id="center_of_mass_check-other-ball"),
+] + [pytest.param(f, cm.BadParameter, id=name) for name, f in _NOT_DATA_OR_RULE.items()
 ] + [pytest.param(lambda f=f, d=d: f(d), cm.BadParameter, id=f"{name}-{kind}")
      for name, f in _NOT_A_BALL.items()
      for kind, d in (("ellipse", ELLIPSE), ("star", STAR))] + [
@@ -100,3 +122,17 @@ CASES = [
 def test_entry_point_rejects_input(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_boundary_data_is_its_value_and_optional_gradient():
+    # values alone are data for every harmonic solve; the biharmonic one
+    # asks for the gradient it reads
+    data = cm.BoundaryData(lambda x: x[:, 0])
+    assert abs(cm.solve_harmonic(DISK, data, P, _rule(2)).value - P[0]) <= 1e-14
+    with pytest.raises(cm.GradientRequired):
+        cm.solve_biharmonic(DISK, data, P, _rule(2))
+
+
+def test_a_positional_tag_is_not_the_oracle():
+    with pytest.raises(TypeError):
+        cm.BoundaryData(lambda x: x[:, 0], None, "c0")

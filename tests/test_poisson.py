@@ -226,7 +226,7 @@ def _spoiled(marks):
             out[np.argmax(pts[:, axis])] = mark
         return out
 
-    return cm.BoundaryData(value, None, "c0")
+    return cm.BoundaryData(value)
 
 
 @pytest.mark.parametrize("marks", [(math.nan,), (math.inf, -math.inf)],

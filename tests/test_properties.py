@@ -81,7 +81,7 @@ def test_solve_is_linear_in_the_data(r, t, alpha, beta, freq):
         return np.exp(x[:, 0] - x[:, 1] ** 2)
 
     def solve(value):
-        return cm.solve_harmonic(DISK, cm.BoundaryData(value, None, "c0"),
+        return cm.solve_harmonic(DISK, cm.BoundaryData(value),
                                  _point(r, t), DQ).value
 
     combined = solve(lambda x: alpha * f(x) + beta * g(x))
@@ -93,7 +93,7 @@ def test_solve_is_linear_in_the_data(r, t, alpha, beta, freq):
 def test_solve_is_rotation_covariant(r, t, rot, m, k):
     poly = cm.harmonic_poly(2, m, k)
     rotation = _rotation(rot)
-    rotated = cm.BoundaryData(lambda x: poly.value(x @ rotation), None, "c0")
+    rotated = cm.BoundaryData(lambda x: poly.value(x @ rotation))
     p = _point(r, t)
     value = cm.solve_harmonic(DISK, poly.boundary_data(), p, DQ).value
     moved = cm.solve_harmonic(DISK, rotated, rotation @ p, DQ).value
@@ -105,7 +105,7 @@ def test_solve_is_rotation_covariant(r, t, rot, m, k):
 def test_solve_is_translation_covariant(r, t, cx, cy, m, k):
     poly = cm.harmonic_poly(2, m, k)
     shift = np.array([cx, cy])
-    moved = cm.BoundaryData(lambda x: poly.value(x - shift), None, "c0")
+    moved = cm.BoundaryData(lambda x: poly.value(x - shift))
     p = _point(r, t)
     value = cm.solve_harmonic(DISK, poly.boundary_data(), p, DQ).value
     shifted = cm.solve_harmonic(cm.BallDomain(center=shift, radius=1.0), moved,
@@ -117,7 +117,7 @@ def test_solve_is_translation_covariant(r, t, cx, cy, m, k):
 @given(radii, angles, st.floats(0.1, 10.0), degrees, parts)
 def test_solve_is_scale_covariant(r, t, scale, m, k):
     poly = cm.harmonic_poly(2, m, k)
-    scaled = cm.BoundaryData(lambda x: poly.value(x / scale), None, "c0")
+    scaled = cm.BoundaryData(lambda x: poly.value(x / scale))
     p = _point(r, t)
     value = cm.solve_harmonic(DISK, poly.boundary_data(), p, DQ).value
     grown = cm.solve_harmonic(cm.BallDomain(center=(0.0, 0.0), radius=scale), scaled,

@@ -124,7 +124,7 @@ def test_nested_half_evaluates_the_data_once():
         seen.append(len(pts))
         return data.value(pts)
 
-    counted = cm.BoundaryData(value, data.gradient, data.smoothness)
+    counted = cm.BoundaryData(value, data.gradient)
     cm.poisson_solve(disk, counted, p, build_boundary_quadrature(disk, resolution=4096))
     assert seen == [4096]
     seen.clear()
@@ -149,7 +149,7 @@ def test_nested_half_evaluates_the_data_once():
         slopes.append(len(pts))
         return bi.gradient(pts)
 
-    cm.solve_biharmonic(disk, cm.BoundaryData(value_bi, gradient, "c1"), p, dq)
+    cm.solve_biharmonic(disk, cm.BoundaryData(value_bi, gradient), p, dq)
     assert (seen, slopes) == ([256, 256], [256, 256])
 
 
@@ -301,6 +301,6 @@ def test_only_antipodal_rules_are_paired(dq, counts):
         seen.append(len(pts))
         return data.value(pts)
 
-    counted = cm.BoundaryData(value, data.gradient, data.smoothness)
+    counted = cm.BoundaryData(value, data.gradient)
     cm.solve_harmonic(ball, counted, np.full(dq.dim, 0.2), dq)
     assert seen == counts
