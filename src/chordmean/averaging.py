@@ -17,6 +17,7 @@ plane once, since normals nu and -nu give the same plane.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from .geometry import (
 )
 from .poisson import (
     SolveReport,
-    fixed_sum,
+    fixed_row_sums,
     half_rule_report,
     kernel_values,
     require_finite,
@@ -175,7 +176,7 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
         terms = values(circle[np.newaxis]) * kernel_values(_UNIT_DISK, z, circle)
     else:
         terms = _interpolant_values(_UNIT_DISK, BoundaryData(values), z, circle)
-    return np.array([fixed_sum(row) for row in require_finite(terms)]) / len(circle)
+    return fixed_row_sums(require_finite(terms)) / len(circle)
 
 
 def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
@@ -197,6 +198,11 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
         raise DimMismatch("cross_section_solve requires a 3-dimensional ball")
     if inner_solver not in ("poisson", "chords"):
         raise BadParameter("inner_solver must be 'poisson' or 'chords'")
+    try:
+        inner_resolution = operator.index(inner_resolution)
+    except TypeError:
+        raise BadResolution(f"inner_resolution must be an integer, "
+                            f"got {inner_resolution!r}") from None
     if inner_resolution < 1:
         raise BadResolution("inner_resolution must be at least 1")
     circle = _circle_nodes(inner_resolution)

@@ -436,8 +436,10 @@ def cap_indicator(cap: CapSpec, ball: BallDomain) -> BoundaryData:
 
 def _cone_cosines(vertex: np.ndarray, axis: np.ndarray, pts) -> np.ndarray:
     """Cosine of the angle between ``axis`` and x - vertex at each row x of
-    ``pts``: the one quantity the cap indicator compares."""
-    v = np.asarray(pts, dtype=float) - vertex
+    ``pts``: the one quantity the cap indicator compares.  The differences
+    are laid out row-major whatever the layout of ``pts``, so ``v @ axis``
+    rounds the same for a column-major view (``PlaneSections.to_3d``)."""
+    v = np.subtract(np.asarray(pts, dtype=float), vertex, order="C")
     return (v @ axis) / np.sqrt(row_dot(v, v))
 
 

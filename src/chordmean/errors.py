@@ -22,7 +22,7 @@ class NotStarShapedFromP(ChordMeanError, ValueError):
 
 
 class BadResolution(ChordMeanError, ValueError):
-    """Quadrature resolution below the supported minimum."""
+    """Quadrature resolution below the supported minimum, or not an integer."""
 
 
 class MissingSeed(ChordMeanError, ValueError):

@@ -681,10 +681,22 @@ class PlaneSections:
 
     def to_3d(self, xi: np.ndarray) -> np.ndarray:
         """3-D points of in-plane coordinates xi (K, ..., 2) scaled by each
-        section's radius: center + radius * (xi_0 u + xi_1 v), per row k."""
+        section's radius: center + radius * (xi_0 u + xi_1 v), per row k.
+
+        Each coordinate is built as one contiguous array, with the same
+        operations in the same order; the (K, ..., 3) result is a view of
+        the (3, K, ...) block, so its columns stay contiguous after a
+        ``reshape(-1, 3)``.
+        """
         rows = (slice(None),) + (np.newaxis,) * (xi.ndim - 2)
-        return self.center3d[rows] + self.radius[rows + (np.newaxis,)] * (
-            xi[..., 0:1] * self.u[rows] + xi[..., 1:2] * self.v[rows])
+        x0, x1, r = xi[..., 0], xi[..., 1], self.radius[rows]
+        out = np.empty((3,) + np.broadcast_shapes(x0.shape, r.shape))
+        for j, coord in enumerate(out):
+            np.multiply(x0, self.u[rows + (j,)], out=coord)
+            coord += x1 * self.v[rows + (j,)]
+            coord *= r
+            coord += self.center3d[rows + (j,)]
+        return np.moveaxis(out, 0, -1)
 
 
 def plane_sections(ball: BallDomain, p: np.ndarray, normals: np.ndarray

@@ -1,11 +1,12 @@
 """Poisson-kernel reference solvers: the ground truth the chord solvers are
 checked against, and cap harmonic measures.
 
-All reductions go through ``fixed_sum``: the exactly rounded sum, equal to
-``math.fsum`` bit for bit and independent of the order of the values, so runs
-are bit-reproducible.  It splits the values exactly into parts that numpy
-adds without rounding and rounds once at the end; small arrays and the
-special cases go to ``math.fsum`` itself.
+All reductions go through ``fixed_sum``, or ``fixed_row_sums`` for each row
+of a 2-D array at once: the exactly rounded sum, equal to ``math.fsum`` bit
+for bit and independent of the order of the values, so runs are
+bit-reproducible.  Both split the values exactly into parts that numpy adds
+without rounding (one shared ``_fold``) and round once at the end; small
+arrays and the special cases go to ``math.fsum`` itself.
 
 Solves report |full - half| as their error estimate (``half_rule_report``;
 a half rule made of the rule's own nodes reuses their values), cap measures
@@ -54,37 +55,43 @@ from .geometry import (
 _FSUM_CUTOFF = 1024
 _CHUNK = 8192
 _MAX_FOLDS = 4
-_MIN_SPLIT_EXP = -1022          # 1.5 * 2^k must be a normal float
 # All |values| below 2^1020 / size: no partial sum of fsum or of the folds
 # can overflow, and 1.5 * 2^k stays below 2^1023.
 _OVERFLOW_EXP = 1020
 
 
-def _fold(chunk: np.ndarray, top: int, parts: list) -> None:
-    """Append to ``parts`` floats whose exact sum is the chunk's exact sum.
+def _fold(block: np.ndarray, top):
+    """Exact partial sums along the last axis of ``block``: one chunk with
+    an int ``top``, or (K, m) rows with a (K, 1) array of them.
 
-    With |x| < 2^top for every x and the chunk at most 2^span values long,
-    sigma = 1.5 * 2^k for k = top + span + 1 splits each x exactly into
+    With |x| < 2^top for every x of a row and rows at most 2^span values
+    long, sigma = 1.5 * 2^k for k = top + span + 1 splits each x exactly into
     q = (x + sigma) - sigma, a multiple of 2^(k-52) with |q| <= 2^top, and
-    the remainder x - q.  Every partial sum of the q's is a multiple of
+    the remainder x - q.  Every partial sum of a row's q's is a multiple of
     2^(k-52) below 2^(k-1), so np.sum adds them exactly in any order; the
     remainders, below 2^(k-53), are split again with k lowered by 52 - span.
+    Once k is below -1022 the values are below 2^(-1024-span) and sigma is
+    subnormal or 0: x + sigma and every partial sum are then multiples of
+    2^-1074 below 2^-1021, so q = x and its sum are exact too.
+
+    Returns the sums of each fold, one per row, and the remainders the folds
+    leave (None when they leave none): a row's exact sum is that of its fold
+    sums and its remainders.
     """
-    span = (chunk.size - 1).bit_length()
-    k = top + span + 1
-    rest = chunk
+    span = (block.shape[-1] - 1).bit_length()
+    k = top + (span + 1)
+    sums = []
+    rest = block
     for _ in range(_MAX_FOLDS):
-        if k < _MIN_SPLIT_EXP:
-            break
-        sigma = math.ldexp(1.5, k)
+        sigma = np.ldexp(1.5, k)
         q = rest + sigma
         q -= sigma
-        parts.append(float(np.sum(q)))
+        sums.append(q.sum(axis=-1))
         rest = rest - q
         if not rest.any():
-            return
-        k -= 52 - span
-    parts.extend(rest[rest != 0.0].tolist())
+            return sums, None
+        k = k - (52 - span)
+    return sums, rest
 
 
 def fixed_sum(values: np.ndarray) -> float:
@@ -116,11 +123,44 @@ def fixed_sum(values: np.ndarray) -> float:
         top = math.frexp(largest)[1]                    # largest < 2^top
         if top + arr.size.bit_length() >= _OVERFLOW_EXP:
             return math.fsum(arr.tolist())
-        _fold(chunk, top, parts)
+        sums, rest = _fold(chunk, top)
+        parts += sums
+        if rest is not None:
+            parts += rest[rest != 0.0].tolist()
     total = math.fsum(parts)
     if total == 0.0:
         return math.fsum(arr.tolist())
     return total
+
+
+def fixed_row_sums(terms: np.ndarray) -> np.ndarray:
+    """``fixed_sum`` of each row of a 2-D array, bit for bit, from one pass of
+    whole-array folds over all the rows.
+
+    Each row is split with its own top and sigma, and ``math.fsum`` rounds
+    only each row's few exact parts.  Fewer than 1024 values in all, and
+    every row that is not finite, could overflow or sums to exactly zero,
+    go to ``math.fsum`` row by row, with its results and exceptions.
+    """
+    block = np.asarray(terms, dtype=float)
+    if block.size < _FSUM_CUTOFF:
+        return np.array([math.fsum(row) for row in block.tolist()], dtype=float)
+    largest = np.maximum(block.max(axis=1), -block.min(axis=1))
+    top = np.frexp(largest)[1]                          # largest < 2^top
+    split = (np.isfinite(largest) & (largest != 0.0)
+             & (top + block.shape[1].bit_length() < _OVERFLOW_EXP))
+    totals = np.zeros(block.shape[0])
+    if split.any():
+        rows = block if split.all() else block[split]
+        sums, rest = _fold(rows, top[split, np.newaxis])
+        parts = np.column_stack(sums).tolist()
+        if rest is not None:
+            for row_parts, row_rest in zip(parts, rest):
+                row_parts += row_rest[row_rest != 0.0].tolist()
+        totals[split] = [math.fsum(p) for p in parts]
+    for i in np.flatnonzero(totals == 0.0):             # unsplit or a zero total
+        totals[i] = math.fsum(block[i].tolist())
+    return totals
 
 
 @dataclass(frozen=True)
@@ -234,6 +274,8 @@ def _placed_rule(ball: BallDomain, bq: BoundaryQuadrature | None, default
     ``default(ball)`` when ``bq`` is None."""
     if bq is None:
         return default(ball).rule
+    if not isinstance(bq, BoundaryQuadrature):
+        raise BadParameter(f"expected a BoundaryQuadrature, got {type(bq).__name__}")
     if bq.ball is not ball and (bq.ball.dim != ball.dim
                                 or bq.ball.radius != ball.radius
                                 or not np.array_equal(bq.ball.center, ball.center)):

@@ -8,6 +8,7 @@ import chordmean as cm
 from chordmean import averaging
 from chordmean.boundary import basis_indices
 from chordmean.geometry import _circle_nodes
+from chordmean.poisson import fixed_sum
 
 
 DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
@@ -229,6 +230,26 @@ def test_paired_cross_section_equals_per_normal_solves(inner_solver):
     res = cm.cross_section_solve(BALL, data, p, ndq, 256, inner_solver)
     assert abs(res.value - full) <= 1e-14 * abs(full)
     assert abs(res.report.error_estimate - abs(full - half)) <= 1e-14 * abs(full)
+
+
+@pytest.mark.parametrize("m", [1024, 2048])
+@pytest.mark.parametrize("normals", [
+    cm.build_direction_quadrature(3, "gauss_product_3d", 8),
+    cm.build_direction_quadrature(3, "monte_carlo_design", 5, seed=3),
+], ids=["gauss", "design"])
+@pytest.mark.parametrize("inner_solver", ["poisson", "chords"])
+def test_cross_section_row_sums_equal_the_fixed_sum_loop(monkeypatch, inner_solver,
+                                                         normals, m):
+    """The section values summed as whole rows have the bits of one
+    fixed_sum per section row, full and half rule."""
+    data = cm.BoundaryData(lambda x: np.exp(x[:, 0]) * np.cos(2.0 * x[:, 1]) + x[:, 2] ** 3)
+    p = (0.3, -0.2, 0.25)
+    rows = cm.cross_section_solve(BALL, data, p, normals, m, inner_solver)
+    monkeypatch.setattr(averaging, "fixed_row_sums",
+                        lambda terms: np.array([fixed_sum(row) for row in terms]))
+    loop = cm.cross_section_solve(BALL, data, p, normals, m, inner_solver)
+    assert ((rows.value.hex(), rows.report.error_estimate.hex())
+            == (loop.value.hex(), loop.report.error_estimate.hex()))
 
 
 @pytest.mark.parametrize("inner_solver", ["poisson", "chords"])

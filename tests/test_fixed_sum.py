@@ -1,4 +1,5 @@
-"""fixed_sum is math.fsum bit for bit: results, signed zeros and exceptions."""
+"""fixed_sum is math.fsum bit for bit: results, signed zeros and exceptions;
+fixed_row_sums is fixed_sum of each row."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordmean import poisson
-from chordmean.poisson import fixed_sum
+from chordmean.poisson import fixed_row_sums, fixed_sum
 
 CUTOFF = poisson._FSUM_CUTOFF
 CHUNK = poisson._CHUNK
@@ -16,9 +17,10 @@ SIZES = [0, 1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1, CHUNK - 1, CHUNK, CHUNK + 1,
 
 
 def outcome(fn, x):
-    """The float's hex (so the sign of zero counts), or the exception raised."""
+    """The hex of each float returned (so the sign of zero counts), or the
+    exception raised."""
     try:
-        return fn(x).hex()
+        return [v.hex() for v in np.ravel(fn(x)).tolist()]
     except (OverflowError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -92,3 +94,62 @@ def test_fixed_sum_wide_and_tiny_ranges():
         x = np.ldexp(rng.standard_normal(n), rng.integers(lo, hi, n))
         assert_same(x)
         assert_same(np.concatenate([x, -x[::2]]))
+
+
+ROW_SIZES = [1, 511, 512, 1023, 1024, 8193]
+
+
+def assert_rows_same(rows):
+    assert outcome(fixed_row_sums, rows) == outcome(
+        lambda r: [fixed_sum(row) for row in r], rows)
+
+
+def as_rows(x, m):
+    """The values of ``x`` as rows of m, or as one row when there are fewer."""
+    flat = np.ravel(x)
+    k = flat.size // m
+    return flat[:k * m].reshape(k, m) if k else flat[np.newaxis]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(float_arrays(), st.sampled_from(ROW_SIZES))
+def test_row_sums_match_fixed_sum(x, m):
+    assert_rows_same(as_rows(x, m))
+
+
+@pytest.mark.parametrize("m", ROW_SIZES)
+def test_row_sums_signed_zeros_and_cancellation(m):
+    x = np.linspace(-1.0, 1.0, m)
+    rows = np.stack([np.zeros(m), np.full(m, -0.0), x, -x, np.ones(m)])
+    rows[2:4, ::2] *= -1.0          # x, -x pairs across the two rows
+    assert_rows_same(rows)
+    assert_rows_same(np.concatenate([rows, -rows], axis=1))   # +0 totals
+    minus = np.full((2, m), -0.0)
+    minus[1, 0] = -1e-300
+    assert_rows_same(minus)                                     # -0 and tiny
+    assert_rows_same(rows[:1])
+    assert_rows_same(rows[4:])
+
+
+@pytest.mark.parametrize("m", ROW_SIZES)
+def test_row_sums_subnormals_next_to_huge_values(m):
+    rng = np.random.default_rng(m)
+    tiny = np.ldexp(rng.uniform(-1.0, 1.0, (3, m)), rng.integers(-1074, -1020, (3, m)))
+    huge = rng.uniform(-1.0, 1.0, (3, m)) * 1e300
+    mixed = tiny.copy()
+    mixed[:, ::3] = huge[:, ::3]
+    assert_rows_same(np.concatenate([tiny, huge, mixed]))
+    assert_rows_same(mixed[:1])
+
+
+@pytest.mark.parametrize("m", [511, 8193])
+def test_row_sums_special_values(m):
+    rows = np.tile(np.linspace(-1.0, 1.0, m), (4, 1))
+    for special in (math.inf, math.nan, -math.inf, 1.7e308):
+        bad = rows.copy()
+        bad[2, m // 2] = special
+        assert_rows_same(bad)
+    bad = rows.copy()
+    bad[1, :2], bad[3, :2] = (math.inf, -math.inf), (math.nan, 1.0)
+    assert_rows_same(bad)           # the first failing row raises
+    assert_rows_same(np.full((3, m), 1.7e308))

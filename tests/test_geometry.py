@@ -15,7 +15,10 @@ from chordmean.geometry import (
     measure_rule,
     philox_stream,
     plane_sections,
+    uniform_directions,
 )
+from chordmean.boundary import _cone_cosines
+from chordmean.brownian import _disk_exits, exits_plane_batch
 from chordmean.poisson import fixed_sum
 
 
@@ -539,6 +542,53 @@ def test_plane_sections_rows_match_plane_section():
                               (secs.u[k], one.u[0]), (secs.v[k], one.v[0]),
                               (secs.base2d[k], one.base2d[0])):
             assert_allclose(batch, single, rtol=0.0, atol=1e-15)
+
+
+def _broadcast_to_3d(secs, xi):
+    """center + r * (xi_0 u + xi_1 v), broadcast over a trailing axis of 3."""
+    rows = (slice(None),) + (np.newaxis,) * (xi.ndim - 2)
+    return secs.center3d[rows] + secs.radius[rows + (np.newaxis,)] * (
+        xi[..., 0:1] * secs.u[rows] + xi[..., 1:2] * secs.v[rows])
+
+
+_OFF_BALL = cm.BallDomain(center=(0.25, -0.5, 1.0), radius=1.5)
+_OFF_P = np.array([0.5, -0.25, 1.75])
+
+
+@pytest.mark.parametrize("shape", ["inner-circle", "chord-ends", "exits"])
+def test_to_3d_is_the_broadcast_formula_bit_for_bit(shape):
+    # the three shapes it is given: one circle for every section (1, m, 2),
+    # chord ends per section (K, h, 2), one exit per section (K, 2)
+    rng = np.random.default_rng(12)
+    normals = rng.standard_normal((37, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, np.newaxis]
+    secs = plane_sections(_OFF_BALL, _OFF_P, normals)
+    xi = {"inner-circle": _circle_nodes(64)[np.newaxis],
+          "chord-ends": rng.uniform(-1.0, 1.0, (37, 20, 2)),
+          "exits": rng.uniform(-1.0, 1.0, (37, 2))}[shape]
+    pts, ref = secs.to_3d(xi), _broadcast_to_3d(secs, xi)
+    assert pts.shape == ref.shape
+    assert pts.tobytes() == ref.tobytes()
+    flat = pts.reshape(-1, 3)                       # a view, column-major
+    assert np.shares_memory(flat, pts)
+    assert all(flat[:, j].flags.c_contiguous for j in range(3))
+
+
+def test_plane_traveler_keeps_its_bytes():
+    # exits_plane_batch against its draws mapped by the broadcast formula,
+    # and the cap cosines of its column-major points against a row-major copy
+    n = 1000
+    pts, normals = exits_plane_batch(_OFF_BALL, _OFF_P, philox_stream(7, 11), n)
+    rng = philox_stream(7, 11)
+    again = uniform_directions(rng, n, 3)
+    secs = plane_sections(_OFF_BALL, _OFF_P, again)
+    t = _disk_exits((secs.base2d[:, 0] + 1j * secs.base2d[:, 1]) / secs.radius, rng, n)
+    ref = _broadcast_to_3d(secs, np.column_stack([t.real, t.imag]))
+    assert normals.tobytes() == again.tobytes()
+    assert pts.tobytes() == ref.tobytes()
+    axis = np.array([0.0, 0.6, 0.8])
+    assert (_cone_cosines(_OFF_P, axis, pts).tobytes()
+            == _cone_cosines(_OFF_P, axis, np.ascontiguousarray(pts)).tobytes())
 
 
 def test_plane_section_requires_interior():

@@ -75,6 +75,20 @@ _NOT_DATA_OR_RULE = {
     "solve_harmonic-rule-list": lambda: cm.solve_harmonic(DISK, DATA, P, [1, 2]),
     "cross_section_solve-rule-none": lambda: cm.cross_section_solve(
         BALL3, cm.harmonic_poly(3, 2, 1).boundary_data(), P3, None),
+    "poisson_solve-bq-list": lambda: cm.poisson_solve(DISK, DATA, P, bq=[1, 2]),
+    "cap_measure_poisson-bq-string": lambda: cm.cap_measure_poisson(DISK, P, CAP, bq="x"),
+    "cone_identity_check-bq-list": lambda: cm.cone_identity_check(
+        DISK, P, AXIS, 0.6, bq=[1, 2]),
+    "center_of_mass_check-bq-rule": lambda: cm.center_of_mass_check(
+        DISK, P, AXIS, 0.6, bq=_rule(2)),
+}
+
+# the inner circle's node count is an integer, not a float that happens to
+# be one
+_NOT_AN_INT = {
+    f"cross_section_solve-inner-{r}": lambda r=r: cm.cross_section_solve(
+        BALL3, cm.harmonic_poly(3, 2, 1).boundary_data(), P3, _rule(3), r)
+    for r in (2.5, 64.0)
 }
 
 CASES = [
@@ -93,6 +107,7 @@ CASES = [
         bq=cm.build_boundary_quadrature(cm.BallDomain(center=(0.0, 0.0), radius=2.0), 4096)),
                  cm.BadParameter, id="center_of_mass_check-other-ball"),
 ] + [pytest.param(f, cm.BadParameter, id=name) for name, f in _NOT_DATA_OR_RULE.items()
+] + [pytest.param(f, cm.BadResolution, id=name) for name, f in _NOT_AN_INT.items()
 ] + [pytest.param(lambda f=f, d=d: f(d), cm.BadParameter, id=f"{name}-{kind}")
      for name, f in _NOT_A_BALL.items()
      for kind, d in (("ellipse", ELLIPSE), ("star", STAR))] + [
@@ -136,3 +151,11 @@ def test_boundary_data_is_its_value_and_optional_gradient():
 def test_a_positional_tag_is_not_the_oracle():
     with pytest.raises(TypeError):
         cm.BoundaryData(lambda x: x[:, 0], None, "c0")
+
+
+def test_cross_section_takes_python_and_numpy_integers():
+    data = cm.harmonic_poly(3, 2, 1).boundary_data()
+    a = cm.cross_section_solve(BALL3, data, P3, _rule(3), 64)
+    b = cm.cross_section_solve(BALL3, data, P3, _rule(3), np.int64(64))
+    assert a.value.hex() == b.value.hex()
+    assert type(b.report.nodes_used) is int and b.report.nodes_used == a.report.nodes_used
