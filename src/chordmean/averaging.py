@@ -148,6 +148,9 @@ def chord_interpolant_max(domain, data: BoundaryData, P,
 # ---------------------------------------------------------------------------
 
 _UNIT_DISK = BallDomain(center=np.zeros(2), radius=1.0)
+# Inner circle nodes per section at most: 32 times the usual 512.  On 512
+# paired normals the (256, m) term arrays then take up to 32 MB each.
+MAX_INNER_RESOLUTION = 2 ** 14
 
 
 def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
@@ -165,7 +168,8 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
         half = _section_values(ball, data, p, normals[:h], circle, inner_solver)
         return np.concatenate([half, half])
     secs = plane_sections(ball, p, normals)
-    z = secs.base2d / secs.radius[:, np.newaxis]        # p in each unit section
+    # p in each unit section, row-major as the chord roots' matmul expects
+    z = np.divide(secs.base2d, secs.radius[:, np.newaxis], order="C")
 
     def values(xi):             # data at unit-section points xi (K or 1, m, 2)
         pts = secs.to_3d(xi)
@@ -190,7 +194,8 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
     sphere measure.  Each plane appears under both nu and -nu; on a normal
     rule with exact antipodal pairs (a Gauss product) it is solved once and
     counted for both.  The error estimate halves the normal quadrature only;
-    the inner resolution is held fixed.
+    the inner resolution is held fixed.  ``inner_resolution`` is an integer
+    from 1 to MAX_INNER_RESOLUTION (16384); anything else raises BadResolution.
     """
     p = interior_point(ball, BallDomain, P, normal_dq)
     require_data(data)
@@ -203,8 +208,9 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
     except TypeError:
         raise BadResolution(f"inner_resolution must be an integer, "
                             f"got {inner_resolution!r}") from None
-    if inner_resolution < 1:
-        raise BadResolution("inner_resolution must be at least 1")
+    if not 1 <= inner_resolution <= MAX_INNER_RESOLUTION:
+        raise BadResolution(f"inner_resolution must be between 1 and "
+                            f"{MAX_INNER_RESOLUTION}, got {inner_resolution}")
     circle = _circle_nodes(inner_resolution)
 
     report = half_rule_report(

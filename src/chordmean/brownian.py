@@ -93,16 +93,24 @@ def exits_full_batch(ball: BallDomain, p: np.ndarray, rng: np.random.Generator,
     x = (p - ball.center) / ball.radius
     if ball.dim == 2:
         z = _disk_exits(complex(*x), rng, n)
-        return ball.center + ball.radius * np.column_stack([z.real, z.imag]), 1.0
+        out = np.stack([z.real, z.imag])        # one contiguous column per coordinate
+        out *= ball.radius
+        out += ball.center[:, np.newaxis]
+        return out.T, 1.0
     rho = float(np.linalg.norm(x))
     e = x / rho if rho > 0.0 else np.array([0.0, 0.0, 1.0])
     t, _, r = _exit_cosines(rho, rng.random(n))
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     r_cos, r_sin = r * np.cos(phi), r * np.sin(phi)
     frame = plane_sections(ball, p, e[np.newaxis, :])
-    out = np.column_stack([t * e[k] + r_cos * frame.u[0, k] + r_sin * frame.v[0, k]
-                           for k in range(3)])
-    return ball.center + ball.radius * out, 1.0
+    out = np.empty((3, n))              # one contiguous column per coordinate
+    for k, col in enumerate(out):
+        np.multiply(t, e[k], out=col)
+        col += r_cos * frame.u[0, k]
+        col += r_sin * frame.v[0, k]
+        col *= ball.radius
+        col += ball.center[k]
+    return out.T, 1.0
 
 
 def exits_disk_exact_batch(ball: BallDomain, p: np.ndarray,
@@ -135,7 +143,11 @@ def exits_line_batch(ball: BallDomain, p: np.ndarray,
     a, b = ball_chord_roots(ball, p, dirs)
     forward = rng.random(n) < (-a) / (b - a)
     t = np.where(forward, b, a)
-    return p + t[:, np.newaxis] * dirs, dirs
+    out = np.empty((ball.dim, n))           # one contiguous column per coordinate
+    for k, col in enumerate(out):
+        np.multiply(t, dirs[:, k], out=col)
+        col += p[k]
+    return out.T, dirs
 
 
 # ---------------------------------------------------------------------------

@@ -330,9 +330,11 @@ def cmd_solve(args) -> int:
         result = solve_biharmonic(domain, data, point, dq)
     else:
         ndq = build_direction_quadrature(3, _SCHEMES[args.normal_scheme or "gauss"],
-                                         args.normal_n or 16, seed=args.seed)
+                                         16 if args.normal_n is None else args.normal_n,
+                                         seed=args.seed)
         result = cross_section_solve(domain, data, point, ndq,
-                                     inner_resolution=args.inner or 512,
+                                     inner_resolution=512 if args.inner is None
+                                     else args.inner,
                                      inner_solver=args.inner_solver or "poisson")
 
     flag = ""

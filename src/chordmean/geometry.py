@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,8 +312,18 @@ def ellipse_chord_roots(ellipse: Ellipse2D, p: np.ndarray, dirs: np.ndarray):
     return (-beta - s) / alpha, (-beta + s) / alpha
 
 
-# 52 halvings take a 2 pi / 4096 bracket below 1e-18, far under B - P's rounding.
-_STAR_BISECT = 52
+# A ray takes at most as many rho evaluations as a bisection's 53 midpoints.
+# After m of them its bracket is at most 2^(11 - m) table steps wide, so
+# 2^-42 of a step (3.5e-16) after the last; a ray stops at that width too.
+_STAR_MAX_RHO = 53
+_STAR_SLACK = 11
+_STAR_STEP = float(np.max(np.diff(_STAR_THETAS)))
+_STAR_TOL = math.ldexp(_STAR_STEP, _STAR_SLACK - _STAR_MAX_RHO)
+
+
+def _view(wx, wy, x, y):
+    """Angle of (x, y) seen from the unit direction w, in (-pi, pi]."""
+    return np.arctan2(wx * y - wy * x, wx * x + wy * y)
 
 
 def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
@@ -322,10 +333,18 @@ def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
     P sees the boundary point B(theta) at the angle phi(theta) = arg(B - P),
     and the domain is star-shaped from P exactly when phi increases through
     one turn.  phi on the domain's boundary table gives each direction's
-    bracket [theta_k, theta_k+1]; bisection on theta solves
-    cross(B(theta) - P, e) = 0 there, and the hit distance is
-    (B(theta) - P) . e.  Raises NotStarShapedFromP, whatever the directions,
-    when phi on the table is not strictly increasing through one turn.
+    bracket [theta_k, theta_k+1], on which g(theta) = view(B(theta) - P) -
+    view(e) has one root; view is the angle seen from the bracket's bisector
+    w = (cos, sin)((phi_k + phi_k+1) / 2), so g stays inside (-pi, pi) on
+    every bracket, also one that spans more than pi (P between a table chord
+    and its arc).  Illinois steps solve g = 0 on the rays still open; each
+    step is kept within a radius of the midpoint that shrinks as bisection
+    would, but for a slack of 11 halvings (the ITP method's projection), so
+    no ray takes more than ``_STAR_MAX_RHO`` rho evaluations.  A ray stops
+    when its next angle is an end of its bracket or the bracket is
+    ``_STAR_TOL`` wide; its hit distance is (B(theta) - P) . e at that end.
+    Raises NotStarShapedFromP, whatever the directions, when phi on the
+    table is not strictly increasing through one turn.
     """
     bx, by = domain._table - p[:, np.newaxis]
     # phi taken increasing: a turn is added at each step back, arctan2's wrap included
@@ -337,19 +356,45 @@ def star_hits_batch(domain: StarDomain2D, p: np.ndarray, dirs: np.ndarray
     ex, ey = dirs[:, 0], dirs[:, 1]
     alpha = phi[0] + np.mod(np.arctan2(ey, ex) - phi[0], 2.0 * math.pi)
     k = np.minimum(np.searchsorted(phi, alpha, side="right"), phi.size - 1)
-    lo, hi = _STAR_THETAS[k - 1], _STAR_THETAS[k]
-    # A bracket spans over pi when P lies between a table chord and its arc:
-    # angles from u = B(lo) - P past pi come last, cross() orders the rest.
-    ux, uy = bx[k - 1], by[k - 1]
-    e_past_pi = alpha - phi[k - 1] > math.pi
-    for _ in range(_STAR_BISECT + 1):       # the last midpoint is the root
-        theta = 0.5 * (lo + hi)
-        r = domain.boundary_radius(theta)
-        bx, by = r * np.cos(theta) - p[0], r * np.sin(theta) - p[1]
-        short = np.where((ux * by - uy * bx < 0.0) == e_past_pi,
-                         bx * ey - by * ex >= 0.0, e_past_pi)
-        lo, hi = np.where(short, theta, lo), np.where(short, hi, theta)
-    return bx * ex + by * ey
+    mid = 0.5 * (phi[k - 1] + phi[k])
+    wx, wy = np.cos(mid), np.sin(mid)
+    beta = _view(wx, wy, ex, ey)
+    # One row per quantity, one column per open ray: the bracket's ends with
+    # their g and hit distances, the ray's constants, and the end last moved.
+    state = np.stack([_STAR_THETAS[k - 1], _STAR_THETAS[k],
+                      _view(wx, wy, bx[k - 1], by[k - 1]) - beta,
+                      _view(wx, wy, bx[k], by[k]) - beta,
+                      bx[k - 1] * ex + by[k - 1] * ey, bx[k] * ex + by[k] * ey,
+                      wx, wy, beta, ex, ey, np.zeros(len(dirs))])
+    ray = np.arange(len(dirs))
+    out = np.empty(len(dirs))
+    for j in range(_STAR_MAX_RHO + 1):
+        lo, hi, g_lo, g_hi, t_lo, t_hi = state[:6]
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        half = 0.5 * (hi - lo)
+        reach = math.ldexp(_STAR_STEP, _STAR_SLACK - 1 - j) - half
+        np.clip(x, lo + half - reach, lo + half + reach, out=x)
+        stop = ~((lo < x) & (x < hi)) | (hi - lo <= _STAR_TOL) | (j == _STAR_MAX_RHO)
+        if np.any(stop):
+            out[ray[stop]] = np.where(x[stop] <= lo[stop], t_lo[stop], t_hi[stop])
+            if np.all(stop):
+                break
+            state, x, ray = state[:, ~stop], x[~stop], ray[~stop]
+        lo, hi, g_lo, g_hi, t_lo, t_hi, wx, wy, beta, ex, ey, side = state
+        rad = domain.boundary_radius(x)
+        bx, by = rad * np.cos(x) - p[0], rad * np.sin(x) - p[1]
+        g = _view(wx, wy, bx, by) - beta
+        up = g >= 0.0
+        # Illinois: an end kept a second time running counts at half its g
+        np.multiply(g_lo, 0.5, out=g_lo, where=up & (side > 0.0))
+        np.multiply(g_hi, 0.5, out=g_hi, where=~up & (side < 0.0))
+        t = bx * ex + by * ey
+        for end, g_end, t_end, here in ((hi, g_hi, t_hi, up), (lo, g_lo, t_lo, ~up)):
+            np.copyto(end, x, where=here)
+            np.copyto(g_end, g, where=here)
+            np.copyto(t_end, t, where=here)
+        np.copyto(side, np.where(up, 1.0, -1.0))
+    return out
 
 
 _NO_RULE = object()      # interior_point's dq for a solve that takes no rule
@@ -516,7 +561,8 @@ def _gauss_product_3d(n_polar: int) -> DirectionQuadrature:
 def uniform_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """n independent uniform unit vectors: normalized Gaussian rows."""
     g = rng.standard_normal((n, dim))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    g /= np.sqrt(row_dot(g, g))[:, np.newaxis]
+    return g
 
 
 def _monte_carlo(dim: int, n: int, seed: int) -> DirectionQuadrature:
@@ -536,9 +582,7 @@ _ICOSA_AXES = np.array([
 
 def _quaternion_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar-uniform rotation matrices from unit quaternions (no LAPACK)."""
-    q = rng.standard_normal((n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    w, x, y, z = uniform_directions(rng, n, 4).T
     rot = np.empty((n, 3, 3))
     rot[:, 0, 0] = 1 - 2 * (y * y + z * z)
     rot[:, 0, 1] = 2 * (x * y - w * z)
@@ -615,6 +659,11 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
     The cache is bounded by count, not bytes: one 512-polar 3-D rule is
     16.8 MB, and 16 rules of that size would hold about 270 MB.
     """
+    try:
+        resolution = operator.index(resolution)
+    except TypeError:
+        raise BadResolution(f"direction resolution must be an integer, "
+                            f"got {resolution!r}") from None
     if resolution < 4:
         raise BadResolution("direction resolution must be at least 4")
     if scheme in _MC_SCHEMES and seed is None:
@@ -703,21 +752,32 @@ def plane_sections(ball: BallDomain, p: np.ndarray, normals: np.ndarray
                    ) -> PlaneSections:
     """Sections of a 3-ball by the planes through p with the unit normal rows.
 
-    Vectorized core; assumes p strictly interior and unit rows.
+    Vectorized core; assumes p strictly interior and unit rows.  Centres,
+    frames and ``base2d`` are built as (3, K) and (2, K) blocks of contiguous
+    coordinate columns, and the fields are (K, 3) and (K, 2) views of them.
     """
+    # on the normals as given, since numpy's matmul rounds by layout
     d_signed = (ball.center - p) @ normals.T
-    center3d = ball.center - d_signed[:, np.newaxis] * normals
+    n = normals.T.copy()                            # (3, K), reused for the base points
     radius = np.sqrt(ball.radius ** 2 - d_signed ** 2)
-    # per-row deterministic frame (Gram-Schmidt of the smallest-|component| axis)
-    idx = np.argmin(np.abs(normals), axis=1)
-    rows = np.arange(normals.shape[0])
-    u = -normals[rows, idx][:, np.newaxis] * normals
-    u[rows, idx] += 1.0
-    u /= np.sqrt(row_dot(u, u))[:, np.newaxis]
-    v = np.cross(normals, u)
-    base = p - center3d
-    base2d = np.column_stack([row_dot(base, u), row_dot(base, v)])
-    return PlaneSections(center3d, radius, u, v, base2d)
+    center3d = ball.center[:, np.newaxis] - d_signed * n
+    # per-column deterministic frame (Gram-Schmidt of the smallest-|component|
+    # axis, the first one on ties, as np.argmin takes it)
+    a = np.abs(n)
+    cols = n.shape[1]
+    # flat indices into the (3, K) blocks of each column's axis entry
+    at = np.where(a[2] < np.minimum(a[0], a[1]), 2, a[1] < a[0]) * cols + np.arange(cols)
+    del a                                           # one block fewer at the peak
+    u = -n.reshape(-1)[at] * n
+    u.reshape(-1)[at] += 1.0
+    u /= np.sqrt(row_dot(u.T, u.T))
+    v = np.empty_like(u)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # v = n x u, as np.cross
+        np.multiply(n[j], u[k], out=v[i])
+        v[i] -= n[k] * u[j]
+    base = np.subtract(p[:, np.newaxis], center3d, out=n)
+    base2d = np.stack([row_dot(base.T, u.T), row_dot(base.T, v.T)])
+    return PlaneSections(center3d.T, radius, u.T, v.T, base2d.T)
 
 
 def plane_section(ball: BallDomain, P, normal) -> PlaneSections:

@@ -213,6 +213,34 @@ def test_compare_exit_distributions():
     assert report2d.max_deviation_in_sigmas <= 4.0
 
 
+# Hit counts (full, [plane,] line) at 20,000 samples for seeds 3, 17 and
+# 2024, computed with row-major sampler arrays: every sampler keeps its
+# bits whatever the layout of its arrays.
+_FROZEN_HITS = {
+    "arc2d": (DISK, (0.5, 0.0), lambda: cm.arc_cap(DISK, (0.5, 0.0), -math.pi / 2,
+                                                   math.pi / 2),
+              [(15961, 15944), (15861, 15862), (15885, 15931)]),
+    "cap3d-pole": (BALL, (0.0, 0.0, 0.5),
+                   lambda: cm.CapSpec((0.0, 0.0, 0.5), (0.0, 0.0, 1.0),
+                                      math.acos(-0.5 / math.sqrt(1.25))),
+                   [(16527, 16559, 16563), (16533, 16597, 16518), (16611, 16527, 16608)]),
+    "cap3d-side": (BALL, (0.3, 0.0, 0.0),
+                   lambda: cm.CapSpec((0.3, 0.0, 0.0), (1.0, 0.0, 0.0), 0.25 * math.pi),
+                   [(3658, 3605, 3644), (3715, 3684, 3693), (3686, 3570, 3725)]),
+    "offcentre": (cm.BallDomain((0.25, -0.5, 1.0), 1.5), (0.5, -0.25, 1.75),
+                  lambda: cm.CapSpec((0.5, -0.25, 1.75), (0.0, 0.6, 0.8), 0.9),
+                  [(5418, 5365, 5441), (5437, 5474, 5325), (5433, 5445, 5381)]),
+}
+
+
+@pytest.mark.parametrize("name", _FROZEN_HITS)
+def test_traveler_hit_counts_are_frozen(name):
+    ball, p, cap, frozen = _FROZEN_HITS[name]
+    for seed, hits in zip((3, 17, 2024), frozen):
+        report = cm.compare_exit_distributions(ball, p, cap(), 20000, seed)
+        assert tuple(t.hits for t in report.travelers) == hits
+
+
 def test_oracle_is_the_exact_cap_measure():
     # 3-D: the hemisphere z > 0 seen from (0, 0, z), whose cone passes
     # through the equator; 2-D: the right half circle from (0.5, 0)

@@ -130,6 +130,8 @@ def _run(argv) -> int:
 
 
 CONE = ["measure", "--check=cone", "--n=64", "--dim=2", "--point=0.1,0.2"]
+SECTION = ["solve", "--operator=cross-section", "--dim=3", "--data=harm:2,2",
+           "--point=0.1,0.2,0.3"]
 KNOWN_EXITS = [
     (["solve", "--n=64", "--dim=2", "--data=harm:2,re,inf", "--point=0.1,0.2"], 2),
     (["solve", "--n=64", "--dim=2", "--data=harm:2,re,nan", "--point=0.1,0.2"], 2),
@@ -140,6 +142,9 @@ KNOWN_EXITS = [
     (CONE + ["--axis=1e-160,1e-160", "--half-angle=0.7"], 0),
     (CONE + ["--axis=1,0", "--half-angle=1.5707963267948963"], 0),   # shared edge
     (CONE + ["--axis=1,0", "--half-angle=1.5707963267948966"], 2),   # pi/2
+    (SECTION + ["--inner=0"], 2),
+    (SECTION + ["--normal-n=0"], 2),
+    (SECTION + ["--inner=100000000000000000000"], 2),
 ]
 
 

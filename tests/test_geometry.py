@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import chordmean as cm
 from chordmean.averaging import _antipodal_half, star_hits_batch
 from chordmean.geometry import (
-    _STAR_BISECT,
+    _STAR_MAX_RHO,
     _circle_nodes,
     _gauss_product_3d,
     as_point,
@@ -210,8 +210,73 @@ def test_scalar_only_rho_calls_per_chord_set():
     dirs = _circle_nodes(n)
     calls[0] = 0
     a, b = star.chord_roots(p, dirs)
-    assert calls[0] <= 4096 + (_STAR_BISECT + 1) * 2 * n
+    assert _STAR_MAX_RHO == 53
+    assert calls[0] <= 4096 + _STAR_MAX_RHO * 2 * n
     assert np.all(a < 0.0) and np.all(b > 0.0)
+
+
+def _bisected_star_hits(domain, p, dirs):
+    """Hit distances by 53 bisection midpoints on each ray's table bracket:
+    the reference for the secant solve of ``star_hits_batch``."""
+    table = domain.boundary_radius(np.linspace(0.0, 2.0 * math.pi, 4097)[:-1])
+    thetas = np.linspace(0.0, 2.0 * math.pi, 4097)
+    bx = np.append(table, table[0]) * np.cos(thetas) - p[0]
+    by = np.append(table, table[0]) * np.sin(thetas) - p[1]
+    phi = np.arctan2(by, bx)
+    phi += 2.0 * math.pi * np.cumsum(np.diff(phi, prepend=phi[0]) < 0.0)
+    ex, ey = dirs[:, 0], dirs[:, 1]
+    alpha = phi[0] + np.mod(np.arctan2(ey, ex) - phi[0], 2.0 * math.pi)
+    k = np.minimum(np.searchsorted(phi, alpha, side="right"), phi.size - 1)
+    lo, hi = thetas[k - 1], thetas[k]
+    ux, uy = bx[k - 1], by[k - 1]
+    e_past_pi = alpha - phi[k - 1] > math.pi
+    for _ in range(53):
+        theta = 0.5 * (lo + hi)
+        r = domain.boundary_radius(theta)
+        bx, by = r * np.cos(theta) - p[0], r * np.sin(theta) - p[1]
+        short = np.where((ux * by - uy * bx < 0.0) == e_past_pi,
+                         bx * ey - by * ex >= 0.0, e_past_pi)
+        lo, hi = np.where(short, theta, lo), np.where(short, hi, theta)
+    return bx * ex + by * ey
+
+
+_STAR_CASES = {
+    "conformal-0.1": (cm.StarDomain2D.conformal(0.1), 0.4),
+    "conformal-0.25": (cm.StarDomain2D.conformal(0.25), 0.25),
+    "conformal-0.4": (cm.StarDomain2D.conformal(0.4), 0.1),
+    "three-lobes": (cm.StarDomain2D(lambda t: 1.0 + 0.2 * np.cos(3.0 * t)), 0.3),
+}
+
+
+@pytest.mark.parametrize("name", _STAR_CASES)
+def test_star_hits_match_a_bisection(name):
+    star, reach = _STAR_CASES[name]
+    rng = np.random.default_rng(31)
+    dirs = np.concatenate([_circle_nodes(1024), uniform_directions(rng, 500, 2)])
+    for _ in range(4):
+        p = reach * rng.uniform() * uniform_directions(rng, 1, 2)[0]
+        ref = _bisected_star_hits(star, p, dirs)
+        assert np.max(np.abs(star_hits_batch(star, p, dirs) - ref) / ref) <= 1e-14
+
+
+def test_star_rays_near_the_boundary_keep_the_budget():
+    # 1e-7 inside the unit circle between two table angles, where a bracket
+    # spans more than pi, some rays need the safeguard's bisection steps
+    calls = [0]
+
+    def rho(t):
+        calls[0] += 1
+        return 1.0
+
+    circle = cm.StarDomain2D(rho)
+    half_step = math.pi / 4096
+    p = (1.0 - 1e-7) * np.array([math.cos(half_step), math.sin(half_step)])
+    dirs = _circle_nodes(256)
+    calls[0] = 0
+    t = star_hits_batch(circle, p, dirs)
+    assert calls[0] <= _STAR_MAX_RHO * len(dirs)
+    disk = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
+    assert_allclose(t, ball_chord_roots(disk, p, dirs)[1], rtol=0.0, atol=1e-12)
 
 
 def _boundary_residual(domain, q):
@@ -542,6 +607,50 @@ def test_plane_sections_rows_match_plane_section():
                               (secs.u[k], one.u[0]), (secs.v[k], one.v[0]),
                               (secs.base2d[k], one.base2d[0])):
             assert_allclose(batch, single, rtol=0.0, atol=1e-15)
+
+
+def _rowwise_plane_sections(ball, p, normals):
+    """Plane sections built row by row on (K, 3) arrays: the reference for
+    the coordinate-block build of ``plane_sections``."""
+    d_signed = (ball.center - p) @ normals.T
+    center3d = ball.center - d_signed[:, np.newaxis] * normals
+    radius = np.sqrt(ball.radius ** 2 - d_signed ** 2)
+    idx = np.argmin(np.abs(normals), axis=1)
+    rows = np.arange(normals.shape[0])
+    u = -normals[rows, idx][:, np.newaxis] * normals
+    u[rows, idx] += 1.0
+    u /= np.linalg.norm(u, axis=1)[:, np.newaxis]
+    v = np.cross(normals, u)
+    base = p - center3d
+    base2d = np.column_stack([np.sum(base * u, axis=1), np.sum(base * v, axis=1)])
+    return center3d, radius, u, v, base2d
+
+
+def test_plane_sections_equal_the_rowwise_frame_bit_for_bit():
+    rng = np.random.default_rng(8)
+    normals = uniform_directions(rng, 400, 3)
+    s = 1.0 / math.sqrt(3.0)
+    special = [(1, 0, 0), (0, -1, 0), (0, 0, 1), (s, s, s), (-s, s, -s),
+               (0.5, 0.5, math.sqrt(0.5)), (math.sqrt(0.5), -0.5, 0.5),
+               (0.6, 0.6, math.sqrt(0.28)), (0.6, -0.8, 0.0)]      # ties in |n_j|
+    normals = np.concatenate([np.array(special, dtype=float), normals])
+    for ball, p in ((_OFF_BALL, _OFF_P),
+                    (cm.BallDomain((0.0, 0.0, 0.0), 1.0), np.array([0.0, 0.0, 0.5]))):
+        secs = plane_sections(ball, p, normals)
+        for got, ref in zip((secs.center3d, secs.radius, secs.u, secs.v, secs.base2d),
+                            _rowwise_plane_sections(ball, p, normals)):
+            assert got.shape == ref.shape
+            assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+        assert all(secs.u[:, j].flags.c_contiguous for j in range(3))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_uniform_directions_norms_equal_linalg_norm(dim):
+    # row_dot's row norms are np.linalg.norm's bit for bit up to four
+    # columns, the quaternions of the monte_carlo_design rotations included
+    g = philox_stream(9, 0).standard_normal((5000, dim))
+    ref = g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert uniform_directions(philox_stream(9, 0), 5000, dim).tobytes() == ref.tobytes()
 
 
 def _broadcast_to_3d(secs, xi):

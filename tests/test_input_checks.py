@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chordmean as cm
+from chordmean.averaging import MAX_INNER_RESOLUTION
 
 P = (0.3, 0.1)
 DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
@@ -83,12 +84,19 @@ _NOT_DATA_OR_RULE = {
         DISK, P, AXIS, 0.6, bq=_rule(2)),
 }
 
-# the inner circle's node count is an integer, not a float that happens to
-# be one
+# the inner circle's node count and a direction rule's resolution are
+# integers, not floats that happen to be one; the inner count has a ceiling
 _NOT_AN_INT = {
     f"cross_section_solve-inner-{r}": lambda r=r: cm.cross_section_solve(
         BALL3, cm.harmonic_poly(3, 2, 1).boundary_data(), P3, _rule(3), r)
-    for r in (2.5, 64.0)
+    for r in (2.5, 64.0, MAX_INNER_RESOLUTION + 1, 10 ** 20)
+} | {
+    "build_direction_quadrature-gauss-16.0": lambda: cm.build_direction_quadrature(
+        3, "gauss_product_3d", 16.0),
+    "build_direction_quadrature-uniform-64.5": lambda: cm.build_direction_quadrature(
+        2, "uniform_angle_2d", 64.5),
+    "build_direction_quadrature-mc-100.0": lambda: cm.build_direction_quadrature(
+        2, "monte_carlo", 100.0, seed=1),
 }
 
 CASES = [
@@ -159,3 +167,11 @@ def test_cross_section_takes_python_and_numpy_integers():
     b = cm.cross_section_solve(BALL3, data, P3, _rule(3), np.int64(64))
     assert a.value.hex() == b.value.hex()
     assert type(b.report.nodes_used) is int and b.report.nodes_used == a.report.nodes_used
+
+
+def test_resolutions_take_numpy_integers_up_to_the_ceiling():
+    rule = cm.build_direction_quadrature(2, "uniform_angle_2d", np.int64(64))
+    assert rule is cm.build_direction_quadrature(2, "uniform_angle_2d", 64)
+    data = cm.harmonic_poly(3, 2, 1).boundary_data()
+    top = cm.cross_section_solve(BALL3, data, P3, _rule(3), MAX_INNER_RESOLUTION)
+    assert abs(top.value - top.oracle_value) <= 1e-12
