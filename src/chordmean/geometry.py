@@ -35,6 +35,10 @@ SMOOTH_RES_2D = 4096
 SMOOTH_RES_3D = 64
 MEASURE_RES_2D = 2 ** 16
 MEASURE_RES_3D = 256
+# Largest resolution per scheme (nodes, Gauss polar rings, design rotations):
+# no rule at its ceiling takes more than about 130 MB.
+MAX_RESOLUTION = {"uniform_angle_2d": 2 ** 22, "gauss_product_3d": 2 ** 10,
+                  "monte_carlo": 2 ** 22, "monte_carlo_design": 2 ** 19}
 
 # Philox sub-stream indices (key = [seed, stream]) so every consumer of a seed
 # draws from a disjoint counter-based stream.
@@ -653,6 +657,7 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
         icosahedral axis set (6 directions each); unbiased, variance-reduced
         for plane averaging.
     The Monte Carlo schemes need a seed; the deterministic ones refuse one.
+    A resolution below 4 or above ``MAX_RESOLUTION[scheme]`` raises BadResolution.
 
     The rule is shared, not copied: the last RULE_CACHE_SIZE rules built are
     kept by (dim, scheme, resolution, seed), and their arrays are read-only.
@@ -666,6 +671,9 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
                             f"got {resolution!r}") from None
     if resolution < 4:
         raise BadResolution("direction resolution must be at least 4")
+    if resolution > MAX_RESOLUTION.get(scheme, resolution):
+        raise BadResolution(f"{scheme} resolution must be at most "
+                            f"{MAX_RESOLUTION[scheme]}, got {resolution}")
     if scheme in _MC_SCHEMES and seed is None:
         raise MissingSeed("Monte Carlo schemes require a seed")
     if scheme not in _MC_SCHEMES and seed is not None:

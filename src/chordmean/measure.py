@@ -22,8 +22,7 @@ from .geometry import (
 )
 from .poisson import (
     BoundaryQuadrature,
-    _boundary_points,
-    _boundary_values,
+    _cap_blocks,
     _clamp_unit,
     _indicator_terms,
     _placed_rule,
@@ -53,10 +52,11 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     term by term (r1/L + r2/L = 1), so only the sphere rule tests it;
     ``backend`` names that one way and accepts only 'poisson'.
 
-    One pass of cone cosines at the rule's boundary points serves both
-    nappes; w(U) and w(V) are summed and clamped apart, with the bits of two
-    ``cap_measure_poisson`` values.  Edge points score 1/2 in their nappe,
-    so when the cone cosine is 0 a tie on the shared edge splits 1/2 : 1/2.
+    One pass of cone cosines per block of the rule's boundary points serves
+    both nappes; w(U) and w(V) are summed and clamped apart, with the bits of
+    two ``cap_measure_poisson`` values.  Edge points score 1/2 in their
+    nappe, so when the cone cosine is 0 a tie on the shared edge splits
+    1/2 : 1/2.
     """
     p = interior_point(ball, BallDomain, P)
     if not 0.0 < half_angle < 0.5 * math.pi:
@@ -68,10 +68,13 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     c = _edge_cosine(half_angle)
     rule = _placed_rule(ball, bq, measure_quadrature)
     xs = (p - ball.center) / ball.radius
-    d = _cone_cosines(p, cap.axis, _boundary_points(ball, rule.directions))
-    w_plus, w_minus = (
-        fixed_sum(_indicator_terms(ball, xs, rule, _nappe_values(d, c, nappe))[1])
-        for nappe in ("plus", "minus"))
+
+    def nappes(dirs, weights, pts):
+        d = _cone_cosines(p, cap.axis, pts)
+        return tuple(_indicator_terms(ball, xs, dirs, weights, _nappe_values(d, c, nappe))[1]
+                     for nappe in ("plus", "minus"))
+
+    w_plus, w_minus = (fixed_sum(terms) for terms in _cap_blocks(ball, rule, nappes))
     w_sum = _clamp_unit(w_plus) + _clamp_unit(w_minus)
     target = 2.0 * nappe_fraction(ball.dim, half_angle)
     return w_sum, target, abs(w_sum - target)
@@ -80,15 +83,16 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
 def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
                          bq: BoundaryQuadrature | None = None):
     """Center of mass of the double-cone caps under the harmonic-measure
-    density; returns (com, offset) where offset = |com - P|.  The mass and
-    the moments are summed over the nodes inside the caps only."""
+    density; returns (com, offset) where offset = |com - P|.  The density is
+    taken block by block, and the mass and the moments are summed over the
+    nodes inside the caps only."""
     p = interior_point(ball, BallDomain, P)
     rule = _placed_rule(ball, bq, measure_quadrature)
     cap_both = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="both")
     xs = (p - ball.center) / ball.radius
-    ind = _boundary_values(ball, cap_indicator(cap_both, ball), rule)
-    inside, density = _indicator_terms(ball, xs, rule, ind)
-    del ind                     # the full-size values go before the gathers
+    indicator = cap_indicator(cap_both, ball).value
+    inside, density = _cap_blocks(ball, rule, lambda dirs, weights, pts:
+                                  _indicator_terms(ball, xs, dirs, weights, indicator(pts)))
     denom = fixed_sum(density)
     if denom < 1e-12:
         raise EmptyCap("cap carries no quadrature mass")

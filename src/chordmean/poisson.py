@@ -11,7 +11,8 @@ arrays and the special cases go to ``math.fsum`` itself.
 Solves report |full - half| as their error estimate (``half_rule_report``;
 a half rule made of the rule's own nodes reuses their values), cap measures
 their distance from ``cap_measure_ratio``.  Cap measures sum w * indicator
-* kernel over the nodes inside the cap only, the other terms being exactly 0.
+* kernel over the nodes inside the cap only, the other terms being exactly 0,
+gathered from the rule a block of rows at a time (``_cap_blocks``).
 
 A boundary quadrature is a direction rule from ``geometry`` placed on a
 ball, and every integral over the boundary is one over the rule's directions
@@ -323,36 +324,55 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
     require_data(data)
     return half_rule_report(
         _placed_rule(ball, bq, build_boundary_quadrature), lambda q: (
-            _boundary_values(ball, data, q), kernel_values(ball, p, q.directions)))
+            np.asarray(data.value(_boundary_points(ball, q.directions)), dtype=float),
+            kernel_values(ball, p, q.directions)))
 
 
-def _boundary_values(ball: BallDomain, data: BoundaryData,
-                     rule: DirectionQuadrature) -> np.ndarray:
-    """The boundary data ``data`` at the boundary points of the rule's nodes."""
-    return np.asarray(data.value(_boundary_points(ball, rule.directions)), dtype=float)
-
-
-def _indicator_terms(ball: BallDomain, xs: np.ndarray, rule: DirectionQuadrature,
-                     ind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of the rule's nodes where the indicator values ``ind`` are
-    not 0, and the terms w * ind * kernel at xs = (x - c) / R on those nodes.
+def _indicator_terms(ball: BallDomain, xs: np.ndarray, dirs: np.ndarray,
+                     weights: np.ndarray, ind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the rows of ``dirs`` where the indicator values ``ind`` are
+    not 0, and the terms weights * ind * kernel at xs = (x - c) / R on those
+    rows.
 
     The kernel is evaluated on the selected rows alone, gathered a column at
     a time.  Every term left out is exactly 0, and fixed_sum is exactly
     rounded, so the sum of these terms has the bits of the sum over all the
-    nodes.
+    rows.
     """
     inside = ind != 0.0
     dist2 = None
     for j in range(ball.dim):          # in place, in the order of kernel_values
-        d = rule.directions[:, j][inside]
+        d = dirs[:, j][inside]
         d -= xs[j]
         d *= d
         dist2 = d if dist2 is None else np.add(dist2, d, out=dist2)
-    terms = rule.weights[inside]
+    terms = weights[inside]
     terms *= ind[inside]
     terms *= _kernel_of_dist2(ball, xs, dist2)
     return inside, require_finite(terms)
+
+
+# Cap measures take the rule _BLOCK_ROWS rows at a time, so that their
+# temporaries stay small enough to be reused rather than mapped afresh.
+_BLOCK_ROWS = 16384
+
+
+def _cap_blocks(ball: BallDomain, rule: DirectionQuadrature, terms) -> list[np.ndarray]:
+    """Each quantity that ``terms(dirs, weights, points)`` returns for a block
+    of the rule's rows (their directions, weights and boundary points),
+    concatenated over the blocks in the order of the rule.
+
+    No block is shorter than _BLOCK_ROWS rows unless it is the whole rule:
+    ``v @ axis`` in a cone cosine rounds a lone short tail of rows unlike
+    the call on the whole array, and merged tails round like it.
+    """
+    n = len(rule)
+    edges = [*range(0, n - _BLOCK_ROWS + 1, _BLOCK_ROWS)] or [0]
+    blocks = []
+    for start, stop in zip(edges, edges[1:] + [n]):
+        dirs = rule.directions[start:stop]
+        blocks.append(terms(dirs, rule.weights[start:stop], _boundary_points(ball, dirs)))
+    return [np.concatenate(q) for q in zip(*blocks)]
 
 
 def _clamp_unit(value: float) -> float:
@@ -363,16 +383,20 @@ def _clamp_unit(value: float) -> float:
 def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
                         bq: BoundaryQuadrature | None = None) -> SolveReport:
     """Harmonic measure of the cap(s) at P via the Poisson integral over one
-    rule: the indicator on every node, the kernel and the sum on the nodes
-    inside the cap only.  The sum is clamped into [0, 1] (``clamp_applied``
-    records by how much); the error estimate is the clamped value's distance
-    from the exact ``cap_measure_ratio``.
+    rule: block by block, the indicator on every node, the kernel on the
+    nodes inside the cap only, and one sum of all the blocks' terms.  The sum
+    is clamped into [0, 1] (``clamp_applied`` records by how much); the
+    error estimate is the clamped value's distance from the exact
+    ``cap_measure_ratio``.
     """
     exact = cap_measure_ratio(ball, P, cap)         # checks P, the vertex and dim
     p = interior_point(ball, BallDomain, P)
     rule = _placed_rule(ball, bq, measure_quadrature)
-    ind = _boundary_values(ball, cap_indicator(cap, ball), rule)
-    total = fixed_sum(_indicator_terms(ball, (p - ball.center) / ball.radius, rule, ind)[1])
+    xs = (p - ball.center) / ball.radius
+    indicator = cap_indicator(cap, ball).value
+    terms, = _cap_blocks(ball, rule, lambda dirs, weights, pts: (
+        _indicator_terms(ball, xs, dirs, weights, indicator(pts))[1],))
+    total = fixed_sum(terms)
     value = _clamp_unit(total)
     return SolveReport(value=value, error_estimate=abs(value - exact), nodes_used=len(rule),
                        clamp_applied=abs(total - value))

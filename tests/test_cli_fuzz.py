@@ -145,6 +145,9 @@ KNOWN_EXITS = [
     (SECTION + ["--inner=0"], 2),
     (SECTION + ["--normal-n=0"], 2),
     (SECTION + ["--inner=100000000000000000000"], 2),
+    (["solve", "--data=harm:2,re", "--point=0.1,0.2", "--n=100000000000000000000"], 2),
+    (["solve", "--dim=3", "--data=harm:2,1", "--point=0.1,0.2,0.1",
+      "--n=100000000000000000000"], 2),
 ]
 
 

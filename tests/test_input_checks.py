@@ -9,6 +9,7 @@ import pytest
 
 import chordmean as cm
 from chordmean.averaging import MAX_INNER_RESOLUTION
+from chordmean.geometry import MAX_RESOLUTION
 
 P = (0.3, 0.1)
 DISK = cm.BallDomain(center=(0.0, 0.0), radius=1.0)
@@ -85,7 +86,7 @@ _NOT_DATA_OR_RULE = {
 }
 
 # the inner circle's node count and a direction rule's resolution are
-# integers, not floats that happen to be one; the inner count has a ceiling
+# integers, not floats that happen to be one; both have a ceiling
 _NOT_AN_INT = {
     f"cross_section_solve-inner-{r}": lambda r=r: cm.cross_section_solve(
         BALL3, cm.harmonic_poly(3, 2, 1).boundary_data(), P3, _rule(3), r)
@@ -97,6 +98,13 @@ _NOT_AN_INT = {
         2, "uniform_angle_2d", 64.5),
     "build_direction_quadrature-mc-100.0": lambda: cm.build_direction_quadrature(
         2, "monte_carlo", 100.0, seed=1),
+} | {
+    f"build_direction_quadrature-{dim}d-{scheme}-{r}":
+    lambda dim=dim, scheme=scheme, r=r: cm.build_direction_quadrature(
+        dim, scheme, r, seed=1 if scheme.startswith("monte_carlo") else None)
+    for dim, scheme in ((2, "uniform_angle_2d"), (3, "gauss_product_3d"), (2, "monte_carlo"),
+                        (3, "monte_carlo"), (3, "monte_carlo_design"))
+    for r in (MAX_RESOLUTION[scheme] + 1, 10 ** 20)
 }
 
 CASES = [

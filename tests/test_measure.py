@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,9 @@ from numpy.testing import assert_allclose
 
 import chordmean as cm
 from chordmean import measure as measure_module
+from chordmean import poisson as poisson_module
 from chordmean import selftest
+from chordmean.boundary import _cone_cosines
 from chordmean.geometry import philox_stream
 from chordmean.measure import nappe_fraction
 from chordmean.poisson import (
@@ -291,7 +294,22 @@ def _has_ties(ball, cap, bq):
     return bool(np.any(cm.cap_indicator(cap, ball).value(points) == 0.5))
 
 
+# The cap paths take the rule in blocks of poisson._BLOCK_ROWS rows; each
+# check below also runs with 64-row blocks, so that the odd rules span many
+# blocks and end in a merged tail.
+SMALL_BLOCKS = 64
+
+
 def test_cap_measure_poisson_keeps_the_bits_of_the_whole_sphere_integral():
+    _check_cap_measure_poisson_bits()
+
+
+def test_cap_measure_poisson_keeps_the_bits_in_small_blocks(monkeypatch):
+    monkeypatch.setattr(poisson_module, "_BLOCK_ROWS", SMALL_BLOCKS)
+    _check_cap_measure_poisson_bits()
+
+
+def _check_cap_measure_poisson_bits():
     rng = np.random.default_rng(15)
     ties = 0
     # cone cosine c > 0, c = 0 (pi/2 - 1e-16 is pi/2 in floating point and
@@ -312,6 +330,15 @@ def test_cap_measure_poisson_keeps_the_bits_of_the_whole_sphere_integral():
 
 
 def test_cone_identity_sums_the_two_nappe_measures_bit_for_bit(monkeypatch):
+    _check_cone_identity_bits(monkeypatch)
+
+
+def test_cone_identity_keeps_the_bits_in_small_blocks(monkeypatch):
+    monkeypatch.setattr(poisson_module, "_BLOCK_ROWS", SMALL_BLOCKS)
+    _check_cone_identity_bits(monkeypatch)
+
+
+def _check_cone_identity_bits(monkeypatch):
     # one indicator pass for both nappes: each nappe's sum must be the
     # whole-sphere integral of its own indicator, edge ties split 1/2 : 1/2
     sums = []
@@ -343,6 +370,15 @@ def test_cone_identity_sums_the_two_nappe_measures_bit_for_bit(monkeypatch):
 
 
 def test_center_of_mass_keeps_the_bits_of_the_whole_sphere_sums():
+    _check_center_of_mass_bits()
+
+
+def test_center_of_mass_keeps_the_bits_in_small_blocks(monkeypatch):
+    monkeypatch.setattr(poisson_module, "_BLOCK_ROWS", SMALL_BLOCKS)
+    _check_center_of_mass_bits()
+
+
+def _check_center_of_mass_bits():
     rng = np.random.default_rng(17)
     for dim in (2, 3):
         for ball, bq in _balls_and_rules(dim):
@@ -359,6 +395,44 @@ def test_center_of_mass_keeps_the_bits_of_the_whole_sphere_sums():
                     got, offset = cm.center_of_mass_check(ball, p, axis, half, bq=bq)
                     assert got.tolist() == com.tolist()
                     assert offset == float(np.linalg.norm(com - p))
+
+
+@pytest.mark.parametrize("dim, resolution", [(2, 65537), (3, 511)])
+@pytest.mark.parametrize("rows", [SMALL_BLOCKS, poisson_module._BLOCK_ROWS])
+def test_cone_cosines_in_merged_tail_blocks_equal_the_whole_array_call(
+        monkeypatch, dim, resolution, rows):
+    # v @ axis rounds a lone short tail of rows unlike the call on the whole
+    # array; blocks with the tail merged into the last one round like it
+    monkeypatch.setattr(poisson_module, "_BLOCK_ROWS", rows)
+    rng = np.random.default_rng(18)
+    for ball in ((DISK if dim == 2 else BALL), _MOVED[dim]):
+        bq = build_boundary_quadrature(ball, resolution)
+        assert len(bq) % rows != 0
+        for _ in range(3):
+            xs, axis, _ = _random_cap(rng, dim, 0.9, (0.1, 0.2))
+            p = ball.center + ball.radius * xs
+            blocked, = poisson_module._cap_blocks(
+                ball, bq.rule, lambda dirs, weights, pts: (_cone_cosines(p, axis, pts),))
+            assert blocked.tobytes() == _cone_cosines(p, axis, bq.points).tobytes()
+
+
+@pytest.mark.parametrize("check", [
+    lambda p: cm.cap_measure_poisson(BALL, p, cm.CapSpec(p, (0.0, 0.6, 0.8), 1.1, "both")),
+    lambda p: cm.cone_identity_check(BALL, p, (0.0, 0.6, 0.8), 1.1),
+], ids=["cap_measure_poisson", "cone_identity_check"])
+def test_cap_paths_allocate_blocks_not_the_whole_rule(check):
+    # the default 3-D rule has 131,072 nodes: one (N, 3) difference array
+    # alone is 3 MB, the indicator and kernel temporaries of the whole rule
+    # about 6 MB
+    p = (0.2, -0.1, 0.3)
+    check(p)                            # builds and caches the rule
+    tracemalloc.start()
+    try:
+        check(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_subtended_moments():
