@@ -12,11 +12,14 @@ a chord average over them solves and evaluates each chord once
 (``_interpolant_values``): the values equal those of evaluating every
 direction, bit for bit.  The biharmonic solver runs through the same kernel
 with its Hermite term.  A cross section over paired normals solves each
-plane once, since normals nu and -nu give the same plane.
+plane once, since normals nu and -nu give the same plane, and splits the
+planes into contiguous chunks that ``geometry._in_parallel`` solves on the
+usable CPUs, with the bits of one serial solve.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -30,6 +33,8 @@ from .geometry import (
     Ellipse2D,
     StarDomain2D,
     _circle_nodes,
+    _in_parallel,
+    _parallel_blocks,
     interior_point,
     plane_sections,
     star_hits_batch,  # noqa: F401  (also looked up as averaging.star_hits_batch)
@@ -39,7 +44,7 @@ from .poisson import (
     fixed_row_sums,
     half_rule_report,
     kernel_values,
-    require_finite,
+    require_finite_count,
 )
 
 
@@ -161,12 +166,31 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
 
     On antipodal normals each plane is solved once, for the first half: the
     section for -nu has the same centre, radius and u with v negated, so its
-    solve differs only by mirrored circle nodes (by rounding).
+    solve differs only by mirrored circle nodes (by rounding).  The planes
+    are solved in contiguous chunks of at least _SECTION_ROWS rows, one per
+    usable CPU, each row as in one call on all of them.
     """
     h = _antipodal_half(normals)
     if h is not None:
         half = _section_values(ball, data, p, normals[:h], circle, inner_solver)
         return np.concatenate([half, half])
+    chunks = _in_parallel(
+        functools.partial(_section_sums, ball, data, p, normals[rows], circle, inner_solver)
+        for rows in _parallel_blocks(len(normals), _SECTION_ROWS))
+    require_finite_count(sum(bad for _, bad in chunks), len(normals) * len(circle))
+    return np.concatenate([sums for sums, _ in chunks]) / len(circle)
+
+
+# Planes per chunk at least: small solves and Gauss half rules stay in one
+# chunk, and no chunk is a lone row, whose BLAS products round unlike those
+# of a longer block.
+_SECTION_ROWS = 64
+
+
+def _section_sums(ball: BallDomain, data: BoundaryData, p: np.ndarray,
+                  normals: np.ndarray, circle: np.ndarray, inner_solver: str):
+    """(row sums of the inner solve's terms, number of terms not finite) on
+    the planes with the normal rows; the sums are None if any term is not."""
     secs = plane_sections(ball, p, normals)
     # p in each unit section, row-major as the chord roots' matmul expects
     z = np.divide(secs.base2d, secs.radius[:, np.newaxis], order="C")
@@ -180,7 +204,8 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
         terms = values(circle[np.newaxis]) * kernel_values(_UNIT_DISK, z, circle)
     else:
         terms = _interpolant_values(_UNIT_DISK, BoundaryData(values), z, circle)
-    return fixed_row_sums(require_finite(terms)) / len(circle)
+    bad = np.size(terms) - np.count_nonzero(np.isfinite(terms))
+    return (None if bad else fixed_row_sums(terms)), bad
 
 
 def cross_section_solve(ball: BallDomain, data: BoundaryData, P,

@@ -611,8 +611,6 @@ def main(argv=None) -> int:
             i = argv.index(args.command) + 1
             args = parser.parse_args(argv[:i] + _config_tokens(args) + argv[i:])
         _check_reads(args)
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError("--seed must be a non-negative integer")
         # an overflow or an invalid operation (huge polynomial coefficients)
         # is a numerical error, not a numpy warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):

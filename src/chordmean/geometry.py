@@ -1,15 +1,20 @@
-"""Domains, chords, direction quadratures, the disk involution, and plane sections.
+"""Domains, chords, direction quadratures, the disk involution, plane sections,
+and the worker threads that run independent pieces of one call.
 
 All points and directions are plain numpy float arrays; helpers accept any
-sequence of reals. Everything here is a pure function of immutable inputs.
+sequence of reals. Everything here is a pure function of immutable inputs,
+except the worker pool behind ``_in_parallel``.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +54,17 @@ STREAM_TRAVELER_LINE = 3
 
 
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for (seed, stream); identical across runs."""
-    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
+    """Counter-based generator for (seed, stream); identical across runs.
+
+    The seed is an integer with 0 <= seed < 2**64; anything else, a float
+    included, raises BadParameter."""
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        key = -1
+    if not 0 <= key < 2 ** 64:
+        raise BadParameter(f"seed must be an integer from 0 to 2**64 - 1, got {seed!r}")
+    key = np.array([key, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -795,3 +809,132 @@ def plane_section(ball: BallDomain, P, normal) -> PlaneSections:
     if ball.dim != 3:
         raise DimMismatch("plane_section requires a 3-dimensional ball")
     return plane_sections(ball, p, check_unit(normal, 3)[np.newaxis, :])
+
+
+# ---------------------------------------------------------------------------
+# Worker threads for the independent pieces of one call
+# ---------------------------------------------------------------------------
+
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    """Contiguous slices of ``rows`` rows covering range(n) in order.  A
+    remainder shorter than ``rows`` joins the last slice, so no slice is
+    shorter than ``rows`` unless it is the whole range."""
+    edges = [*range(0, n - rows + 1, rows)] or [0]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:] + [n])]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parallel_blocks(n: int, min_rows: int) -> list[slice]:
+    """``_row_blocks`` of range(n) for ``_in_parallel``: one block per usable
+    CPU, none shorter than ``min_rows`` rows unless it is the whole range."""
+    return _row_blocks(n, max(min_rows, n // _usable_cpus()))
+
+
+class _Task:
+    """A no-argument callable, run once by whichever thread claims it first."""
+
+    __slots__ = ("fn", "claimed", "done", "result", "error")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.claimed = threading.Lock()
+        self.done = threading.Event()
+        self.result = self.error = None
+
+    def run(self) -> None:
+        if not self.claimed.acquire(blocking=False):
+            return                          # another thread has it
+        try:
+            self.result = self.fn()
+        except BaseException as exc:        # raised again by _in_parallel's caller
+            self.error = exc
+        finally:
+            self.fn = None
+            self.done.set()
+
+
+def _run_unclaimed(tasks) -> None:
+    for task in tasks:
+        task.run()
+
+
+class _Pool:
+    """Daemon threads that run queued jobs in the order they were queued."""
+
+    def __init__(self):
+        self.jobs = collections.deque()
+        self.queued = threading.Semaphore(0)
+        self.threads = 0
+
+    def grow(self, n: int) -> None:
+        while self.threads < n:
+            threading.Thread(target=self._work, name="chordmean-worker",
+                             daemon=True).start()
+            self.threads += 1
+
+    def submit(self, job) -> None:
+        self.jobs.append(job)
+        self.queued.release()
+
+    def _work(self) -> None:
+        _WORKER.inside = True
+        while True:
+            self.queued.acquire()
+            self.jobs.popleft()()
+
+
+_WORKER = threading.local()     # ``inside`` is set on the pool's own threads
+_POOL: _Pool | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's workers do not exist there."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_parallel(tasks) -> list:
+    """The results of the no-argument callables ``tasks``, in task order.
+
+    The caller runs the first task itself, then any other not yet started.
+    Up to (usable CPUs - 1) workers of a persistent pool of daemon threads,
+    started on first use, take the others, each the next one not yet
+    started.  Every task finishes before the exception of the first failing
+    task, in task order, is raised.  With one usable CPU or one task, and in
+    a call made on a worker thread (so that no worker waits on the pool), it
+    is a plain loop.  numpy releases the interpreter lock in its array
+    loops, random draws and matrix products, which is where the tasks
+    overlap, so they must not write to shared state.
+    """
+    global _POOL
+    tasks = list(tasks)
+    workers = min(_usable_cpus(), len(tasks)) - 1
+    if workers < 1 or getattr(_WORKER, "inside", False):
+        return [task() for task in tasks]
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = _Pool()
+        _POOL.grow(workers)
+        pool = _POOL
+    claims = [_Task(task) for task in tasks]
+    for _ in range(workers):
+        pool.submit(functools.partial(_run_unclaimed, claims[1:]))
+    _run_unclaimed(claims)
+    for claim in claims:
+        claim.done.wait()
+    for claim in claims:
+        if claim.error is not None:
+            raise claim.error
+    return [claim.result for claim in claims]

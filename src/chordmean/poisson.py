@@ -41,6 +41,7 @@ from .boundary import BoundaryData, CapSpec, cap_indicator, require_data
 from .geometry import (
     BallDomain,
     DirectionQuadrature,
+    _row_blocks,
     as_point,
     default_direction_quadrature,
     interior_point,
@@ -209,10 +210,16 @@ def _weighted_sum(rule, factors) -> float:
 def require_finite(terms: np.ndarray) -> np.ndarray:
     """The terms of a sum, checked to be finite: NumericalError names how
     many are not (data returning nan or inf), before anything is summed."""
-    bad = np.size(terms) - np.count_nonzero(np.isfinite(terms))
-    if bad:
-        raise NumericalError(f"{bad} of {np.size(terms)} integrand values are not finite")
+    require_finite_count(np.size(terms) - np.count_nonzero(np.isfinite(terms)),
+                         np.size(terms))
     return terms
+
+
+def require_finite_count(bad: int, size: int) -> None:
+    """``require_finite``'s NumericalError for ``bad`` of ``size`` terms, if
+    any is not finite: for terms checked in pieces."""
+    if bad:
+        raise NumericalError(f"{bad} of {size} integrand values are not finite")
 
 
 def _surface_area(ball: BallDomain) -> float:
@@ -352,7 +359,8 @@ def _indicator_terms(ball: BallDomain, xs: np.ndarray, dirs: np.ndarray,
     return inside, require_finite(terms)
 
 
-# Cap measures take the rule _BLOCK_ROWS rows at a time, so that their
+# Cap measures take the rule _BLOCK_ROWS rows at a time, and the plane
+# traveler (``brownian.exits_plane_batch``) its section frames, so that their
 # temporaries stay small enough to be reused rather than mapped afresh.
 _BLOCK_ROWS = 16384
 
@@ -366,12 +374,10 @@ def _cap_blocks(ball: BallDomain, rule: DirectionQuadrature, terms) -> list[np.n
     ``v @ axis`` in a cone cosine rounds a lone short tail of rows unlike
     the call on the whole array, and merged tails round like it.
     """
-    n = len(rule)
-    edges = [*range(0, n - _BLOCK_ROWS + 1, _BLOCK_ROWS)] or [0]
     blocks = []
-    for start, stop in zip(edges, edges[1:] + [n]):
-        dirs = rule.directions[start:stop]
-        blocks.append(terms(dirs, rule.weights[start:stop], _boundary_points(ball, dirs)))
+    for rows in _row_blocks(len(rule), _BLOCK_ROWS):
+        dirs = rule.directions[rows]
+        blocks.append(terms(dirs, rule.weights[rows], _boundary_points(ball, dirs)))
     return [np.concatenate(q) for q in zip(*blocks)]
 
 

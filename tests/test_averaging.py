@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import chordmean as cm
-from chordmean import averaging
+from chordmean import averaging, geometry
 from chordmean.boundary import basis_indices
 from chordmean.geometry import _circle_nodes
 from chordmean.poisson import fixed_sum
@@ -193,7 +193,9 @@ def test_cross_section_matches_per_section_loop():
 def test_cross_section_solves_each_plane_once(monkeypatch, normals, planes):
     """Normals nu and -nu give one plane: antipodal (Gauss) normals solve
     their first half, for the full and the half rule, and design normals,
-    which hold no antipodes, solve every row of their nested rule once."""
+    which hold no antipodes, solve every row of their nested rule once.  On
+    one CPU each solve is one chunk (``test_parallel`` covers the chunks)."""
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
     seen, evaluated = [], []
     sections = averaging.plane_sections
 

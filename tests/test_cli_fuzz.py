@@ -148,6 +148,11 @@ KNOWN_EXITS = [
     (["solve", "--data=harm:2,re", "--point=0.1,0.2", "--n=100000000000000000000"], 2),
     (["solve", "--dim=3", "--data=harm:2,1", "--point=0.1,0.2,0.1",
       "--n=100000000000000000000"], 2),
+    (["brownian", "--seed=18446744073709551616", "--point=0.1,0.2", "--arc=0,1"], 2),
+    (["solve", "--scheme=mc", "--seed=18446744073709551616", "--data=harm:2,re",
+      "--point=0.1,0.2"], 2),
+    (["brownian", "--seed=7", "--point=0.1,0.2", "--arc=0,1",
+      "--n=100000000000000000000000"], 2),
 ]
 
 

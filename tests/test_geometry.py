@@ -691,7 +691,8 @@ def test_plane_traveler_keeps_its_bytes():
     rng = philox_stream(7, 11)
     again = uniform_directions(rng, n, 3)
     secs = plane_sections(_OFF_BALL, _OFF_P, again)
-    t = _disk_exits((secs.base2d[:, 0] + 1j * secs.base2d[:, 1]) / secs.radius, rng, n)
+    t = _disk_exits((secs.base2d[:, 0] + 1j * secs.base2d[:, 1]) / secs.radius,
+                    rng.uniform(0.0, 2.0 * math.pi, n))
     ref = _broadcast_to_3d(secs, np.column_stack([t.real, t.imag]))
     assert normals.tobytes() == again.tobytes()
     assert pts.tobytes() == ref.tobytes()

@@ -9,6 +9,7 @@ import pytest
 
 import chordmean as cm
 from chordmean.averaging import MAX_INNER_RESOLUTION
+from chordmean.brownian import MAX_SAMPLES
 from chordmean.geometry import MAX_RESOLUTION
 
 P = (0.3, 0.1)
@@ -105,6 +106,22 @@ _NOT_AN_INT = {
     for dim, scheme in ((2, "uniform_angle_2d"), (3, "gauss_product_3d"), (2, "monte_carlo"),
                         (3, "monte_carlo"), (3, "monte_carlo_design"))
     for r in (MAX_RESOLUTION[scheme] + 1, 10 ** 20)
+} | {
+    f"compare_exit_distributions-n-{n}": lambda n=n: cm.compare_exit_distributions(
+        DISK, P, CAP, n, seed=1)
+    for n in (math.nan, math.inf, 2.5, 1000.0, "1000", None, MAX_SAMPLES + 1, 10 ** 400)
+}
+
+# a seed is an integer from 0 to 2**64 - 1, for the travelers and Monte
+# Carlo rules alike
+_BAD_SEED = {
+    f"{name}-seed-{seed}": lambda call=call, seed=seed: call(seed)
+    for name, call in (
+        ("compare_exit_distributions",
+         lambda seed: cm.compare_exit_distributions(DISK, P, CAP, 1000, seed=seed)),
+        ("build_direction_quadrature",
+         lambda seed: cm.build_direction_quadrature(3, "monte_carlo_design", 4, seed=seed)))
+    for seed in (-1, 2 ** 64, 10 ** 400, math.nan, math.inf, 2.5, 7.0, "7")
 }
 
 CASES = [
@@ -124,6 +141,7 @@ CASES = [
                  cm.BadParameter, id="center_of_mass_check-other-ball"),
 ] + [pytest.param(f, cm.BadParameter, id=name) for name, f in _NOT_DATA_OR_RULE.items()
 ] + [pytest.param(f, cm.BadResolution, id=name) for name, f in _NOT_AN_INT.items()
+] + [pytest.param(f, cm.BadParameter, id=name) for name, f in _BAD_SEED.items()
 ] + [pytest.param(lambda f=f, d=d: f(d), cm.BadParameter, id=f"{name}-{kind}")
      for name, f in _NOT_A_BALL.items()
      for kind, d in (("ellipse", ELLIPSE), ("star", STAR))] + [
@@ -183,3 +201,10 @@ def test_resolutions_take_numpy_integers_up_to_the_ceiling():
     data = cm.harmonic_poly(3, 2, 1).boundary_data()
     top = cm.cross_section_solve(BALL3, data, P3, _rule(3), MAX_INNER_RESOLUTION)
     assert abs(top.value - top.oracle_value) <= 1e-12
+
+
+def test_seeds_take_every_integer_below_2_to_the_64():
+    ends = [cm.compare_exit_distributions(DISK, P, CAP, 1000, seed=s)
+            for s in (0, np.uint64(2 ** 64 - 1), 2 ** 64 - 1, True)]
+    assert ends[1] == ends[2] != ends[0]
+    assert ends[3].travelers == cm.compare_exit_distributions(DISK, P, CAP, 1000, 1).travelers
