@@ -97,10 +97,18 @@ def _interpolant_values(domain, data: BoundaryData, p: np.ndarray,
     h = _antipodal_half(dirs)
     half = dirs if h is None else dirs[:h]
     a, b = domain.chord_roots(p, half)
-    base = p[..., np.newaxis, :]
-    values = term(data, base + a[..., np.newaxis] * half, base + b[..., np.newaxis] * half,
-                  -a, b, half)
+    values = term(data, _chord_ends(p, a, half), _chord_ends(p, b, half), -a, b, half)
     return values if h is None else np.concatenate([values, values], axis=-1)
+
+
+def _chord_ends(p: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """p[..., None, :] + t[..., None] * dirs bit for bit, in C order, filled
+    a column at a time: arithmetic over rows of 2 or 3 values is slow."""
+    out = np.empty(t.shape + dirs.shape[-1:])
+    for j in range(dirs.shape[-1]):
+        col = np.multiply(t, dirs[:, j], out=out[..., j])
+        col += p[..., j, np.newaxis]
+    return out
 
 
 def _oracle(data: BoundaryData, p: np.ndarray) -> float | None:

@@ -579,7 +579,9 @@ def _gauss_product_3d(n_polar: int) -> DirectionQuadrature:
 def uniform_directions(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """n independent uniform unit vectors: normalized Gaussian rows."""
     g = rng.standard_normal((n, dim))
-    g /= np.sqrt(row_dot(g, g))[:, np.newaxis]
+    norm = np.sqrt(row_dot(g, g))
+    for j in range(dim):                # a column at a time: rows of 2-3 are slow
+        g[:, j] /= norm
     return g
 
 

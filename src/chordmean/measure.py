@@ -22,7 +22,7 @@ from .geometry import (
 )
 from .poisson import (
     BoundaryQuadrature,
-    _cap_blocks,
+    _cap_sums,
     _clamp_unit,
     _indicator_terms,
     _placed_rule,
@@ -74,7 +74,7 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
         return tuple(_indicator_terms(ball, xs, dirs, weights, _nappe_values(d, c, nappe))[1]
                      for nappe in ("plus", "minus"))
 
-    w_plus, w_minus = (fixed_sum(terms) for terms in _cap_blocks(ball, rule, nappes))
+    w_plus, w_minus = _cap_sums(ball, rule, nappes)
     w_sum = _clamp_unit(w_plus) + _clamp_unit(w_minus)
     target = 2.0 * nappe_fraction(ball.dim, half_angle)
     return w_sum, target, abs(w_sum - target)
@@ -83,23 +83,22 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
 def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
                          bq: BoundaryQuadrature | None = None):
     """Center of mass of the double-cone caps under the harmonic-measure
-    density; returns (com, offset) where offset = |com - P|.  The density is
-    taken block by block, and the mass and the moments are summed over the
-    nodes inside the caps only."""
+    density; returns (com, offset) where offset = |com - P|.  Block by block,
+    the density and its moments are taken on the nodes inside the caps only,
+    and the mass and the moments are each summed once over all the blocks."""
     p = interior_point(ball, BallDomain, P)
     rule = _placed_rule(ball, bq, measure_quadrature)
     cap_both = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="both")
     xs = (p - ball.center) / ball.radius
     indicator = cap_indicator(cap_both, ball).value
-    inside, density = _cap_blocks(ball, rule, lambda dirs, weights, pts:
-                                  _indicator_terms(ball, xs, dirs, weights, indicator(pts)))
-    denom = fixed_sum(density)
+
+    def mass_and_moments(dirs, weights, pts):
+        cols, density = _indicator_terms(ball, xs, dirs, weights, indicator(pts))
+        return (density, *(np.multiply(e, density, out=e) for e in cols))
+
+    denom, *moments = _cap_sums(ball, rule, mass_and_moments)
     if denom < 1e-12:
         raise EmptyCap("cap carries no quadrature mass")
-    moments = []
-    for j in range(ball.dim):
-        e = rule.directions[:, j][inside]
-        moments.append(fixed_sum(np.multiply(e, density, out=e)))
     mean_dir = np.array(moments) / denom
     com = ball.center + ball.radius * mean_dir
     return com, float(np.linalg.norm(com - p))

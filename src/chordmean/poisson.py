@@ -1,18 +1,20 @@
 """Poisson-kernel reference solvers: the ground truth the chord solvers are
 checked against, and cap harmonic measures.
 
-All reductions go through ``fixed_sum``, or ``fixed_row_sums`` for each row
-of a 2-D array at once: the exactly rounded sum, equal to ``math.fsum`` bit
-for bit and independent of the order of the values, so runs are
-bit-reproducible.  Both split the values exactly into parts that numpy adds
-without rounding (one shared ``_fold``) and round once at the end; small
-arrays and the special cases go to ``math.fsum`` itself.
+All reductions go through ``fixed_sum``, ``fixed_row_sums`` for each row
+of a 2-D array at once, or ``_cap_sums`` for sums taken a block at a time:
+the exactly rounded sum, equal to ``math.fsum`` bit for bit and independent
+of the order of the values, so runs are bit-reproducible.  All three split
+the values exactly into parts that numpy adds without rounding (one shared
+``_fold``) and round once at the end; small arrays and the special cases go
+to ``math.fsum`` itself.
 
 Solves report |full - half| as their error estimate (``half_rule_report``;
 a half rule made of the rule's own nodes reuses their values), cap measures
 their distance from ``cap_measure_ratio``.  Cap measures sum w * indicator
 * kernel over the nodes inside the cap only, the other terms being exactly 0,
-gathered from the rule a block of rows at a time (``_cap_blocks``).
+gathered from the rule a block of rows at a time; each block leaves only the
+exact parts of its sums, rounded once over all the blocks (``_cap_sums``).
 
 A boundary quadrature is a direction rule from ``geometry`` placed on a
 ball, and every integral over the boundary is one over the rule's directions
@@ -30,6 +32,7 @@ exact to rounding, where a rule on the whole sphere sees the cap's edge.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -89,7 +92,7 @@ def _fold(block: np.ndarray, top):
         q = rest + sigma
         q -= sigma
         sums.append(q.sum(axis=-1))
-        rest = rest - q
+        rest = np.subtract(rest, q, out=q)              # q is summed: reuse it
         if not rest.any():
             return sums, None
         k = k - (52 - span)
@@ -104,35 +107,43 @@ def fixed_sum(values: np.ndarray) -> float:
     adding and subtracting a power-of-two multiple splits every value into a
     high part on a common grid, which ``np.sum`` adds without rounding, and
     an exact remainder, which is split again.  ``math.fsum`` then rounds the
-    few exact partial sums once.  The result is therefore independent of the
-    order of the values.
+    few exact partial sums (``_exact_parts``) once.  The result is therefore
+    independent of the order of the values.
 
     ``math.fsum`` itself is used, with its results and exceptions, for fewer
     than 1024 values, for non-finite input, for an exactly zero total (the
     sign of zero) and where a partial sum could overflow.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size < _FSUM_CUTOFF:
+    total = math.fsum(_exact_parts(arr))
+    if total == 0.0:
         return math.fsum(arr.tolist())
+    return total
+
+
+def _exact_parts(arr: np.ndarray) -> list[float]:
+    """Floats with the exact sum of the 1-D array ``arr``: each chunk's fold
+    sums and remainders, or, where ``fixed_sum`` falls back to ``math.fsum``,
+    the values themselves.  That sum does not depend on how the values are
+    cut, so ``math.fsum`` of the parts of the pieces is the whole's sum."""
+    if arr.size < _FSUM_CUTOFF:
+        return arr.tolist()
     parts: list[float] = []
     for start in range(0, arr.size, _CHUNK):
         chunk = arr[start:start + _CHUNK]
         largest = max(float(chunk.max()), -float(chunk.min()))
         if not math.isfinite(largest):                  # inf or nan
-            return math.fsum(arr.tolist())
+            return arr.tolist()
         if largest == 0.0:
             continue
         top = math.frexp(largest)[1]                    # largest < 2^top
         if top + arr.size.bit_length() >= _OVERFLOW_EXP:
-            return math.fsum(arr.tolist())
+            return arr.tolist()
         sums, rest = _fold(chunk, top)
         parts += sums
         if rest is not None:
             parts += rest[rest != 0.0].tolist()
-    total = math.fsum(parts)
-    if total == 0.0:
-        return math.fsum(arr.tolist())
-    return total
+    return parts
 
 
 def fixed_row_sums(terms: np.ndarray) -> np.ndarray:
@@ -336,27 +347,28 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
 
 
 def _indicator_terms(ball: BallDomain, xs: np.ndarray, dirs: np.ndarray,
-                     weights: np.ndarray, ind: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mask of the rows of ``dirs`` where the indicator values ``ind`` are
-    not 0, and the terms weights * ind * kernel at xs = (x - c) / R on those
-    rows.
+                     weights: np.ndarray, ind: np.ndarray
+                     ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The direction columns of the rows of ``dirs`` where the indicator
+    values ``ind`` are not 0, and the terms weights * ind * kernel at
+    xs = (x - c) / R on those rows.
 
     The kernel is evaluated on the selected rows alone, gathered a column at
-    a time.  Every term left out is exactly 0, and fixed_sum is exactly
+    a time.  Every term left out is exactly 0, and the sums are exactly
     rounded, so the sum of these terms has the bits of the sum over all the
     rows.
     """
     inside = ind != 0.0
+    cols = [dirs[:, j][inside] for j in range(ball.dim)]
     dist2 = None
-    for j in range(ball.dim):          # in place, in the order of kernel_values
-        d = dirs[:, j][inside]
-        d -= xs[j]
+    for e, x in zip(cols, xs):         # in the order of kernel_values
+        d = e - x
         d *= d
         dist2 = d if dist2 is None else np.add(dist2, d, out=dist2)
     terms = weights[inside]
     terms *= ind[inside]
     terms *= _kernel_of_dist2(ball, xs, dist2)
-    return inside, require_finite(terms)
+    return cols, require_finite(terms)
 
 
 # Cap measures take the rule _BLOCK_ROWS rows at a time, and the plane
@@ -365,20 +377,27 @@ def _indicator_terms(ball: BallDomain, xs: np.ndarray, dirs: np.ndarray,
 _BLOCK_ROWS = 16384
 
 
-def _cap_blocks(ball: BallDomain, rule: DirectionQuadrature, terms) -> list[np.ndarray]:
-    """Each quantity that ``terms(dirs, weights, points)`` returns for a block
-    of the rule's rows (their directions, weights and boundary points),
-    concatenated over the blocks in the order of the rule.
+def _cap_sums(ball: BallDomain, rule: DirectionQuadrature, terms) -> list[float]:
+    """The ``fixed_sum`` over all the blocks of the rule's rows of each
+    quantity that ``terms(dirs, weights, points)`` returns for a block (its
+    directions, weights and boundary points): each block leaves only its
+    ``_exact_parts``, and each quantity is rounded once.  An exact zero
+    takes the blocks again for its sign, as ``fixed_sum`` does.
 
     No block is shorter than _BLOCK_ROWS rows unless it is the whole rule:
     ``v @ axis`` in a cone cosine rounds a lone short tail of rows unlike
     the call on the whole array, and merged tails round like it.
     """
-    blocks = []
-    for rows in _row_blocks(len(rule), _BLOCK_ROWS):
-        dirs = rule.directions[rows]
-        blocks.append(terms(dirs, rule.weights[rows], _boundary_points(ball, dirs)))
-    return [np.concatenate(q) for q in zip(*blocks)]
+    def blocks():
+        for rows in _row_blocks(len(rule), _BLOCK_ROWS):
+            dirs = rule.directions[rows]
+            yield terms(dirs, rule.weights[rows], _boundary_points(ball, dirs))
+
+    parts = [[_exact_parts(values) for values in block] for block in blocks()]
+    sums = [math.fsum(itertools.chain.from_iterable(q)) for q in zip(*parts)]
+    if 0.0 in sums:
+        sums = [s or math.fsum(np.concatenate(q).tolist()) for s, q in zip(sums, zip(*blocks()))]
+    return sums
 
 
 def _clamp_unit(value: float) -> float:
@@ -390,9 +409,9 @@ def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
                         bq: BoundaryQuadrature | None = None) -> SolveReport:
     """Harmonic measure of the cap(s) at P via the Poisson integral over one
     rule: block by block, the indicator on every node, the kernel on the
-    nodes inside the cap only, and one sum of all the blocks' terms.  The sum
-    is clamped into [0, 1] (``clamp_applied`` records by how much); the
-    error estimate is the clamped value's distance from the exact
+    nodes inside the cap only, and one exactly rounded sum of all the blocks'
+    terms.  The sum is clamped into [0, 1] (``clamp_applied`` records by how
+    much); the error estimate is the clamped value's distance from the exact
     ``cap_measure_ratio``.
     """
     exact = cap_measure_ratio(ball, P, cap)         # checks P, the vertex and dim
@@ -400,9 +419,8 @@ def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
     rule = _placed_rule(ball, bq, measure_quadrature)
     xs = (p - ball.center) / ball.radius
     indicator = cap_indicator(cap, ball).value
-    terms, = _cap_blocks(ball, rule, lambda dirs, weights, pts: (
+    total, = _cap_sums(ball, rule, lambda dirs, weights, pts: (
         _indicator_terms(ball, xs, dirs, weights, indicator(pts))[1],))
-    total = fixed_sum(terms)
     value = _clamp_unit(total)
     return SolveReport(value=value, error_estimate=abs(value - exact), nodes_used=len(rule),
                        clamp_applied=abs(total - value))

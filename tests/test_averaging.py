@@ -303,3 +303,17 @@ def test_cross_section_rejects_bad_inner_rule():
 def test_cross_section_requires_3d():
     with pytest.raises(cm.DimMismatch):
         cm.cross_section_solve(DISK, cm.constant_data(1.0), (0.0, 0.0), DQ2)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 2048), (3, 4096)])
+def test_chord_ends_equal_the_broadcast_form_byte_for_byte(dim, n):
+    # column by column, p + t e has the bits and the row-major layout of
+    # p[..., None, :] + t[..., None] * dirs, for one point and for rows of them
+    rng = np.random.default_rng(dim)
+    dirs = geometry.uniform_directions(rng, n, dim)
+    for p in (rng.uniform(-0.5, 0.5, dim), rng.uniform(-0.5, 0.5, (4, dim))):
+        t = rng.uniform(-2.0, 2.0, p.shape[:-1] + (n,))
+        got = averaging._chord_ends(p, t, dirs)
+        want = p[..., np.newaxis, :] + t[..., np.newaxis] * dirs
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

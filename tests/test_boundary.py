@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import chordmean as cm
-from chordmean.boundary import _basis, basis_indices
+from chordmean.boundary import _basis, _cone_cosines, basis_indices
 from chordmean.geometry import row_dot
 
 
@@ -387,3 +387,21 @@ def test_linear_and_constant_data():
     const = cm.constant_data(3.0)
     assert_allclose(const.value(np.zeros((4, 2))), 3.0)
     assert_allclose(const.gradient(np.zeros((4, 2))), 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1000, 2), (20000, 3), (7, 513, 3), (5, 3)])
+def test_cone_cosines_equal_the_broadcast_difference_byte_for_byte(shape):
+    # the differences are filled a column at a time into a row-major array:
+    # the same values and layout as one broadcast subtraction, so v @ axis
+    # rounds the same, also for column-major points (PlaneSections.to_3d)
+    rng = np.random.default_rng(len(shape) * shape[-1])
+    dim = shape[-1]
+    pts = rng.standard_normal(shape)
+    vertex = 0.3 * rng.standard_normal(dim)
+    axis = rng.standard_normal(dim)
+    axis /= np.linalg.norm(axis)
+    coordinate_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, -1, 0)), 0, -1)
+    for layout in (pts, np.asfortranarray(pts), coordinate_major, pts.tolist()):
+        v = np.subtract(np.asarray(layout, dtype=float), vertex, order="C")
+        broadcast = (v @ axis) / np.sqrt(row_dot(v, v))
+        assert _cone_cosines(vertex, axis, layout).tobytes() == broadcast.tobytes()

@@ -153,3 +153,56 @@ def test_row_sums_special_values(m):
     bad[1, :2], bad[3, :2] = (math.inf, -math.inf), (math.nan, 1.0)
     assert_rows_same(bad)           # the first failing row raises
     assert_rows_same(np.full((3, m), 1.7e308))
+
+
+def exact_parts_of_pieces(x, cuts):
+    """math.fsum of the concatenated ``_exact_parts`` of x cut at ``cuts``."""
+    edges = [0, *sorted(cuts), x.size]
+    parts = []
+    for start, stop in zip(edges, edges[1:]):
+        parts += poisson._exact_parts(x[start:stop])
+    return math.fsum(parts)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(float_arrays(), st.lists(st.floats(0.0, 1.0), max_size=5),
+       st.sampled_from([None, math.inf, -math.inf, math.nan, "inf and -inf"]),
+       st.floats(0.0, 1.0))
+def test_exact_parts_of_pieces_sum_to_the_whole(x, fractions, special, where):
+    # the exact sum does not depend on where the values are cut, so the
+    # pieces' parts, rounded once, are fixed_sum and math.fsum of the whole;
+    # a piece holding inf or nan gives its own values
+    x = np.ravel(x).copy()
+    if special is not None and x.size:
+        i = int(where * (x.size - 1))
+        x[i] = math.inf if special == "inf and -inf" else special
+        if special == "inf and -inf":
+            x[x.size - 1 - i if x.size > 1 else i] = -math.inf
+    cuts = [int(f * x.size) for f in fractions]
+    whole = outcome(reference, x)
+    assert outcome(fixed_sum, x) == whole
+    pieces = outcome(lambda v: exact_parts_of_pieces(v, cuts), x)
+    if whole in (["0x0.0p+0"], ["-0x0.0p+0"]):
+        # an exact zero: its sign is that of math.fsum over all the values,
+        # which fixed_sum and poisson._cap_sums take again
+        assert pieces in (["0x0.0p+0"], ["-0x0.0p+0"])
+    else:
+        assert pieces == whole
+
+
+@pytest.mark.parametrize("cuts", [[CHUNK - 1], [CUTOFF - 1, CUTOFF + 5], [1, 2, 3 * CHUNK]])
+def test_exact_parts_of_pieces_over_wide_and_tiny_ranges(cuts):
+    rng = np.random.default_rng(6)
+    n = 3 * CHUNK + 7
+    for lo, hi in ((-1000, 900), (-1074, -1030), (-1074, -900), (-60, 60)):
+        x = np.ldexp(rng.standard_normal(n), rng.integers(lo, hi, n))
+        for values in (x, np.concatenate([x, -x[::2]]), np.where(x > 0, x, 0.0)):
+            assert exact_parts_of_pieces(values, cuts).hex() == reference(values).hex()
+    # huge values that cancel beside tiny ones: the sum is that of the
+    # remainders the folds leave, which must not be dropped
+    cancel = np.empty(3 * n)
+    cancel[0::3] = np.ldexp(rng.standard_normal(n), rng.integers(800, 900, n))
+    cancel[1::3] = -cancel[0::3]
+    cancel[2::3] = np.ldexp(rng.standard_normal(n), rng.integers(-1074, -1000, n))
+    assert fixed_sum(cancel).hex() == reference(cancel).hex() != "0x0.0p+0"
+    assert exact_parts_of_pieces(cancel, cuts).hex() == reference(cancel).hex()

@@ -11,7 +11,7 @@ from chordmean import measure as measure_module
 from chordmean import poisson as poisson_module
 from chordmean import selftest
 from chordmean.boundary import _cone_cosines
-from chordmean.geometry import philox_stream
+from chordmean.geometry import _row_blocks, philox_stream
 from chordmean.measure import nappe_fraction
 from chordmean.poisson import (
     build_boundary_quadrature,
@@ -343,11 +343,12 @@ def _check_cone_identity_bits(monkeypatch):
     # whole-sphere integral of its own indicator, edge ties split 1/2 : 1/2
     sums = []
 
-    def recorded(values):
-        sums.append(fixed_sum(values))
-        return sums[-1]
+    def recorded(*args):
+        got = poisson_module._cap_sums(*args)
+        sums.extend(got)
+        return got
 
-    monkeypatch.setattr(measure_module, "fixed_sum", recorded)
+    monkeypatch.setattr(measure_module, "_cap_sums", recorded)
     rng = np.random.default_rng(16)
     shared_edge = float(np.nextafter(0.5 * math.pi, 0.0))   # cosine rounds to 0
     ties = 0
@@ -399,31 +400,34 @@ def _check_center_of_mass_bits():
 
 @pytest.mark.parametrize("dim, resolution", [(2, 65537), (3, 511)])
 @pytest.mark.parametrize("rows", [SMALL_BLOCKS, poisson_module._BLOCK_ROWS])
-def test_cone_cosines_in_merged_tail_blocks_equal_the_whole_array_call(
-        monkeypatch, dim, resolution, rows):
+def test_cone_cosines_in_merged_tail_blocks_equal_the_whole_array_call(dim, resolution, rows):
     # v @ axis rounds a lone short tail of rows unlike the call on the whole
     # array; blocks with the tail merged into the last one round like it
-    monkeypatch.setattr(poisson_module, "_BLOCK_ROWS", rows)
     rng = np.random.default_rng(18)
     for ball in ((DISK if dim == 2 else BALL), _MOVED[dim]):
         bq = build_boundary_quadrature(ball, resolution)
         assert len(bq) % rows != 0
+        points = bq.points
         for _ in range(3):
             xs, axis, _ = _random_cap(rng, dim, 0.9, (0.1, 0.2))
             p = ball.center + ball.radius * xs
-            blocked, = poisson_module._cap_blocks(
-                ball, bq.rule, lambda dirs, weights, pts: (_cone_cosines(p, axis, pts),))
-            assert blocked.tobytes() == _cone_cosines(p, axis, bq.points).tobytes()
+            blocked = np.concatenate([_cone_cosines(p, axis, points[block])
+                                      for block in _row_blocks(len(bq), rows)])
+            assert blocked.tobytes() == _cone_cosines(p, axis, points).tobytes()
 
 
-@pytest.mark.parametrize("check", [
-    lambda p: cm.cap_measure_poisson(BALL, p, cm.CapSpec(p, (0.0, 0.6, 0.8), 1.1, "both")),
-    lambda p: cm.cone_identity_check(BALL, p, (0.0, 0.6, 0.8), 1.1),
-], ids=["cap_measure_poisson", "cone_identity_check"])
-def test_cap_paths_allocate_blocks_not_the_whole_rule(check):
+@pytest.mark.parametrize("check, bound_mb", [
+    (lambda p: cm.cap_measure_poisson(BALL, p, cm.CapSpec(p, (0.0, 0.6, 0.8), 1.1, "both")),
+     4),
+    (lambda p: cm.cone_identity_check(BALL, p, (0.0, 0.6, 0.8), 1.1), 4),
+    (lambda p: cm.center_of_mass_check(BALL, p, (0.0, 0.6, 0.8), 1.1,
+                                       bq=build_boundary_quadrature(BALL, 512)), 2),
+], ids=["cap_measure_poisson", "cone_identity_check", "center_of_mass_check_512"])
+def test_cap_paths_allocate_blocks_not_the_whole_rule(check, bound_mb):
     # the default 3-D rule has 131,072 nodes: one (N, 3) difference array
     # alone is 3 MB, the indicator and kernel temporaries of the whole rule
-    # about 6 MB
+    # about 6 MB.  The 512-polar rule has 524,288: its gathered density and
+    # moment columns over the whole rule took 8.4 MB, its blocks' sums 1.5 MB
     p = (0.2, -0.1, 0.3)
     check(p)                            # builds and caches the rule
     tracemalloc.start()
@@ -432,7 +436,7 @@ def test_cap_paths_allocate_blocks_not_the_whole_rule(check):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < bound_mb * 2 ** 20
 
 
 def test_subtended_moments():
