@@ -20,12 +20,11 @@ usable CPUs, with the bits of one serial solve.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, BadResolution, DimMismatch
+from .errors import BadParameter, DimMismatch
 from .boundary import BoundaryData, require_data
 from .geometry import (
     BallDomain,
@@ -33,6 +32,7 @@ from .geometry import (
     Ellipse2D,
     StarDomain2D,
     _circle_nodes,
+    _count,
     _in_parallel,
     _parallel_blocks,
     interior_point,
@@ -236,14 +236,7 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
         raise DimMismatch("cross_section_solve requires a 3-dimensional ball")
     if inner_solver not in ("poisson", "chords"):
         raise BadParameter("inner_solver must be 'poisson' or 'chords'")
-    try:
-        inner_resolution = operator.index(inner_resolution)
-    except TypeError:
-        raise BadResolution(f"inner_resolution must be an integer, "
-                            f"got {inner_resolution!r}") from None
-    if not 1 <= inner_resolution <= MAX_INNER_RESOLUTION:
-        raise BadResolution(f"inner_resolution must be between 1 and "
-                            f"{MAX_INNER_RESOLUTION}, got {inner_resolution}")
+    inner_resolution = _count(inner_resolution, "inner_resolution", 1, MAX_INNER_RESOLUTION)
     circle = _circle_nodes(inner_resolution)
 
     report = half_rule_report(

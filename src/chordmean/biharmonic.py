@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadBracket, BadDegree, GradientRequired
+from .errors import BadBracket, BadDegree, GradientRequired, NumericalError
 from .boundary import BoundaryData, require_data
-from .geometry import BallDomain, DirectionQuadrature, interior_point, row_dot
+from .geometry import BallDomain, DirectionQuadrature, _count, _real, interior_point, row_dot
 from .averaging import ChordAverageResult, _average
 
 MAX_MONOMIAL_DEGREE = 12
@@ -32,24 +32,29 @@ def _monomial_remainder_at_zero(m: int, a: float, b: float) -> tuple[float, floa
     w = (-2.0 * s, s * s + 2.0 * prod, -2.0 * prod * s, prod * prod)
     cur = np.zeros(m + 1)
     cur[0] = 1.0
-    for i in range(m - 3):
-        f = cur[i]
-        if f != 0.0:
-            cur[i + 1] -= f * w[0]
-            cur[i + 2] -= f * w[1]
-            cur[i + 3] -= f * w[2]
-            cur[i + 4] -= f * w[3]
+    with np.errstate(over="ignore", invalid="ignore"):      # c0 and q are checked
+        for i in range(m - 3):
+            f = cur[i]
+            if f != 0.0:
+                cur[i + 1] -= f * w[0]
+                cur[i + 2] -= f * w[1]
+                cur[i + 3] -= f * w[2]
+                cur[i + 4] -= f * w[3]
     c0 = float(cur[m])
-    return c0, c0 / (prod * prod)
+    q = c0 / w[3] if w[3] > 0.0 else np.nan             # w[3] = (ab)^2
+    if not (np.isfinite(c0) and np.isfinite(q)):
+        raise NumericalError(f"C_{m}(0)/(ab)^2 is not a finite float at a={a!r}, b={b!r}")
+    return c0, q
 
 
 def hermite_monomial_at_zero(m: int, a: float, b: float) -> tuple[float, float]:
     """C_m(0) for data t^m on the bracket a < 0 < b, and q = C_m(0)/(ab)^2.
 
     q is finite, symmetric in (a, b), and homogeneous of degree m - 4.
+    NumericalError when C_m(0) or q is not a finite float, as when (ab)^2 = 0.
     """
-    if not 4 <= m <= MAX_MONOMIAL_DEGREE:
-        raise BadDegree(f"degree must lie in 4..{MAX_MONOMIAL_DEGREE}, got {m}")
+    m = _count(m, "degree", 4, MAX_MONOMIAL_DEGREE, BadDegree)
+    a, b = _real(a, "a"), _real(b, "b")
     if not (a < 0.0 < b):
         raise BadBracket(f"need a < 0 < b, got a={a}, b={b}")
     return _monomial_remainder_at_zero(m, a, b)

@@ -27,7 +27,7 @@ from .errors import (
     DimMismatch,
     UnsupportedDegree,
 )
-from .geometry import BallDomain, as_point, check_unit, interior_point, row_dot
+from .geometry import BallDomain, _count, _real, as_point, check_unit, interior_point, row_dot
 
 MAX_DEGREE = 6
 
@@ -179,22 +179,22 @@ def _basis(dim: int, m: int, k) -> _Poly:
     return _BASIS_CACHE[key]
 
 
-def _check_index(dim: int, m: int, k) -> None:
-    if dim not in (2, 3):
-        raise DimMismatch("harmonic bases exist for dim 2 and 3")
-    if not 0 <= m <= MAX_DEGREE:
-        raise UnsupportedDegree(f"degree {m} outside the tabulated range 0..{MAX_DEGREE}")
+def _check_index(dim: int, m, k) -> int:
+    """m as an int, once (dim, m, k) names a tabulated basis polynomial."""
+    m = _count(m, "degree", 0, MAX_DEGREE, UnsupportedDegree)
     if dim == 2:
         if k not in ("re", "im") or (m == 0 and k == "im"):
             raise BadIndex(f"2-D degree-{m} index must be 're' or 'im' (nonzero)")
     else:
         if not isinstance(k, (int, np.integer)) or not -m <= k <= m:
             raise BadIndex(f"3-D degree-{m} index must be an integer in [-{m}, {m}]")
+    return m
 
 
 def basis_indices(dim: int, m: int):
     """All valid basis indices for (dim, m)."""
-    if dim == 2:
+    m = _count(m, "degree", 0, MAX_DEGREE, UnsupportedDegree)
+    if _count(dim, "dim", 2, 3, DimMismatch) == 2:
         return ("re",) if m == 0 else ("re", "im")
     return tuple(range(-m, m + 1))
 
@@ -241,9 +241,11 @@ def from_callable(f, gradient=None) -> BoundaryData:
 
 
 def constant_data(c: float) -> BoundaryData:
+    c = _real(c, "the constant")
+
     def value(pts):
         pts = np.asarray(pts, dtype=float)
-        return np.full(pts.shape[:-1], float(c))
+        return np.full(pts.shape[:-1], c)
 
     def gradient(pts):
         pts = np.asarray(pts, dtype=float)
@@ -277,9 +279,9 @@ class HarmonicPolynomial(_PolynomialData):
     """Linear combination of tabulated harmonic basis polynomials."""
 
     def __init__(self, dim: int, terms):
-        terms = tuple((int(m), k, float(c)) for m, k, c in terms)
-        for m, k, _ in terms:
-            _check_index(dim, m, k)
+        dim = _count(dim, "dim", 2, 3, DimMismatch)
+        terms = tuple((_check_index(dim, m, k), k, _real(c, "coefficient"))
+                      for m, k, c in terms)
         self.dim = dim
         self.terms = terms
         poly = _Poly(dim, {})
@@ -310,7 +312,6 @@ def harmonic_poly(dim: int, m: int, k) -> HarmonicPolynomial:
 
     Homogeneous of degree m with an exact analytic gradient.
     """
-    _check_index(dim, m, k)
     return HarmonicPolynomial(dim, [(m, k, 1.0)])
 
 
@@ -363,6 +364,7 @@ class CapSpec:
     def __post_init__(self):
         object.__setattr__(self, "vertex", as_point(self.vertex))
         object.__setattr__(self, "axis", check_unit(self.axis, self.vertex.size))
+        object.__setattr__(self, "half_angle", _real(self.half_angle, "half_angle"))
         if not 0.0 < self.half_angle < math.pi:
             raise BadParameter("half_angle must lie in (0, pi)")
         if self.nappe not in ("plus", "minus", "both"):
@@ -379,6 +381,7 @@ def arc_cap(ball, P, theta1: float, theta2: float) -> CapSpec:
     p = interior_point(ball, BallDomain, P)
     if ball.dim != 2:
         raise DimMismatch("arc_cap requires a disk")
+    theta1, theta2 = _real(theta1, "theta1"), _real(theta2, "theta2")
     if theta2 <= theta1:
         raise BadParameter("arc must satisfy theta1 < theta2")
 

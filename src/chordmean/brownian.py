@@ -17,19 +17,19 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import poisson
-from .errors import BadParameter, BadResolution
+from .errors import BadParameter
 from .boundary import CapSpec, cap_indicator
 from .geometry import (
     STREAM_TRAVELER_FULL,
     STREAM_TRAVELER_LINE,
     STREAM_TRAVELER_PLANE,
     BallDomain,
+    _count,
     _in_parallel,
     _row_blocks,
     ball_chord_roots,
@@ -210,14 +210,9 @@ def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
     accuracy (the cone rule is good to 1e-12 at 0.99 and 1e-7 at 0.999).
     """
     p = interior_point(ball, BallDomain, P)
-    try:
-        N = operator.index(N)
-    except TypeError:
-        raise BadResolution(f"the sample count must be an integer, got {N!r}") from None
+    N = _count(N, "the sample count", 0, MAX_SAMPLES)
     if N < 10 ** 3:
         raise BadParameter("need at least 1000 samples per traveler")
-    if N > MAX_SAMPLES:
-        raise BadResolution(f"the sample count must be at most {MAX_SAMPLES}, got {N}")
     ind = cap_indicator(cap, ball)
     oracle = cap_measure_ratio(ball, p, cap)
 

@@ -65,8 +65,6 @@ def _floats(text: str, name: str, count: int | None = None) -> list[float]:
         vals = [float(t) for t in str(text).split(",") if t != ""]
     except ValueError as exc:
         raise ConfigError(f"could not parse {name}={text!r} as numbers") from exc
-    if not all(map(math.isfinite, vals)):
-        raise ConfigError(f"{name}={text!r} has a non-finite number")
     if count is not None and len(vals) != count:
         raise ConfigError(f"{name} needs {count} comma-separated numbers")
     return vals
@@ -131,8 +129,6 @@ def parse_poly(dim: int, spec: str) -> HarmonicPolynomial:
         m = _parse(int, fields[0], what)
         k = fields[1].strip() if dim == 2 else _parse(int, fields[1], what)
         coeff = _parse(float, fields[2], what) if len(fields) == 3 else 1.0
-        if not math.isfinite(coeff):
-            raise ConfigError(f"{what} has a non-finite coefficient")
         terms.append((m, k, coeff))
     return HarmonicPolynomial(dim, terms)
 

@@ -66,6 +66,6 @@ class ConfigError(ChordMeanError, ValueError):
 
 
 class NumericalError(ChordMeanError, RuntimeError):
-    """A numerical routine failed: non-finite integrand values, or an
-    argument increment too large to unwrap."""
+    """A numerical routine failed: non-finite integrand values, an argument
+    increment too large to unwrap, or a Hermite value beyond the float range."""
 

@@ -58,22 +58,45 @@ def philox_stream(seed: int, stream: int) -> np.random.Generator:
 
     The seed is an integer with 0 <= seed < 2**64; anything else, a float
     included, raises BadParameter."""
-    try:
-        key = operator.index(seed)
-    except TypeError:
-        key = -1
-    if not 0 <= key < 2 ** 64:
-        raise BadParameter(f"seed must be an integer from 0 to 2**64 - 1, got {seed!r}")
-    key = np.array([key, stream], dtype=np.uint64)
+    key = np.array([_count(seed, "seed", 0, 2 ** 64 - 1, BadParameter), stream],
+                   dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _count(x, name: str, lo: int, hi: float, error=BadResolution) -> int:
+    """x as an int from lo to hi through operator.index: Python and numpy
+    integers, bool included; anything else, a whole float too, is ``error``."""
+    try:
+        n = operator.index(x)
+    except TypeError:
+        n = None
+    if n is None or not lo <= n <= hi:
+        raise error(f"{name} must be an integer from {lo} to {hi}, got {x!r}")
+    return n
+
+
+def _real(x, name: str) -> float:
+    """x as a finite float: anything float() reads as one; else BadParameter."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise BadParameter(f"{name} must be a float, got {x!r}") from None
+    if not math.isfinite(v):
+        raise BadParameter(f"non-finite {name}: {v!r}")
+    return v
+
+
+def _floats(x, what: str) -> np.ndarray:
+    """x as a 1-D float array, else BadParameter (an int past the float range too)."""
+    try:
+        return np.asarray(x, dtype=float).reshape(-1)
+    except (TypeError, ValueError, OverflowError):
+        raise BadParameter(f"{what} {x!r} is not a vector of reals") from None
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking the dimension."""
-    try:
-        p = np.asarray(x, dtype=float).reshape(-1)
-    except OverflowError:                   # a Python int past the float range
-        raise BadParameter("point has a coordinate beyond the float range") from None
+    p = _floats(x, "point")
     if dim is not None and p.size != dim:
         raise DimMismatch(f"expected a {dim}-vector, got length {p.size}")
     if p.size not in (1, 2, 3):
@@ -86,7 +109,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 def check_unit(e: np.ndarray, dim: int) -> np.ndarray:
     """e as a unit ``dim``-vector: DimMismatch for another length,
     DegenerateDirection unless |e| = 1 (NaN included)."""
-    e = np.asarray(e, dtype=float).reshape(-1)
+    e = _floats(e, "direction")
     if e.size != dim:
         raise DimMismatch(f"expected a {dim}-D direction, got length {e.size}")
     norm = np.linalg.norm(e)
@@ -147,6 +170,7 @@ class BallDomain:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
+        object.__setattr__(self, "radius", _real(self.radius, "ball radius"))
         if not self.radius > 0:
             raise BadParameter("ball radius must be positive")
 
@@ -180,10 +204,10 @@ class Ellipse2D:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center, 2))
-        a, b = self.semi_axes
+        a, b = (_real(x, "ellipse semi-axis") for x in self.semi_axes)
         if not (a > 0 and b > 0):
             raise BadParameter("ellipse semi-axes must be positive")
-        object.__setattr__(self, "semi_axes", (float(a), float(b)))
+        object.__setattr__(self, "semi_axes", (a, b))
 
     @property
     def dim(self) -> int:
@@ -235,9 +259,9 @@ class StarDomain2D:
 
     @classmethod
     def conformal(cls, a: float) -> "StarDomain2D":
+        a = _real(a, "conformal coefficient")
         if not 0.0 < a < 0.5:
             raise BadParameter("conformal coefficient must satisfy 0 < a < 1/2")
-        a = float(a)
         return cls(lambda t: 1.0 + 2.0 * a * np.cos(t))
 
     @property
@@ -680,16 +704,10 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
     The cache is bounded by count, not bytes: one 512-polar 3-D rule is
     16.8 MB, and 16 rules of that size would hold about 270 MB.
     """
-    try:
-        resolution = operator.index(resolution)
-    except TypeError:
-        raise BadResolution(f"direction resolution must be an integer, "
-                            f"got {resolution!r}") from None
-    if resolution < 4:
-        raise BadResolution("direction resolution must be at least 4")
-    if resolution > MAX_RESOLUTION.get(scheme, resolution):
-        raise BadResolution(f"{scheme} resolution must be at most "
-                            f"{MAX_RESOLUTION[scheme]}, got {resolution}")
+    dim = _count(dim, "dim", 2, 3, DimMismatch)
+    resolution = _count(resolution, "resolution", 4, MAX_RESOLUTION.get(scheme, math.inf))
+    if seed is not None:            # read before the cache, where 7.0 == 7
+        seed = _count(seed, "seed", 0, 2 ** 64 - 1, BadParameter)
     if scheme in _MC_SCHEMES and seed is None:
         raise MissingSeed("Monte Carlo schemes require a seed")
     if scheme not in _MC_SCHEMES and seed is not None:
@@ -704,12 +722,10 @@ def default_direction_quadrature(dim: int, resolution: int | None = None
     The one discretisation of the sphere: boundary quadratures are these
     rules placed on a ball.
     """
-    if dim == 2:
+    if _count(dim, "dim", 2, 3, DimMismatch) == 2:
         scheme, default = "uniform_angle_2d", SMOOTH_RES_2D
-    elif dim == 3:
-        scheme, default = "gauss_product_3d", SMOOTH_RES_3D
     else:
-        raise DimMismatch(f"direction rules exist in dimension 2 and 3, not {dim}")
+        scheme, default = "gauss_product_3d", SMOOTH_RES_3D
     return build_direction_quadrature(dim, scheme,
                                       default if resolution is None else resolution)
 

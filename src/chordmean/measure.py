@@ -15,6 +15,8 @@ from .boundary import CapSpec, _cone_cosines, _edge_cosine, _nappe_values, cap_i
 from .geometry import (
     BallDomain,
     _as_complex,
+    _count,
+    _real,
     ball_chord_roots,
     default_direction_quadrature,
     interior_point,
@@ -59,6 +61,7 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     1/2 : 1/2.
     """
     p = interior_point(ball, BallDomain, P)
+    half_angle = _real(half_angle, "half_angle")
     if not 0.0 < half_angle < 0.5 * math.pi:
         raise BadParameter("cone identity check expects half_angle in (0, pi/2)")
     if backend != "poisson":
@@ -113,8 +116,7 @@ def subtended_moment(w, poly_degree: int) -> complex:
     wc = _as_complex(w)
     if abs(wc) >= 1.0:
         raise PointNotInterior("w must lie in the open unit disk")
-    if not 0 <= poly_degree <= 8:
-        raise BadParameter("moment degree must lie in 0..8")
+    poly_degree = _count(poly_degree, "moment degree", 0, 8, BadParameter)
     dq = default_direction_quadrature(2)
     p = np.array([wc.real, wc.imag])
     disk = BallDomain(center=np.zeros(2), radius=1.0)
@@ -131,9 +133,7 @@ def involution_image_measure(P, arc) -> float:
     The image arc's side is fixed by the image of an interior sample point.
     Serves as the 2-D closed-form oracle for cap measures.
     """
-    theta1, theta2 = float(arc[0]), float(arc[1])
-    if not (math.isfinite(theta1) and math.isfinite(theta2)):
-        raise BadParameter("arc angles must be finite")
+    theta1, theta2 = _real(arc[0], "theta1"), _real(arc[1], "theta2")
     if theta2 <= theta1:
         raise BadParameter("arc must satisfy theta1 < theta2")
     if theta2 - theta1 >= 2.0 * math.pi:
@@ -158,9 +158,10 @@ def star_angle_measure_check(a: float, arc):
     Returns (subtended_angle, circumference_measure, defect); both sides equal
     the preimage arc length.  The arc is sampled at _PROP81_GRID steps.
     """
+    a = _real(a, "a")
     if not 0.0 < a < 0.5:
         raise BadParameter("need 0 < a < 1/2 for univalence")
-    theta1, theta2 = float(arc[0]), float(arc[1])
+    theta1, theta2 = _real(arc[0], "theta1"), _real(arc[1], "theta2")
     if not (0.0 <= theta1 < theta2 <= 2.0 * math.pi):
         raise BadParameter("arc must satisfy 0 <= theta1 < theta2 <= 2 pi")
     thetas = np.linspace(theta1, theta2, _PROP81_GRID + 1)

@@ -153,6 +153,8 @@ KNOWN_EXITS = [
       "--point=0.1,0.2"], 2),
     (["brownian", "--seed=7", "--point=0.1,0.2", "--arc=0,1",
       "--n=100000000000000000000000"], 2),
+    (["hermite", "--m=4", "--a=-1", "--b=1e-320"], 3),          # (ab)^2 underflows
+    (["hermite", "--m=4", "--a=-1e-200", "--b=1e-200"], 3),
 ]
 
 

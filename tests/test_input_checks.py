@@ -1,8 +1,13 @@
 """Every public entry point checks its domain type, point, data, direction
-rule and directions first, and rejects a bad one with a typed error instead
-of a numpy or attribute error or a silently wrong value."""
+rule, directions and scalar parameters first, and rejects a bad one with a
+typed error instead of a numpy, attribute or Python error or a silently wrong
+value."""
 
+import inspect
 import math
+import operator
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -109,7 +114,7 @@ _NOT_AN_INT = {
 } | {
     f"compare_exit_distributions-n-{n}": lambda n=n: cm.compare_exit_distributions(
         DISK, P, CAP, n, seed=1)
-    for n in (math.nan, math.inf, 2.5, 1000.0, "1000", None, MAX_SAMPLES + 1, 10 ** 400)
+    for n in (1000.0, "1000", MAX_SAMPLES + 1, 10 ** 400)
 }
 
 # a seed is an integer from 0 to 2**64 - 1, for the travelers and Monte
@@ -146,8 +151,6 @@ CASES = [
      for name, f in _NOT_A_BALL.items()
      for kind, d in (("ellipse", ELLIPSE), ("star", STAR))] + [
     pytest.param(f, cm.DimMismatch, id=name) for name, f in _WRONG_INPUT.items()] + [
-    pytest.param(lambda: cm.involution_image_measure(0.2, (math.nan, 1.0)),
-                 cm.BadParameter, id="involution_image_measure-nan-angle"),
     pytest.param(lambda: cm.subtended_moment(complex(math.nan, 0.0), 2),
                  cm.BadParameter, id="subtended_moment-nan"),
     pytest.param(lambda: cm.mobius_involution(complex(math.nan, 0.0), 0.5),
@@ -164,6 +167,18 @@ CASES = [
     pytest.param(lambda: cm.cap_measure_ratio(cm.BallDomain((0.0,), 1.0), (0.2,),
                                               cm.CapSpec((0.2,), (1.0,), 0.5)),
                  cm.DimMismatch, id="cap_measure_ratio-1d-ball"),
+    # a fractional degree was read as the degree-2 basis, or as a power w^2.5
+    pytest.param(lambda: cm.harmonic_poly(3, 2.5, 0), cm.UnsupportedDegree,
+                 id="harmonic_poly-fractional-degree"),
+    pytest.param(lambda: cm.subtended_moment(0.3, 2.5), cm.BadParameter,
+                 id="subtended_moment-fractional-degree"),
+    # (ab)^2 underflows to 0
+    pytest.param(lambda: cm.hermite_monomial_at_zero(4, -1.0, 1e-320), cm.NumericalError,
+                 id="hermite_monomial_at_zero-underflow"),
+    pytest.param(lambda: cm.hermite_monomial_at_zero(4, -1e-200, 1e-200), cm.NumericalError,
+                 id="hermite_monomial_at_zero-tiny-bracket"),
+    pytest.param(lambda: cm.hermite_monomial_at_zero(12, -1e160, 1e160), cm.NumericalError,
+                 id="hermite_monomial_at_zero-huge-bracket"),
 ]
 
 
@@ -208,3 +223,167 @@ def test_seeds_take_every_integer_below_2_to_the_64():
             for s in (0, np.uint64(2 ** 64 - 1), 2 ** 64 - 1, True)]
     assert ends[1] == ends[2] != ends[0]
     assert ends[3].travelers == cm.compare_exit_distributions(DISK, P, CAP, 1000, 1).travelers
+
+
+# One table for the scalar parameters: every int or float parameter of the
+# public names, probed with the same 13 values.  A count is read through
+# operator.index (``geometry._count``), a real through float() and a finiteness
+# check (``geometry._real``); a value its reader refuses raises the row's
+# error.  Every other value ends in some ChordMeanError or a finite result.
+VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "0": 0,
+          "2.5": 2.5, "True": True, "str-3": "3", "None": None, "10**400": 10 ** 400,
+          "float32-0.5": np.float32(0.5), "-0.0": -0.0, "1e-320": 1e-320}
+
+COUNT, OPTIONAL_COUNT, REAL, VECTOR = "count", "count or None", "real", "vector"
+SMALL_BQ = cm.build_boundary_quadrature(DISK, 256)
+HARM3 = cm.harmonic_poly(3, 2, 1).boundary_data()
+
+
+def _chord_ends(chord):
+    return chord.t_neg, chord.t_pos
+
+
+# (name, parameter, how it is read, error for a value its reader refuses, call)
+PROBES = [
+    ("build_direction_quadrature", "dim", COUNT, cm.DimMismatch,
+     lambda v: cm.build_direction_quadrature(v, "monte_carlo", 16, seed=1).weights),
+    ("build_direction_quadrature", "resolution", COUNT, cm.BadResolution,
+     lambda v: cm.build_direction_quadrature(2, "monte_carlo", v, seed=1).weights),
+    ("build_direction_quadrature", "seed", OPTIONAL_COUNT, cm.BadParameter,
+     lambda v: cm.build_direction_quadrature(3, "monte_carlo_design", 4, seed=v).weights),
+    ("default_direction_quadrature", "dim", COUNT, cm.DimMismatch,
+     lambda v: cm.default_direction_quadrature(v, 16).weights),
+    ("default_direction_quadrature", "resolution", OPTIONAL_COUNT, cm.BadResolution,
+     lambda v: cm.default_direction_quadrature(2, v).weights),
+    ("build_boundary_quadrature", "resolution", OPTIONAL_COUNT, cm.BadResolution,
+     lambda v: cm.build_boundary_quadrature(DISK, v).weights),
+    ("cross_section_solve", "inner_resolution", COUNT, cm.BadResolution,
+     lambda v: cm.cross_section_solve(BALL3, HARM3, P3, _rule(3), v).value),
+    ("compare_exit_distributions", "N", COUNT, cm.BadResolution,
+     lambda v: cm.compare_exit_distributions(DISK, P, CAP, v, seed=1).oracle_measure),
+    ("compare_exit_distributions", "seed", COUNT, cm.BadParameter,
+     lambda v: [t.frequency for t in cm.compare_exit_distributions(
+         DISK, P, CAP, 1000, seed=v).travelers]),
+    ("harmonic_poly", "dim", COUNT, cm.DimMismatch,
+     lambda v: cm.harmonic_poly(v, 1, 0).value(P3)),
+    ("harmonic_poly", "m", COUNT, cm.UnsupportedDegree,
+     lambda v: cm.harmonic_poly(3, v, 0).value(P3)),
+    ("basis_indices", "dim", COUNT, cm.DimMismatch, lambda v: len(cm.basis_indices(v, 2))),
+    ("basis_indices", "m", COUNT, cm.UnsupportedDegree, lambda v: len(cm.basis_indices(3, v))),
+    ("HarmonicPolynomial", "dim", COUNT, cm.DimMismatch,
+     lambda v: cm.HarmonicPolynomial(v, [(1, 0, 1.0)]).value(P3)),
+    ("HarmonicPolynomial", "terms.m", COUNT, cm.UnsupportedDegree,
+     lambda v: cm.HarmonicPolynomial(3, [(v, 0, 1.0)]).value(P3)),
+    ("HarmonicPolynomial", "terms.c", REAL, cm.BadParameter,
+     lambda v: cm.HarmonicPolynomial(2, [(1, "re", v)]).value(P)),
+    ("HarmonicPolynomial.zero", "dim", COUNT, cm.DimMismatch,
+     lambda v: cm.HarmonicPolynomial.zero(v).degree),
+    ("subtended_moment", "poly_degree", COUNT, cm.BadParameter,
+     lambda v: cm.subtended_moment(0.3, v)),
+    ("hermite_monomial_at_zero", "m", COUNT, cm.BadDegree,
+     lambda v: cm.hermite_monomial_at_zero(v, -1.0, 1.0)),
+    ("hermite_monomial_at_zero", "a", REAL, cm.BadParameter,
+     lambda v: cm.hermite_monomial_at_zero(4, v, 1.0)),
+    ("hermite_monomial_at_zero", "b", REAL, cm.BadParameter,
+     lambda v: cm.hermite_monomial_at_zero(4, -1.0, v)),
+    ("CapSpec", "half_angle", REAL, cm.BadParameter,
+     lambda v: cm.CapSpec(P, (1.0, 0.0), v).half_angle),
+    ("CapSpec", "axis", VECTOR, None, lambda v: cm.CapSpec(P, (v, 0.0), 0.5).axis),
+    ("cone_identity_check", "half_angle", REAL, cm.BadParameter,
+     lambda v: cm.cone_identity_check(DISK, P, AXIS, v, bq=SMALL_BQ)),
+    ("center_of_mass_check", "half_angle", REAL, cm.BadParameter,
+     lambda v: cm.center_of_mass_check(DISK, P, AXIS, v, bq=SMALL_BQ)[1]),
+    ("arc_cap", "theta1", REAL, cm.BadParameter,
+     lambda v: cm.arc_cap(DISK, P, v, 1.0).half_angle),
+    ("arc_cap", "theta2", REAL, cm.BadParameter,
+     lambda v: cm.arc_cap(DISK, P, 0.0, v).half_angle),
+    ("involution_image_measure", "arc.0", REAL, cm.BadParameter,
+     lambda v: cm.involution_image_measure(0.2, (v, 1.0))),
+    ("involution_image_measure", "arc.1", REAL, cm.BadParameter,
+     lambda v: cm.involution_image_measure(0.2, (0.0, v))),
+    ("star_angle_measure_check", "a", REAL, cm.BadParameter,
+     lambda v: cm.star_angle_measure_check(v, (0.0, 1.0))),
+    ("star_angle_measure_check", "arc.0", REAL, cm.BadParameter,
+     lambda v: cm.star_angle_measure_check(0.3, (v, 2.0))),
+    ("star_angle_measure_check", "arc.1", REAL, cm.BadParameter,
+     lambda v: cm.star_angle_measure_check(0.3, (0.0, v))),
+    ("StarDomain2D.conformal", "a", REAL, cm.BadParameter,
+     lambda v: cm.StarDomain2D.conformal(v).boundary_radius(0.0)),
+    ("BallDomain", "radius", REAL, cm.BadParameter,
+     lambda v: cm.BallDomain((0.0, 0.0), v).radius),
+    ("Ellipse2D", "semi_axes.0", REAL, cm.BadParameter,
+     lambda v: cm.Ellipse2D((0.0, 0.0), (v, 1.0)).semi_axes),
+    ("Ellipse2D", "semi_axes.1", REAL, cm.BadParameter,
+     lambda v: cm.Ellipse2D((0.0, 0.0), (1.5, v)).semi_axes),
+    ("constant_data", "c", REAL, cm.BadParameter, lambda v: cm.constant_data(v).value(P)),
+    ("chord_through", "e", VECTOR, None,
+     lambda v: _chord_ends(cm.chord_through(DISK, P, (v, 0.0)))),
+    ("ray_hit_star", "e", VECTOR, None, lambda v: cm.ray_hit_star(STAR, P, (v, 0.0))[1]),
+    ("plane_section", "normal", VECTOR, None,
+     lambda v: cm.plane_section(BALL3, P3, (v, 0.0, 0.0)).radius),
+]
+
+
+def _refused(kind: str, value) -> bool:
+    """Whether the reader of a parameter of this kind refuses the value."""
+    if kind == VECTOR or (kind == OPTIONAL_COUNT and value is None):
+        return False
+    if kind in (COUNT, OPTIONAL_COUNT):
+        try:
+            operator.index(value)
+        except TypeError:
+            return True
+        return False
+    try:
+        return not math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, error, call, value", [
+    pytest.param(kind, error, call, value, id=f"{name}-{param}-{vid}")
+    for name, param, kind, error, call in PROBES for vid, value in VALUES.items()])
+def test_scalar_parameter_ends_typed_or_finite(kind, error, call, value):
+    try:
+        result = call(value)
+    except cm.ChordMeanError as exc:
+        if _refused(kind, value):
+            assert isinstance(exc, error), repr(exc)
+        return
+    assert not _refused(kind, value), f"accepted {value!r}: {result!r}"
+    assert np.isfinite(np.asarray(result, dtype=complex)).all(), result
+
+
+# Result records: the library builds them, and no entry point reads their
+# fields as parameters.
+RECORDS = {"Chord", "DirectionQuadrature", "ChordAverageResult", "SolveReport",
+           "ExperimentReport", "TravelerStats"}
+
+
+def _public_callables():
+    """(name, callable) for every README public name and the public methods
+    of its classes, the class itself standing for its constructor."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    for name in re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE):
+        obj = getattr(cm, name)
+        if name in RECORDS or (inspect.isclass(obj) and issubclass(obj, Exception)):
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and (
+                        inspect.isfunction(member) or isinstance(member, classmethod)):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+
+def test_every_numeric_parameter_is_in_the_probe_table():
+    probed = {(name, param.split(".")[0]) for name, param, *_ in PROBES}
+    numeric = [(name, p.name) for name, obj in _public_callables()
+               for p in inspect.signature(obj).parameters.values()
+               if re.search(r"\b(int|float)\b", str(p.annotation))]
+    assert len(numeric) >= 25
+    missing = [f"{name}({param})" for name, param in numeric if (name, param) not in probed]
+    assert not missing, f"numeric parameters missing from PROBES: {missing}"
+    assert RECORDS <= set(dir(cm))
