@@ -86,7 +86,7 @@ def _real(x, name: str) -> float:
     return v
 
 
-def _floats(x, what: str) -> np.ndarray:
+def _float_array(x, what: str) -> np.ndarray:
     """x as a 1-D float array, else BadParameter (an int past the float range too)."""
     try:
         return np.asarray(x, dtype=float).reshape(-1)
@@ -96,7 +96,7 @@ def _floats(x, what: str) -> np.ndarray:
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally checking the dimension."""
-    p = _floats(x, "point")
+    p = _float_array(x, "point")
     if dim is not None and p.size != dim:
         raise DimMismatch(f"expected a {dim}-vector, got length {p.size}")
     if p.size not in (1, 2, 3):
@@ -109,7 +109,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 def check_unit(e: np.ndarray, dim: int) -> np.ndarray:
     """e as a unit ``dim``-vector: DimMismatch for another length,
     DegenerateDirection unless |e| = 1 (NaN included)."""
-    e = _floats(e, "direction")
+    e = _float_array(e, "direction")
     if e.size != dim:
         raise DimMismatch(f"expected a {dim}-D direction, got length {e.size}")
     norm = np.linalg.norm(e)

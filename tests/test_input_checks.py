@@ -239,7 +239,7 @@ SMALL_BQ = cm.build_boundary_quadrature(DISK, 256)
 HARM3 = cm.harmonic_poly(3, 2, 1).boundary_data()
 
 
-def _chord_ends(chord):
+def _roots(chord):
     return chord.t_neg, chord.t_pos
 
 
@@ -317,7 +317,7 @@ PROBES = [
      lambda v: cm.Ellipse2D((0.0, 0.0), (1.5, v)).semi_axes),
     ("constant_data", "c", REAL, cm.BadParameter, lambda v: cm.constant_data(v).value(P)),
     ("chord_through", "e", VECTOR, None,
-     lambda v: _chord_ends(cm.chord_through(DISK, P, (v, 0.0)))),
+     lambda v: _roots(cm.chord_through(DISK, P, (v, 0.0)))),
     ("ray_hit_star", "e", VECTOR, None, lambda v: cm.ray_hit_star(STAR, P, (v, 0.0))[1]),
     ("plane_section", "normal", VECTOR, None,
      lambda v: cm.plane_section(BALL3, P3, (v, 0.0, 0.0)).radius),
