@@ -21,7 +21,7 @@ cap = cm.arc_cap(disk, (0.5, 0.0), -math.pi / 2, math.pi / 2)
 w_ratio = cm.cap_measure_ratio(disk, (0.5, 0.0), cap)
 w_poisson = cm.cap_measure_poisson(disk, (0.5, 0.0), cap).value
 w_exact = cm.involution_image_measure(0.5, (-math.pi / 2, math.pi / 2))
-print(f"  metric-ratio cone rule  : {w_ratio:.10f}")
+print(f"  metric-ratio edge form  : {w_ratio:.10f}")
 print(f"  poisson quadrature      : {w_poisson:.10f}")
 print(f"  involution closed form  : {w_exact:.10f}")
 

@@ -374,9 +374,12 @@ class CapSpec:
 def arc_cap(ball, P, theta1: float, theta2: float) -> CapSpec:
     """Cap (seen from P) whose cone cuts exactly the circle arc [theta1, theta2].
 
-    Angles are taken about the ball center; the cone edge rays pass through
-    the arc endpoints, and the arc midpoint fixes which of the two candidate
-    cones is meant.
+    Angles are taken about the ball center.  The directions from P to the
+    arc turn counterclockwise through 2 h from u1 to u2, so the axis is
+    u2 - u1 turned a right angle clockwise, or +-(u1 + u2) where that is the
+    longer (+ if P lies left of the chord from u1's end to u2's), and
+    h = atan2(|u2 - u1|, axis . (u1 + u2)).  An arc of 2 pi or more is the
+    whole circle: both nappes at pi / 2.
     """
     p = interior_point(ball, BallDomain, P)
     if ball.dim != 2:
@@ -384,24 +387,18 @@ def arc_cap(ball, P, theta1: float, theta2: float) -> CapSpec:
     theta1, theta2 = _real(theta1, "theta1"), _real(theta2, "theta2")
     if theta2 <= theta1:
         raise BadParameter("arc must satisfy theta1 < theta2")
-
-    def direction_to(theta):
-        q = ball.center + ball.radius * np.array([math.cos(theta), math.sin(theta)])
-        v = q - p
-        return v / np.linalg.norm(v)
-
-    u1 = direction_to(theta1)
-    u2 = direction_to(theta2)
-    um = direction_to(0.5 * (theta1 + theta2))
-    bisector = u1 + u2
-    norm = np.linalg.norm(bisector)
-    if norm < 1e-12:
-        axis, half = um, 0.5 * math.pi
-    else:
-        axis = bisector / norm
-        half = math.acos(min(max(float(axis @ u1), -1.0), 1.0))
-        if float(axis @ um) < math.cos(half):
-            axis, half = -axis, math.pi - half
+    if theta2 - theta1 >= 2.0 * math.pi:
+        return CapSpec(vertex=p, axis=(1.0, 0.0), half_angle=0.5 * math.pi, nappe="both")
+    q1, q2 = (ball.center + ball.radius * np.array([math.cos(t), math.sin(t)])
+              for t in (theta1, theta2))
+    u1, u2 = ((q - p) / np.linalg.norm(q - p) for q in (q1, q2))
+    chord, bisector = u2 - u1, u1 + u2
+    if np.linalg.norm(bisector) < np.linalg.norm(chord):
+        axis = np.array([chord[1], -chord[0]])
+    else:                               # + if P lies left of q1 -> q2
+        axis = bisector if (q2 - q1) @ [p[1] - q1[1], q1[0] - p[0]] > 0.0 else -bisector
+    axis = axis / np.linalg.norm(axis)
+    half = math.atan2(np.linalg.norm(chord), float(axis @ bisector))
     return CapSpec(vertex=p, axis=axis, half_angle=half, nappe="plus")
 
 

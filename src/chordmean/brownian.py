@@ -205,9 +205,8 @@ def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,
     usable CPUs, each on its own stream, so the report is that of running
     them one after another, bit for bit.
 
-    Every traveler's sampler is exact at every interior start.  Past
-    |P - c|/R of about 0.95 in 3-D the oracle, not the samplers, sets the
-    accuracy (the cone rule is good to 1e-12 at 0.99 and 1e-7 at 0.999).
+    Every traveler's sampler is exact at every interior start, and so is
+    the oracle, to rounding, up to |P - c|/R = 1 - 1e-7.
     """
     p = interior_point(ball, BallDomain, P)
     N = _count(N, "the sample count", 0, MAX_SAMPLES)

@@ -502,6 +502,23 @@ class DirectionQuadrature:
     resolution: int
     seed: int | None = None
 
+    def __post_init__(self):
+        """Refuse what no builder makes: an unknown scheme, a resolution or
+        seed its reader refuses, and shapes that disagree with each other or
+        with the scheme's node count (N for uniform angles and Monte Carlo,
+        2 res^2 for the Gauss product, 6 res for the design)."""
+        if not isinstance(self.scheme, str) or self.scheme not in MAX_RESOLUTION:
+            raise BadParameter(f"unknown direction scheme {self.scheme!r}")
+        res = _count(self.resolution, "resolution", 1, MAX_RESOLUTION[self.scheme])
+        object.__setattr__(self, "resolution", res)
+        object.__setattr__(self, "seed", _scheme_seed(self.scheme, self.seed))
+        shape = np.shape(self.directions)
+        if len(shape) != 2 or shape[1] not in (2, 3) or np.shape(self.weights) != shape[:1]:
+            raise BadParameter(f"{shape} directions with {np.shape(self.weights)} weights")
+        n = {"gauss_product_3d": 2 * res ** 2, "monte_carlo_design": 6 * res}.get(self.scheme, res)
+        if shape[0] != n:
+            raise BadResolution(f"{self.scheme} at resolution {res} has {n} nodes, not {shape[0]}")
+
     @property
     def dim(self) -> int:
         return self.directions.shape[1]
@@ -539,6 +556,18 @@ class DirectionQuadrature:
 
 
 _MC_SCHEMES = ("monte_carlo", "monte_carlo_design")
+
+
+def _scheme_seed(scheme: str, seed) -> int | None:
+    """The seed as an int from 0 to 2^64 - 1, or None: the Monte Carlo
+    schemes need one and the deterministic ones refuse one."""
+    if seed is not None:
+        seed = _count(seed, "seed", 0, 2 ** 64 - 1, BadParameter)
+    if scheme in _MC_SCHEMES and seed is None:
+        raise MissingSeed("Monte Carlo schemes require a seed")
+    if scheme not in _MC_SCHEMES and seed is not None:
+        raise BadParameter(f"{scheme} is deterministic and takes no seed")
+    return seed
 
 
 def read_only(rule):
@@ -706,12 +735,7 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
     """
     dim = _count(dim, "dim", 2, 3, DimMismatch)
     resolution = _count(resolution, "resolution", 4, MAX_RESOLUTION.get(scheme, math.inf))
-    if seed is not None:            # read before the cache, where 7.0 == 7
-        seed = _count(seed, "seed", 0, 2 ** 64 - 1, BadParameter)
-    if scheme in _MC_SCHEMES and seed is None:
-        raise MissingSeed("Monte Carlo schemes require a seed")
-    if scheme not in _MC_SCHEMES and seed is not None:
-        raise BadParameter(f"{scheme} is deterministic and takes no seed")
+    seed = _scheme_seed(scheme, seed)   # read before the cache, where 7.0 == 7
     return _build(dim, scheme, resolution, seed)
 
 

@@ -1,7 +1,7 @@
 """Harmonic-measure geometry in balls: the double-cone cap identity, the
 center-of-mass identity, subtended-angle moments, and the star-domain
 counterexample built from q(z) = a z^2 + z + a.  The metric-ratio density,
-``cap_measure_ratio`` in cone coordinates, is ``poisson``'s, exported here.
+``cap_measure_ratio`` from the cap's edge, is ``poisson``'s, exported here.
 """
 
 from __future__ import annotations

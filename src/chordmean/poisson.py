@@ -431,14 +431,13 @@ def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
 # The 3-D edge integrand is periodic and analytic in the azimuth, with
 # singularities about d = sqrt(1 - |xs|^2) off the real line, so its trapezoid
 # sum on n angles is at rounding once n d >= 20 or so (Trefethen & Weideman,
-# SIAM Review 56, 2014).  n is the least power of two >= max(64, _EDGE_SCALE / d),
-# at most 2^16.
+# SIAM Review 56, 2014); n >= _EDGE_SCALE / d leaves a factor of two.
 _EDGE_SCALE = 40.0
 
 
 @functools.cache
 def _edge_ring(n: int) -> np.ndarray:
-    """cos(2 pi k / n) for k < n: the trapezoid rule's azimuths."""
+    """cos(2 pi k / n) for k < n, the trapezoid rule's azimuths: shared, never written."""
     return np.cos(2.0 * math.pi * np.arange(n) / n)
 
 

@@ -469,7 +469,7 @@ def check_14_travelers() -> CheckResult:
     passed = worst_sigma <= 3.0 and identical and dt <= 60.0
     return CheckResult(14, "Brownian traveler exit laws", passed, worst_sigma, 3.0, dt,
                        f"5 configurations x 1e5 samples per traveler, sigma units vs "
-                       f"the cone-rule measure; identical rerun: {identical}; limit 60 s")
+                       f"the exact cap measure; identical rerun: {identical}; limit 60 s")
 
 
 # ---------------------------------------------------------------------------

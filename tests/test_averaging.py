@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import chordmean as cm
 from chordmean import averaging, geometry
-from chordmean.boundary import basis_indices
+from chordmean.boundary import MAX_DEGREE, basis_indices
 from chordmean.geometry import _circle_nodes
 from chordmean.poisson import fixed_sum
 
@@ -317,3 +317,51 @@ def test_chord_ends_equal_the_broadcast_form_byte_for_byte(dim, n):
         want = p[..., np.newaxis, :] + t[..., np.newaxis] * dirs
         assert got.flags.c_contiguous and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# The degree count of Malmheden's formula.  Along e, f(P + t e) is a
+# polynomial of degree m whose t^k coefficient is homogeneous of degree k in
+# e.  The chord's roots a < 0 < b have a + b = -2 P.e and ab = |P|^2 - 1, and
+# its linear interpolant at t = 0 takes t^k to -ab h_{k-2}(a, b), symmetric
+# of degree k - 2 in the roots.  So the integrand has degree at most 2m - 2
+# in e, and a rule exact through that degree reproduces degree-m data to
+# rounding: N >= 2m - 1 uniform angles in 2-D, n >= m Gauss polar rings in
+# 3-D (exact through 2n - 1).  The rule just below misses.
+
+def _points(rng, dim, count=5, rho=0.8):
+    d = rng.standard_normal((count, dim))
+    return rng.uniform(0.0, rho, (count, 1)) * d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _worst_defect(ball, poly, rule, points):
+    data = poly.boundary_data()
+    return max(abs(cm.solve_harmonic(ball, data, p, rule).value - float(poly.value(p)))
+               for p in points)
+
+
+@pytest.mark.parametrize("m", range(MAX_DEGREE + 1))
+def test_2d_chord_average_is_exact_from_2m_minus_1_angles(m):
+    rng = np.random.default_rng([21, m])
+    exact = cm.build_direction_quadrature(2, "uniform_angle_2d", max(2 * m - 1, 4))
+    for k in basis_indices(2, m):
+        poly, points = cm.harmonic_poly(2, m, k), _points(rng, 2)
+        assert _worst_defect(DISK, poly, exact, points) <= 1e-15
+        if 2 * m - 2 >= 4:              # the smallest rule built is 4 angles
+            below = cm.build_direction_quadrature(2, "uniform_angle_2d", 2 * m - 2)
+            assert _worst_defect(DISK, poly, below, points) > 1e-3
+
+
+@pytest.mark.parametrize("m", range(MAX_DEGREE + 1))
+def test_3d_chord_average_is_exact_from_m_polar_rings(m):
+    rng = np.random.default_rng([22, m])
+    exact = cm.build_direction_quadrature(3, "gauss_product_3d", max(m, 4))
+    below = cm.build_direction_quadrature(3, "gauss_product_3d", m - 1) if m - 1 >= 4 else None
+    misses = []
+    for k in basis_indices(3, m):
+        poly, points = cm.harmonic_poly(3, m, k), _points(rng, 3)
+        assert _worst_defect(BALL, poly, exact, points) <= 1e-15
+        if below is not None:
+            misses.append(_worst_defect(BALL, poly, below, points))
+    # the rule below misses the degree, though not every element of it: its
+    # equal azimuths integrate most of the integrand's azimuthal orders
+    assert below is None or max(misses) > 1e-3

@@ -85,6 +85,18 @@ def test_measure_cone_example(capsys):
     assert float(row["rhs"]) == 0.5
 
 
+def test_measure_cap_of_arcs_through_the_point_and_past_a_full_turn(capsys):
+    # P on the chord through the arc's ends sees half the circle; an arc of
+    # more than a turn is the whole circle
+    for arc, exact in (("0,3.141592653589793", 0.5), ("0,9.42477796076938", 1.0)):
+        code, out = run_cli(["measure", "--check=cap", "--point=0.5,0", f"--arc={arc}"], capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert abs(float(row["lhs"]) - exact) <= 1e-12
+        assert abs(float(row["rhs"]) - exact) <= 1e-4
+
+
 def test_measure_star_angle_example(capsys):
     argv = ["measure", "--check", "star-angle", "--a", "0.4",
             "--arc", "0,1.5707963267948966"]

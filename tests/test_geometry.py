@@ -399,6 +399,44 @@ def test_monte_carlo_schemes_take_their_seed(dim, scheme):
     assert dq.directions.shape[1] == dim
 
 
+GAUSS8 = cm.build_direction_quadrature(3, "gauss_product_3d", 8)
+
+
+@pytest.mark.parametrize("fields, error", [
+    ((GAUSS8.directions, GAUSS8.weights, "gauss_product_3d", 7), cm.BadResolution),
+    ((GAUSS8.directions, GAUSS8.weights, "gauss_product_3d", 2.5), cm.BadResolution),
+    ((GAUSS8.directions, GAUSS8.weights, "gauss_product_3d", -3), cm.BadResolution),
+    ((GAUSS8.directions, GAUSS8.weights, "gauss_product_3d", 10 ** 400), cm.BadResolution),
+    ((GAUSS8.directions, GAUSS8.weights, "gauss_product_3d", "x"), cm.BadResolution),
+    ((GAUSS8.directions, GAUSS8.weights, "monte_carlo_design", 8, 1), cm.BadResolution),
+    ((GAUSS8.directions[:10], GAUSS8.weights[:64], "gauss_product_3d", 8), cm.BadParameter),
+    ((GAUSS8.directions[:, 0], GAUSS8.weights, "gauss_product_3d", 8), cm.BadParameter),
+    ((GAUSS8.directions, GAUSS8.weights, "gauss_product_3d", 8, 3), cm.BadParameter),
+    ((GAUSS8.directions, GAUSS8.weights, "monte_carlo", 128), cm.MissingSeed),
+    ((GAUSS8.directions, GAUSS8.weights, "sobol", 8), cm.BadParameter),
+    ((GAUSS8.directions, GAUSS8.weights, ["gauss_product_3d"], 8), cm.BadParameter),
+])
+def test_direction_quadrature_refuses_fields_no_builder_makes(fields, error):
+    # a hand-built rule labelled with another resolution would solve with
+    # the wrong half rule; shapes that disagree would end in numpy's errors
+    with pytest.raises(error):
+        cm.DirectionQuadrature(*fields)
+
+
+@pytest.mark.parametrize("dim, scheme, res, seed", [
+    (2, "uniform_angle_2d", 4, None), (2, "uniform_angle_2d", 5, None),
+    (2, "uniform_angle_2d", 4097, None), (3, "gauss_product_3d", 4, None),
+    (3, "gauss_product_3d", 5, None), (2, "monte_carlo", 4, 1), (3, "monte_carlo", 5, 1),
+    (3, "monte_carlo_design", 4, 1), (3, "monte_carlo_design", 5, 1)])
+def test_every_built_rule_and_its_halves_pass_the_field_checks(dim, scheme, res, seed):
+    rule = cm.build_direction_quadrature(dim, scheme, res, seed)
+    for _ in range(3):
+        again = cm.DirectionQuadrature(rule.directions, rule.weights, rule.scheme,
+                                       rule.resolution, rule.seed)
+        assert (again.resolution, again.seed) == (rule.resolution, rule.seed)
+        rule = rule.half_resolution()
+
+
 def test_half_resolution():
     dq = cm.build_direction_quadrature(2, "uniform_angle_2d", 64)
     half = dq.half_resolution()

@@ -236,6 +236,8 @@ VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "0": 0,
 
 COUNT, OPTIONAL_COUNT, REAL, VECTOR = "count", "count or None", "real", "vector"
 SMALL_BQ = cm.build_boundary_quadrature(DISK, 256)
+GAUSS8 = cm.build_direction_quadrature(3, "gauss_product_3d", 8)
+MC16 = cm.build_direction_quadrature(2, "monte_carlo", 16, seed=1)
 HARM3 = cm.harmonic_poly(3, 2, 1).boundary_data()
 
 
@@ -251,6 +253,12 @@ PROBES = [
      lambda v: cm.build_direction_quadrature(2, "monte_carlo", v, seed=1).weights),
     ("build_direction_quadrature", "seed", OPTIONAL_COUNT, cm.BadParameter,
      lambda v: cm.build_direction_quadrature(3, "monte_carlo_design", 4, seed=v).weights),
+    ("DirectionQuadrature", "resolution", COUNT, cm.BadResolution,
+     lambda v: cm.DirectionQuadrature(GAUSS8.directions, GAUSS8.weights, GAUSS8.scheme,
+                                      v).weights),
+    ("DirectionQuadrature", "seed", OPTIONAL_COUNT, cm.BadParameter,
+     lambda v: cm.DirectionQuadrature(MC16.directions, MC16.weights, MC16.scheme,
+                                      MC16.resolution, v).weights),
     ("default_direction_quadrature", "dim", COUNT, cm.DimMismatch,
      lambda v: cm.default_direction_quadrature(v, 16).weights),
     ("default_direction_quadrature", "resolution", OPTIONAL_COUNT, cm.BadResolution,
@@ -357,8 +365,7 @@ def test_scalar_parameter_ends_typed_or_finite(kind, error, call, value):
 
 # Result records: the library builds them, and no entry point reads their
 # fields as parameters.
-RECORDS = {"Chord", "DirectionQuadrature", "ChordAverageResult", "SolveReport",
-           "ExperimentReport", "TravelerStats"}
+RECORDS = {"Chord", "ChordAverageResult", "SolveReport", "ExperimentReport", "TravelerStats"}
 
 
 def _public_callables():

@@ -97,10 +97,9 @@ def _random_cap(rng, dim, rho_max, half_range):
     return p, axis / np.linalg.norm(axis), rng.uniform(*half_range)
 
 
-def test_cone_rule_nappes_sum_to_twice_the_nappe_fraction():
-    # in cone coordinates w(U) + w(V) integrates r1/L + r2/L = 1 over the
-    # cone, so the two nappes of the ratio measure sum to the cone's mass
-    # to rounding
+def test_cap_measure_ratio_nappes_sum_to_twice_the_nappe_fraction():
+    # w(U) + w(V) integrates r1/L + r2/L = 1 over the cone, so the two
+    # nappes of the ratio measure sum to the cone's mass to rounding
     rng = np.random.default_rng(1)
     for dim, ball in ((2, DISK), (3, BALL)):
         for _ in range(10):
@@ -113,7 +112,7 @@ def test_cone_rule_nappes_sum_to_twice_the_nappe_fraction():
             assert abs(both - target) <= 1e-14
 
 
-def test_cone_rule_matches_the_involution_closed_form():
+def test_cap_measure_ratio_matches_the_involution_closed_form():
     rng = np.random.default_rng(4)
     wide = 0
     for _ in range(60):
@@ -127,7 +126,7 @@ def test_cone_rule_matches_the_involution_closed_form():
     assert wide >= 10
 
 
-def test_cone_rule_complement():
+def test_cap_measure_ratio_complement():
     # the plus nappe about -axis with half-angle pi - alpha is every direction
     # outside the plus nappe about axis
     rng = np.random.default_rng(5)
@@ -139,7 +138,7 @@ def test_cone_rule_complement():
             assert abs(inside + outside - 1.0) <= 1e-14
 
 
-def test_cone_rule_both_nappes_cover_the_sphere_past_a_right_angle():
+def test_cap_measure_ratio_both_nappes_cover_the_sphere_past_a_right_angle():
     rng = np.random.default_rng(6)
     for dim, ball in ((2, DISK), (3, BALL)):
         for half in (0.5 * math.pi, 1.6, 3.0):
@@ -147,7 +146,7 @@ def test_cone_rule_both_nappes_cover_the_sphere_past_a_right_angle():
             assert cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half, "both")) == 1.0
 
 
-def test_cone_rule_is_translation_and_scale_covariant():
+def test_cap_measure_ratio_is_translation_and_scale_covariant():
     rng = np.random.default_rng(7)
     for dim, ball in ((2, DISK), (3, BALL)):
         moved = cm.BallDomain(center=rng.uniform(-3.0, 3.0, dim), radius=2.5)
@@ -161,7 +160,7 @@ def test_cone_rule_is_translation_and_scale_covariant():
             assert abs(got - poisson.value) <= 2e-3
 
 
-def test_cone_rule_agrees_with_poisson_on_criterion_8_grid():
+def test_cap_measure_ratio_agrees_with_poisson_on_criterion_8_grid():
     # criterion 8's configurations: both sides at once, each cap once
     rng = philox_stream(selftest._SEED_GRID, 8)
     worst = 0.0
@@ -173,6 +172,110 @@ def test_cone_rule_agrees_with_poisson_on_criterion_8_grid():
                 worst = max(worst, abs(cm.cap_measure_ratio(ball, p, cap)
                                        - cm.cap_measure_poisson(ball, p, cap).value))
     assert worst <= 2e-3
+
+
+def _cone_gauss_measure(p, axis, half, azimuths=128):
+    """A cap's measure by a product rule on its cone, independent of the
+    edge formula: 2 r1 / L = 1 + beta / s, beta = e . p, s = sqrt(beta^2 +
+    1 - |p|^2), over the directions e within ``half`` of ``axis``, with
+    Gauss-Legendre in the polar angle about the axis times equal azimuths
+    (in 2-D the two sides of the axis)."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    phi = 0.5 * half * (x + 1.0)
+    w_phi = 0.5 * half * w
+    if p.size == 2:
+        side = np.sin(phi)[:, None] * np.array([-axis[1], axis[0]])
+        along = np.cos(phi)[:, None] * axis
+        dirs = np.concatenate([along + side, along - side])
+        weights = np.concatenate([w_phi, w_phi]) / (2.0 * math.pi)
+    else:
+        u = np.cross(axis, np.eye(3)[int(np.argmin(np.abs(axis)))])
+        u /= np.linalg.norm(u)
+        psi = 2.0 * math.pi * np.arange(azimuths) / azimuths
+        ring = np.cos(psi)[:, None] * u + np.sin(psi)[:, None] * np.cross(axis, u)
+        dirs = (np.cos(phi)[:, None, None] * axis
+                + np.sin(phi)[:, None, None] * ring[None, :, :]).reshape(-1, 3)
+        weights = np.repeat(w_phi * np.sin(phi), azimuths) / (2.0 * azimuths)
+    beta = dirs @ p
+    s = np.sqrt(beta * beta + 1.0 - float(p @ p))
+    return math.fsum((weights * (beta + s) / s).tolist())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cap_measure_ratio_matches_a_gauss_product_on_the_cone(dim):
+    rng = np.random.default_rng(12)
+    ball = DISK if dim == 2 else BALL
+    for _ in range(100):
+        p, axis, half = _random_cap(rng, dim, 0.8, (0.05, 1.5))
+        got = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half))
+        assert abs(got - _cone_gauss_measure(p, axis, half)) <= 1e-15
+
+
+@pytest.mark.parametrize("rho", [0.999, 0.9999])
+def test_cap_measure_ratio_edge_sum_has_converged(monkeypatch, rho):
+    # n against 2n edge nodes near the rim, where a product rule on the cone
+    # needs thousands of nodes per nappe
+    rng = np.random.default_rng(13)
+    caps = []
+    for _ in range(20):
+        p, axis, half = _random_cap(rng, 3, 1.0, (0.05, 3.0))
+        p = rho * p / np.linalg.norm(p)
+        caps.append(cm.CapSpec(p, axis, half))
+    default = [cm.cap_measure_ratio(BALL, cap.vertex, cap) for cap in caps]
+    monkeypatch.setattr(poisson_module, "_EDGE_SCALE", 2.0 * poisson_module._EDGE_SCALE)
+    doubled = [cm.cap_measure_ratio(BALL, cap.vertex, cap) for cap in caps]
+    assert max(abs(a - b) for a, b in zip(default, doubled)) <= 1e-15
+
+
+def test_cap_measure_ratio_degenerate_caps():
+    rng = np.random.default_rng(14)
+    for dim, ball in ((2, DISK), (3, BALL)):
+        for _ in range(5):
+            _, axis, half = _random_cap(rng, dim, 0.8, (0.05, 1.5))
+            perp = _random_cap(rng, dim, 0.8, (0.0, 1.0))[1]
+            perp -= (perp @ axis) * axis
+            perp /= np.linalg.norm(perp)
+            rho = rng.uniform(0.1, 0.8)
+            for p in (rho * axis, -rho * axis,              # xs along the axis: B = 0
+                      np.zeros(dim),                        # P at the center
+                      rho * (math.cos(half) * axis + math.sin(half) * perp)):   # xs on the edge
+                got = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, half))
+                assert abs(got - _cone_gauss_measure(p, axis, half)) <= 1e-15
+            centre = np.zeros(dim)
+            got = cm.cap_measure_ratio(ball, centre, cm.CapSpec(centre, axis, half))
+            assert abs(got - nappe_fraction(dim, half)) <= 1e-16
+            # past pi / 2 a long polar interval costs the product rule its
+            # accuracy; it is exact on the complement's cone
+            p, wide = rho * perp, rng.uniform(1.6, 3.0)
+            got = cm.cap_measure_ratio(ball, p, cm.CapSpec(p, axis, wide))
+            assert abs(got - (1.0 - _cone_gauss_measure(p, -axis, math.pi - wide))) <= 1e-15
+
+
+@pytest.mark.parametrize("p, arc", [
+    ((0.5, 0.0), (0.0, math.pi)),                       # P on the chord through the ends
+    ((0.0, -0.3), (-0.5 * math.pi, 0.5 * math.pi)),     # ... through the center
+    ((0.5, 0.0), (0.0, 3.0 * math.pi)),                 # past a full turn
+    ((0.3, -0.4), (0.0, 2.0 * math.pi)),                # a full turn
+    ((0.0, 0.0), (0.0, 2.0 * math.pi - 1e-9)),          # nearly a full turn
+    ((0.2, 0.5), (1.0, 1.0 + 1e-9)),                    # nearly nothing
+])
+def test_arc_cap_measures_the_arc(p, arc):
+    cap = cm.arc_cap(DISK, p, *arc)
+    exact = cm.involution_image_measure(complex(*p), arc)
+    assert abs(cm.cap_measure_ratio(DISK, p, cap) - exact) <= 1e-12
+    assert abs(cm.cap_measure_poisson(DISK, p, cap).value - exact) <= 1e-4
+
+
+def test_arc_cap_on_random_arcs_of_every_length():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        p = _random_cap(rng, 2, 0.99, (0.0, 1.0))[0]
+        t1 = rng.uniform(-10.0, 10.0)
+        t2 = t1 + rng.choice([rng.uniform(0.0, 1e-3), rng.uniform(1e-3, 2.0 * math.pi),
+                              rng.uniform(2.0 * math.pi - 1e-3, 2.0 * math.pi)])
+        cap = cm.arc_cap(DISK, p, t1, t2)
+        exact = cm.involution_image_measure(complex(*p), (t1, t2))
+        assert abs(cm.cap_measure_ratio(DISK, p, cap) - exact) <= 2e-15
 
 
 def test_cap_error_estimate_is_the_true_error():
