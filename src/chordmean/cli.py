@@ -32,7 +32,7 @@ from .boundary import (
     cap_indicator,
     constant_data,
 )
-from .poisson import build_boundary_quadrature, cap_measure_poisson
+from .poisson import cap_measure_poisson
 from .averaging import cross_section_solve, solve_harmonic, solve_on_domain
 from .biharmonic import hermite_monomial_at_zero, solve_biharmonic
 from .measure import (
@@ -251,11 +251,11 @@ _READS = {
     "solve --operator=cross-section": ("data point", "operator dim domain normal-scheme "
                                        "normal-n inner inner-solver seed"),
     "measure": ("check", ""),
-    "measure --check=cap": ("check point half-angle", "dim n axis nappe"),
-    "measure --check=cap with --arc": ("check point arc", "dim n"),
-    "measure --check=cap with --cap": ("check point cap", "dim n"),
-    "measure --check=cone": ("check point half-angle", "dim n axis"),
-    "measure --check=com": ("check point half-angle", "dim n axis"),
+    "measure --check=cap": ("check point half-angle", "dim axis nappe"),
+    "measure --check=cap with --arc": ("check point arc", "dim"),
+    "measure --check=cap with --cap": ("check point cap", "dim"),
+    "measure --check=cone": ("check point half-angle", "dim axis"),
+    "measure --check=com": ("check point half-angle", "dim axis"),
     "measure --check=moment": ("check w degree", ""),
     "measure --check=star-angle": ("check a arc", ""),
     "hermite": ("m a b", ""),
@@ -374,10 +374,9 @@ def cmd_measure(args) -> int:
     check = args.check
     if check in ("cap", "cone", "com"):
         point, p, ball = _point_and_ball(args)
-        bq = None if args.n is None else build_boundary_quadrature(ball, args.n)
         if check == "cap":
             cap = _cap(args, ball, p)
-            report = cap_measure_poisson(ball, p, cap, bq=bq)   # defect: |rhs - lhs|
+            report = cap_measure_poisson(ball, p, cap)   # defect: |rhs - lhs|
             rows.append(["cap", json.dumps({"point": point}), cap_measure_ratio(ball, p, cap),
                          report.value, report.error_estimate])
         else:
@@ -385,9 +384,9 @@ def cmd_measure(args) -> int:
             half = args.half_angle
             params = json.dumps({"point": point, "half_angle": half})
             if check == "cone":
-                rows.append(["cone", params, *cone_identity_check(ball, p, axis, half, bq=bq)])
+                rows.append(["cone", params, *cone_identity_check(ball, p, axis, half)])
             else:
-                _, offset = center_of_mass_check(ball, p, axis, half, bq=bq)
+                _, offset = center_of_mass_check(ball, p, axis, half)
                 rows.append(["com", params, offset, 0.0, offset])
     elif check == "moment":
         w_vals = _floats(args.w, "--w")
@@ -511,7 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", default=None, help="moment base point re[,im]")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--a", type=float, default=None, help="conformal coefficient")
-    p.add_argument("--n", type=int, default=None, help="Poisson rule resolution (cap, cone, com)")
+    # no check reads --n (the cap rules fit each cap); parsed so that a stale
+    # --n is refused as not applying, like any other unread option
+    p.add_argument("--n", type=int, default=None, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_measure)
 

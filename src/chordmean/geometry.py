@@ -507,9 +507,7 @@ class DirectionQuadrature:
         seed its reader refuses, and shapes that disagree with each other or
         with the scheme's node count (N for uniform angles and Monte Carlo,
         2 res^2 for the Gauss product, 6 res for the design)."""
-        if not isinstance(self.scheme, str) or self.scheme not in MAX_RESOLUTION:
-            raise BadParameter(f"unknown direction scheme {self.scheme!r}")
-        res = _count(self.resolution, "resolution", 1, MAX_RESOLUTION[self.scheme])
+        res = _count(self.resolution, "resolution", 1, MAX_RESOLUTION[_known_scheme(self.scheme)])
         object.__setattr__(self, "resolution", res)
         object.__setattr__(self, "seed", _scheme_seed(self.scheme, self.seed))
         shape = np.shape(self.directions)
@@ -556,6 +554,13 @@ class DirectionQuadrature:
 
 
 _MC_SCHEMES = ("monte_carlo", "monte_carlo_design")
+
+
+def _known_scheme(scheme) -> str:
+    """The scheme, which must be one of the names in MAX_RESOLUTION."""
+    if not isinstance(scheme, str) or scheme not in MAX_RESOLUTION:
+        raise BadParameter(f"unknown direction scheme {scheme!r}")
+    return scheme
 
 
 def _scheme_seed(scheme: str, seed) -> int | None:
@@ -726,7 +731,9 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
         icosahedral axis set (6 directions each); unbiased, variance-reduced
         for plane averaging.
     The Monte Carlo schemes need a seed; the deterministic ones refuse one.
-    A resolution below 4 or above ``MAX_RESOLUTION[scheme]`` raises BadResolution.
+    A scheme not named in ``MAX_RESOLUTION`` (or not a ``str``) raises
+    BadParameter, a resolution below 4 or above ``MAX_RESOLUTION[scheme]``
+    BadResolution.
 
     The rule is shared, not copied: the last RULE_CACHE_SIZE rules built are
     kept by (dim, scheme, resolution, seed), and their arrays are read-only.
@@ -734,7 +741,7 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
     16.8 MB, and 16 rules of that size would hold about 270 MB.
     """
     dim = _count(dim, "dim", 2, 3, DimMismatch)
-    resolution = _count(resolution, "resolution", 4, MAX_RESOLUTION.get(scheme, math.inf))
+    resolution = _count(resolution, "resolution", 4, MAX_RESOLUTION[_known_scheme(scheme)])
     seed = _scheme_seed(scheme, seed)   # read before the cache, where 7.0 == 7
     return _build(dim, scheme, resolution, seed)
 

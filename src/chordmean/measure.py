@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import BadParameter, EmptyCap, NumericalError, PointNotInterior
-from .boundary import CapSpec, _cone_cosines, _edge_cosine, _nappe_values, cap_indicator
+from .boundary import CapSpec
 from .geometry import (
     BallDomain,
     _as_complex,
@@ -24,13 +24,11 @@ from .geometry import (
 )
 from .poisson import (
     BoundaryQuadrature,
-    _cap_sums,
+    _cap_integrals,
     _clamp_unit,
-    _indicator_terms,
     _placed_rule,
     cap_measure_ratio,
     fixed_sum,
-    measure_quadrature,
 )
 
 
@@ -45,20 +43,15 @@ def nappe_fraction(dim: int, half_angle: float) -> float:
 
 
 def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
-                        backend: str = "poisson",
-                        bq: BoundaryQuadrature | None = None):
-    """w_P(U) + w_P(V) for the double cone by the Poisson integral over the
-    sphere, against twice one nappe's solid angle.
+                        backend: str = "poisson"):
+    """w_P(U) + w_P(V) for the double cone by the Poisson integral in the
+    ball's own coordinates, against twice one nappe's solid angle.
 
     Returns (w_sum, target, defect).  In cone coordinates the identity holds
-    term by term (r1/L + r2/L = 1), so only the sphere rule tests it;
+    term by term (r1/L + r2/L = 1), so only a Poisson integral over the
+    sphere tests it: each nappe's measure is its own ``cap_measure_poisson``
+    integral, on the rule fitted to that nappe's cap, clamped into [0, 1].
     ``backend`` names that one way and accepts only 'poisson'.
-
-    One pass of cone cosines per block of the rule's boundary points serves
-    both nappes; w(U) and w(V) are summed and clamped apart, with the bits of
-    two ``cap_measure_poisson`` values.  Edge points score 1/2 in their
-    nappe, so when the cone cosine is 0 a tie on the shared edge splits
-    1/2 : 1/2.
     """
     p = interior_point(ball, BallDomain, P)
     half_angle = _real(half_angle, "half_angle")
@@ -67,18 +60,8 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
     if backend != "poisson":
         raise BadParameter("the cone identity is checked by the Poisson integral: "
                            "backend must be 'poisson'")
-    cap = CapSpec(vertex=p, axis=axis, half_angle=half_angle)
-    c = _edge_cosine(half_angle)
-    rule = _placed_rule(ball, bq, measure_quadrature)
-    xs = (p - ball.center) / ball.radius
-
-    def nappes(dirs, weights, pts):
-        d = _cone_cosines(p, cap.axis, pts)
-        return tuple(_indicator_terms(ball, xs, dirs, weights, _nappe_values(d, c, nappe))[1]
-                     for nappe in ("plus", "minus"))
-
-    w_plus, w_minus = _cap_sums(ball, rule, nappes)
-    w_sum = _clamp_unit(w_plus) + _clamp_unit(w_minus)
+    w_sum = sum(_clamp_unit(_cap_integrals(ball, p, CapSpec(p, axis, half_angle, nappe))[0][0])
+                for nappe in ("plus", "minus"))
     target = 2.0 * nappe_fraction(ball.dim, half_angle)
     return w_sum, target, abs(w_sum - target)
 
@@ -86,22 +69,17 @@ def cone_identity_check(ball: BallDomain, P, axis, half_angle: float,
 def center_of_mass_check(ball: BallDomain, P, axis, half_angle: float,
                          bq: BoundaryQuadrature | None = None):
     """Center of mass of the double-cone caps under the harmonic-measure
-    density; returns (com, offset) where offset = |com - P|.  Block by block,
-    the density and its moments are taken on the nodes inside the caps only,
-    and the mass and the moments are each summed once over all the blocks."""
+    density; returns (com, offset) where offset = |com - P|.  The mass and
+    the moments of the boundary directions are Poisson integrals on the rules
+    fitted to each nappe's cap (``poisson._cap_integrals``).  A ``bq`` is
+    still checked to be placed on ``ball``, but its nodes are not read."""
     p = interior_point(ball, BallDomain, P)
-    rule = _placed_rule(ball, bq, measure_quadrature)
+    if bq is not None:
+        _placed_rule(ball, bq, None)
     cap_both = CapSpec(vertex=p, axis=axis, half_angle=half_angle, nappe="both")
-    xs = (p - ball.center) / ball.radius
-    indicator = cap_indicator(cap_both, ball).value
-
-    def mass_and_moments(dirs, weights, pts):
-        cols, density = _indicator_terms(ball, xs, dirs, weights, indicator(pts))
-        return (density, *(np.multiply(e, density, out=e) for e in cols))
-
-    denom, *moments = _cap_sums(ball, rule, mass_and_moments)
+    (denom, *moments), _ = _cap_integrals(ball, p, cap_both, moments=True)
     if denom < 1e-12:
-        raise EmptyCap("cap carries no quadrature mass")
+        raise EmptyCap("cap carries no harmonic measure")
     mean_dir = np.array(moments) / denom
     com = ball.center + ball.radius * mean_dir
     return com, float(np.linalg.norm(com - p))

@@ -1,20 +1,19 @@
 """Poisson-kernel reference solvers: the ground truth the chord solvers are
 checked against, and cap harmonic measures.
 
-All reductions go through ``fixed_sum``, ``fixed_row_sums`` for each row
-of a 2-D array at once, or ``_cap_sums`` for sums taken a block at a time:
-the exactly rounded sum, equal to ``math.fsum`` bit for bit and independent
-of the order of the values, so runs are bit-reproducible.  All three split
-the values exactly into parts that numpy adds without rounding (one shared
-``_fold``) and round once at the end; small arrays and the special cases go
-to ``math.fsum`` itself.
+All reductions go through ``fixed_sum``, or ``fixed_row_sums`` for each
+row of a 2-D array at once: the exactly rounded sum, equal to ``math.fsum``
+bit for bit and independent of the order of the values, so runs are
+bit-reproducible.  Both split the values exactly into parts that numpy adds
+without rounding (one shared ``_fold``) and round once at the end; small
+arrays and the special cases go to ``math.fsum`` itself.
 
 Solves report |full - half| as their error estimate (``half_rule_report``;
 a half rule made of the rule's own nodes reuses their values), cap measures
-their distance from ``cap_measure_ratio``.  Cap measures sum w * indicator
-* kernel over the nodes inside the cap only, the other terms being exactly 0,
-gathered from the rule a block of rows at a time; each block leaves only the
-exact parts of its sums, rounded once over all the blocks (``_cap_sums``).
+their distance from ``cap_measure_ratio``.  Cap measures integrate the cap
+indicator times the kernel on a rule fitted to each nappe's cap, whose edge
+is the cap's edge, so they are exact to rounding with a few thousand nodes
+where a rule on the whole sphere sees the edge only to its node spacing.
 
 A boundary quadrature is a direction rule from ``geometry`` placed on a
 ball, and every integral over the boundary is one over the rule's directions
@@ -34,7 +33,6 @@ only to the node spacing.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,7 +44,6 @@ from .boundary import BoundaryData, CapSpec, cap_indicator, require_data
 from .geometry import (
     BallDomain,
     DirectionQuadrature,
-    _row_blocks,
     as_point,
     default_direction_quadrature,
     interior_point,
@@ -285,7 +282,8 @@ def build_boundary_quadrature(ball: BallDomain, resolution: int | None = None
 
 
 def measure_quadrature(ball: BallDomain) -> BoundaryQuadrature:
-    """Default high-resolution rule for indicator (harmonic measure) work."""
+    """The sphere rule at indicator resolution (``geometry.measure_rule``)
+    placed on the ball: for Poisson solves of cap data over the whole sphere."""
     return BoundaryQuadrature(ball, measure_rule(ball.dim))
 
 
@@ -316,12 +314,6 @@ def kernel_values(ball: BallDomain, x: np.ndarray, dirs: np.ndarray) -> np.ndarr
     xs = (x - ball.center) / ball.radius
     # Column by column as in row_dot, without a (K, N, dim) difference array.
     dist2 = sum((dirs[:, j] - xs[..., j, np.newaxis]) ** 2 for j in range(ball.dim))
-    return _kernel_of_dist2(ball, xs, dist2)
-
-
-def _kernel_of_dist2(ball: BallDomain, xs: np.ndarray, dist2: np.ndarray) -> np.ndarray:
-    """The kernel (1 - |xs|^2) / dist2^(n/2) from the squared distances
-    dist2 = |e - xs|^2, xs broadcast against dist2 as in ``kernel_values``."""
     num = 1.0 - row_dot(xs, xs)[..., np.newaxis]
     power = dist2 ** (ball.dim / 2.0)
     return np.divide(num, power, out=power)
@@ -348,58 +340,10 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
             kernel_values(ball, p, q.directions)))
 
 
-def _indicator_terms(ball: BallDomain, xs: np.ndarray, dirs: np.ndarray,
-                     weights: np.ndarray, ind: np.ndarray
-                     ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The direction columns of the rows of ``dirs`` where the indicator
-    values ``ind`` are not 0, and the terms weights * ind * kernel at
-    xs = (x - c) / R on those rows.
-
-    The kernel is evaluated on the selected rows alone, gathered a column at
-    a time.  Every term left out is exactly 0, and the sums are exactly
-    rounded, so the sum of these terms has the bits of the sum over all the
-    rows.
-    """
-    inside = ind != 0.0
-    cols = [dirs[:, j][inside] for j in range(ball.dim)]
-    dist2 = None
-    for e, x in zip(cols, xs):         # in the order of kernel_values
-        d = e - x
-        d *= d
-        dist2 = d if dist2 is None else np.add(dist2, d, out=dist2)
-    terms = weights[inside]
-    terms *= ind[inside]
-    terms *= _kernel_of_dist2(ball, xs, dist2)
-    return cols, require_finite(terms)
-
-
-# Cap measures take the rule _BLOCK_ROWS rows at a time, and the plane
-# traveler (``brownian.exits_plane_batch``) its section frames, so that their
-# temporaries stay small enough to be reused rather than mapped afresh.
+# The Brownian samplers and hit counts (``brownian``) take their draws
+# _BLOCK_ROWS rows at a time, so that their temporaries stay small enough to
+# be reused rather than mapped afresh.
 _BLOCK_ROWS = 16384
-
-
-def _cap_sums(ball: BallDomain, rule: DirectionQuadrature, terms) -> list[float]:
-    """The ``fixed_sum`` over all the blocks of the rule's rows of each
-    quantity that ``terms(dirs, weights, points)`` returns for a block (its
-    directions, weights and boundary points): each block leaves only its
-    ``_exact_parts``, and each quantity is rounded once.  An exact zero
-    takes the blocks again for its sign, as ``fixed_sum`` does.
-
-    No block is shorter than _BLOCK_ROWS rows unless it is the whole rule:
-    ``v @ axis`` in a cone cosine rounds a lone short tail of rows unlike
-    the call on the whole array, and merged tails round like it.
-    """
-    def blocks():
-        for rows in _row_blocks(len(rule), _BLOCK_ROWS):
-            dirs = rule.directions[rows]
-            yield terms(dirs, rule.weights[rows], _boundary_points(ball, dirs))
-
-    parts = [[_exact_parts(values) for values in block] for block in blocks()]
-    sums = [math.fsum(itertools.chain.from_iterable(q)) for q in zip(*parts)]
-    if 0.0 in sums:
-        sums = [s or math.fsum(np.concatenate(q).tolist()) for s, q in zip(sums, zip(*blocks()))]
-    return sums
 
 
 def _clamp_unit(value: float) -> float:
@@ -407,25 +351,202 @@ def _clamp_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec,
-                        bq: BoundaryQuadrature | None = None) -> SolveReport:
-    """Harmonic measure of the cap(s) at P via the Poisson integral over one
-    rule: block by block, the indicator on every node, the kernel on the
-    nodes inside the cap only, and one exactly rounded sum of all the blocks'
-    terms.  The sum is clamped into [0, 1] (``clamp_applied`` records by how
-    much); the error estimate is the clamped value's distance from the exact
-    ``cap_measure_ratio``.
+def cap_measure_poisson(ball: BallDomain, P, cap: CapSpec) -> SolveReport:
+    """Harmonic measure of the cap(s) at P via the Poisson integral on nodes
+    that fill each nappe's cap (``_cap_integrals``): the cap indicator times
+    the kernel, one exactly rounded sum.  The sum is clamped into [0, 1]
+    (``clamp_applied`` records by how much); the error estimate is the
+    clamped value's distance from the exact ``cap_measure_ratio``.
     """
     exact = cap_measure_ratio(ball, P, cap)         # checks P, the vertex and dim
     p = interior_point(ball, BallDomain, P)
-    rule = _placed_rule(ball, bq, measure_quadrature)
-    xs = (p - ball.center) / ball.radius
-    indicator = cap_indicator(cap, ball).value
-    total, = _cap_sums(ball, rule, lambda dirs, weights, pts: (
-        _indicator_terms(ball, xs, dirs, weights, indicator(pts))[1],))
+    (total,), nodes = _cap_integrals(ball, p, cap)
     value = _clamp_unit(total)
-    return SolveReport(value=value, error_estimate=abs(value - exact), nodes_used=len(rule),
+    return SolveReport(value=value, error_estimate=abs(value - exact), nodes_used=nodes,
                        clamp_applied=abs(total - value))
+
+
+def _cap_integrals(ball: BallDomain, p: np.ndarray, cap: CapSpec, moments: bool = False
+                   ) -> tuple[list[float], int]:
+    """The harmonic measure at p of the cap(s) of ``cap``, whose vertex is p,
+    and with ``moments`` the integrals against it of each coordinate of the
+    boundary direction e; each is one ``fixed_sum``.  Also the node count.
+
+    Each nappe is integrated on its own rule (``_cap_nodes``): the data is
+    the nappe's ``cap_indicator``, which reads 1 on every node, times
+    ``kernel_values``.  A nappe wider than pi / 2 is 1 minus its complement,
+    the nappe about the opposite axis with half-angle pi - a, and its moments
+    are xs minus the complement's, since the Poisson integral of e is xs =
+    (p - c) / R; both nappes past pi / 2 cover the sphere.
+    """
+    _require_cap_dim(ball)
+    xs = (p - ball.center) / ball.radius
+    whole = [1.0, *xs.tolist()][:1 + ball.dim * moments]    # over the whole sphere
+    if cap.nappe == "both" and cap.half_angle >= 0.5 * math.pi:
+        return whole, 0
+    axes = {"plus": (cap.axis,), "minus": (-cap.axis,),
+            "both": (cap.axis, -cap.axis)}[cap.nappe]
+    half, sign = cap.half_angle, 1.0
+    if half > 0.5 * math.pi:
+        axes, half, sign = tuple(-a for a in axes), math.pi - half, -1.0
+    sums = [[w] if sign < 0.0 else [] for w in whole]
+    nodes = 0
+    for axis in axes:
+        dirs, weights = _cap_nodes(xs, axis, half)
+        data = cap_indicator(CapSpec(p, axis, half), ball).value(_boundary_points(ball, dirs))
+        terms = sign * weights * data * kernel_values(ball, p, dirs)
+        sums[0].append(terms)
+        for q, e in zip(sums[1:], dirs.T):
+            q.append(terms * e)
+        nodes += len(weights)
+    return [fixed_sum(np.hstack(q)) for q in sums], nodes
+
+
+def _require_cap_dim(ball: BallDomain) -> None:
+    """Cap measures are defined for disks and 3-balls only."""
+    if ball.dim not in (2, 3):
+        raise DimMismatch(f"cap measures exist in dimension 2 and 3, not {ball.dim}")
+
+
+# Nodes of a cap's rule: in 2-D _ARC_ORDER Gauss-Legendre nodes per panel,
+# in 3-D Gauss-Legendre in the polar angle times equal azimuths.  The kernel
+# of a point at |xs| = rho has its singularities about 1 - rho off the real
+# line; panels no longer than _ARC_SCALE (1 - rho), and _AZIMUTH_SCALE /
+# (1 - rho) azimuths and _POLAR_SCALE / sqrt(1 - rho) polar nodes, keep every
+# sum at rounding, up to the node counts of the indicator-resolution sphere
+# rules (_MAX_CAP_NODES; ``measure_quadrature``).
+_ARC_ORDER = 32
+_ARC_SCALE = 2.0
+_POLAR_SCALE = 16.0
+_AZIMUTH_SCALE = 32.0
+_MAX_CAP_NODES = {2: 2 ** 16, 3: 2 ** 17}
+_MAX_POLAR = 128
+# The 3-D edge angle: a scan of _EDGE_SCAN polar angles brackets it on every
+# meridian, and safeguarded Newton steps refine it until they move it by
+# less than _EDGE_STEP (the next step is then below rounding).
+_EDGE_SCAN = 16
+_EDGE_STEP = 1e-11
+_MAX_EDGE_STEPS = 60
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1]: shared, never written."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _cap_nodes(xs: np.ndarray, axis: np.ndarray, half_angle: float
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions e and weights (w.r.t. the normalized sphere measure)
+    of a rule on the cap of the nappe about ``axis`` with half-angle at most
+    pi / 2 seen from xs in the unit ball: every node lies inside the cap, and
+    the rule's edge is the cap's edge.
+
+    2-D: the arc's ends are the boundary hits of the edge directions at
+    angles psi -+ a; a direction at angle psi from xs hits the circle at
+    psi + asin(e x xs).  Gauss-Legendre panels in the boundary angle fill it.
+
+    3-D: about the pole q0, the boundary hit of the axis from xs, each of the
+    equal azimuths phi gives a meridian q0 cos(theta) + m(phi) sin(theta),
+    which leaves the cap once, at the edge angle theta_b (``_edge_angles``);
+    Gauss-Legendre in theta on [0, theta_b] with weight sin(theta), and the
+    trapezoid rule in phi.
+    """
+    near = max(1.0 - math.sqrt(float(xs @ xs)), 1e-12)
+    if xs.size == 2:
+        psi = math.atan2(axis[1], axis[0])
+        ends = [g + math.asin(math.cos(g) * xs[1] - math.sin(g) * xs[0])
+                for g in (psi - half_angle, psi + half_angle)]
+        arc = ends[1] - ends[0]
+        panels = min(max(math.ceil(arc / (_ARC_SCALE * near)), 1),
+                     _MAX_CAP_NODES[2] // _ARC_ORDER)
+        x, w = _gauss_legendre(_ARC_ORDER)
+        angles = ends[0] + arc / panels * (np.arange(panels)[:, np.newaxis] + 0.5 * (x + 1.0))
+        weights = np.tile(arc / (4.0 * math.pi * panels) * w, panels)
+        return np.column_stack([np.cos(angles.ravel()), np.sin(angles.ravel())]), weights
+    polar = min(math.ceil(_POLAR_SCALE / math.sqrt(near)), _MAX_POLAR)
+    azimuths = min(math.ceil(_AZIMUTH_SCALE / near), _MAX_CAP_NODES[3] // polar)
+    pole, meridians, edge = _edge_angles(xs, axis, half_angle, azimuths)
+    x, w = _gauss_legendre(polar)
+    theta = 0.5 * edge[:, np.newaxis] * (x + 1.0)
+    sin_t = np.sin(theta)
+    dirs = np.cos(theta)[..., np.newaxis] * pole + sin_t[..., np.newaxis] * meridians[:, np.newaxis]
+    weights = (0.25 / azimuths) * edge[:, np.newaxis] * w * sin_t
+    return dirs.reshape(-1, 3), weights.ravel()
+
+
+def _perpendicular(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors b = v x e / |v x e| and v x b for the unit 3-vector v,
+    with e the third coordinate axis, or the first where v is near it."""
+    x, y, z = v.tolist()
+    if abs(z) < 0.9:
+        h = math.hypot(x, y)
+        return np.array([y / h, -x / h, 0.0]), np.array([x * z / h, y * z / h, -h])
+    g = math.hypot(y, z)
+    return np.array([0.0, z / g, -y / g]), np.array([-g, x * y / g, x * z / g])
+
+
+def _edge_angles(xs: np.ndarray, axis: np.ndarray, half_angle: float, azimuths: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pole q0 = xs + t axis on the unit sphere, the unit meridian
+    directions m(phi) normal to q0 at ``azimuths`` equal angles phi, and on
+    each meridian the edge angle theta_b of the cap of directions within
+    a = ``half_angle`` <= pi / 2 of ``axis`` seen from xs.
+
+    On the meridian, y = q0 cos(theta) + m sin(theta) and d = y - xs, the
+    cone test is F = (d . axis) sin(a) - |d - (d . axis) axis| cos(a) =
+    |d| sin(a - angle(d, axis)), positive inside the cap and negative past
+    its edge: t sin(a) at theta = 0, and below 0 at theta = pi.  Since
+    q0 - xs lies along the axis, d's parts across the axis are those of
+    (cos(theta) - 1) xs + sin(theta) m, computed without cancellation near
+    the pole.  The first sign change on a grid of _EDGE_SCAN angles brackets
+    theta_b, which safeguarded Newton steps then refine.
+    """
+    along = float(axis @ xs)
+    t = math.sqrt(along * along + 1.0 - float(xs @ xs)) - along
+    pole = xs + t * axis
+    u, v = _perpendicular(pole / np.linalg.norm(pole))
+    phi = 2.0 * math.pi / azimuths * np.arange(azimuths)
+    meridians = np.cos(phi)[:, np.newaxis] * u + np.sin(phi)[:, np.newaxis] * v
+    b1, b2 = _perpendicular(axis)
+    pole_along, m_along = float(pole @ axis), meridians @ axis
+    x1, x2, m1, m2 = float(xs @ b1), float(xs @ b2), meridians @ b1, meridians @ b2
+    sin_a, cos_a = math.sin(half_angle), math.cos(half_angle)
+
+    def cone_test(theta, slope=False):
+        c, s = -2.0 * np.sin(0.5 * theta) ** 2, np.sin(theta)      # cos - 1, sin
+        p1, p2 = c * x1 + s * m1, c * x2 + s * m2
+        across = np.hypot(p1, p2)
+        f = (t + c * pole_along + s * m_along) * sin_a - across * cos_a
+        if not slope:
+            return f
+        c, s = -s, np.cos(theta)                                 # their derivatives
+        d_across = (p1 * (c * x1 + s * m1) + p2 * (c * x2 + s * m2)) / across
+        return f, (c * pole_along + s * m_along) * sin_a - d_across * cos_a
+
+    grid = math.pi / _EDGE_SCAN * np.arange(1, _EDGE_SCAN + 1)[:, np.newaxis]
+    scan = cone_test(grid)
+    first = np.argmax(scan <= 0.0, axis=0)                       # F(pi) < 0
+    cols = np.arange(azimuths)
+    hi, f_hi = grid[first, 0], scan[first, cols]
+    lo = np.where(first > 0, grid[first - 1, 0], 0.0)
+    f_lo = np.where(first > 0, scan[first - 1, cols], t * sin_a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        for _ in range(_MAX_EDGE_STEPS):
+            f, df = cone_test(theta, slope=True)
+            inside = f > 0.0
+            lo, hi = np.where(inside, theta, lo), np.where(inside, hi, theta)
+            step = theta - f / df
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            moved = float(np.max(np.abs(step - theta)))
+            theta = step
+            if moved <= _EDGE_STEP:
+                break
+    return pole, meridians, theta
 
 
 # The 3-D edge integrand is periodic and analytic in the azimuth, with
@@ -482,10 +603,9 @@ def cap_measure_ratio(ball: BallDomain, P, cap: CapSpec) -> float:
     """
     p = interior_point(ball, BallDomain, P)
     vertex = interior_point(ball, BallDomain, cap.vertex)
-    if not np.allclose(vertex, p):
+    if not np.all(np.abs(vertex - p) <= 1e-8 + 1e-5 * np.abs(p)):   # np.allclose's test
         raise BadParameter("cap vertex must coincide with the evaluation point")
-    if ball.dim not in (2, 3):
-        raise DimMismatch(f"cap measures exist in dimension 2 and 3, not {ball.dim}")
+    _require_cap_dim(ball)
     if cap.nappe == "both" and cap.half_angle >= 0.5 * math.pi:
         return 1.0                      # the two nappes cover every direction
     axes = {"plus": (cap.axis,), "minus": (-cap.axis,),

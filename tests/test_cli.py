@@ -300,8 +300,8 @@ def test_check_may_come_from_the_config_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--scheme=mc", "--seed=5", "--n=256", "--data=harm:2,re",
      "--point=0.3,-0.2"],
-    ["measure", "--check=cap", "--point=0.1,0.2", "--cap=axis=1,0,half=1", "--n=64"],
-    ["measure", "--check=cone", "--point=0.1,0.2", "--half-angle=0.7", "--n=64"],
+    ["measure", "--check=cap", "--point=0.1,0.2", "--cap=axis=1,0,half=1"],
+    ["measure", "--check=cone", "--point=0.1,0.2", "--half-angle=0.7"],
     ["hermite", "--m=4,5", "--a=-0.5", "--b=1.5"],
     ["brownian", "--point=0.1,0,0", "--cap=axis=0,0,1,half=1", "--n=1000", "--seed=7"],
 ])
@@ -327,10 +327,8 @@ def test_exit_codes(capsys):
 @pytest.mark.parametrize("argv", [
     ["hermite", "--m=3", "--a=-0.5", "--b=1.5"],                      # BadDegree
     ["hermite", "--m=4", "--a=0.5", "--b=1.5"],                       # BadBracket
-    ["measure", "--check=cone", "--point=0.1,0", "--axis=0,0", "--half-angle=1",
-     "--n=64"],
-    ["measure", "--check=cap", "--point=0.1,0", "--axis=0,0", "--half-angle=1",
-     "--n=64"],
+    ["measure", "--check=cone", "--point=0.1,0", "--axis=0,0", "--half-angle=1"],
+    ["measure", "--check=cap", "--point=0.1,0", "--axis=0,0", "--half-angle=1"],
     ["solve", "--data=cap:axis=0,0,half=1", "--point=0.1,0", "--n=64"],
     ["solve", "--data=cap:axis=nan,0,half=1", "--point=0.1,0", "--n=64"],
     # domains the library refuses for these operators (BadParameter)
@@ -384,6 +382,14 @@ def test_rejected_inputs_exit_2(argv, capsys):
      "--nappe does not apply to measure --check=cap with --cap"),
     (["measure", "--check=moment", "--w=0.2", "--degree=2", "--n=64"],
      "--n does not apply to measure --check=moment"),
+    (["measure", "--check=cap", "--point=0.3,0", "--half-angle=0.5", "--n=64"],
+     "--n does not apply to measure --check=cap"),
+    (["measure", "--check=cap", "--point=0.3,0", "--arc=0,1", "--n=64"],
+     "--n does not apply to measure --check=cap with --arc"),
+    (["measure", "--check=cone", "--point=0.3,0", "--half-angle=0.5", "--n=64"],
+     "--n does not apply to measure --check=cone"),
+    (["measure", "--check=com", "--point=0.3,0", "--half-angle=0.5", "--n=64"],
+     "--n does not apply to measure --check=com"),
     (["measure", "--w=0.2"], "--check is required"),
     (["hermite", "--m=4", "--a=-1"], "--b is required"),
     (["selftest", "--criteria=4", "--full"], "--full does not apply to selftest --criteria"),
@@ -435,7 +441,7 @@ def test_overflowing_data_is_a_numerical_error(data, capsys):
 
 @pytest.mark.parametrize("check", ["cap", "cone", "com"])
 def test_measure_without_point_names_the_flag(check, capsys):
-    assert main(["measure", f"--check={check}", "--half-angle=1", "--n=64"]) == 2
+    assert main(["measure", f"--check={check}", "--half-angle=1"]) == 2
     assert capsys.readouterr().err == "error: --point is required\n"
 
 
@@ -444,7 +450,7 @@ def test_huge_axis_is_a_direction(capsys):
     rows = {}
     for axis in ("1e308,1e308", "1e-160,1e-160", "1e-170,1e-170", "1,1"):
         code, out = run_cli(["measure", "--check=cone", "--point=0.1,0",
-                             f"--axis={axis}", "--half-angle=1", "--n=64"], capsys)
+                             f"--axis={axis}", "--half-angle=1"], capsys)
         assert code == 0
         rows[axis] = parse_csv(out)[2]
     for axis in ("1e308,1e308", "1e-160,1e-160", "1e-170,1e-170"):
@@ -511,7 +517,7 @@ def test_parse_helpers():
      "--half-angle=0.5"],                                             # DimMismatch
     ["measure", "--check=cap", "--point=0.1,0"],                      # no --half-angle
     ["measure", "--check=cap", "--point=0.1", "--half-angle=0.5"],    # 1-D: DimMismatch
-    ["measure", "--check=moment", "--w=0.2", "--degree=3", "--n=4"],  # --n: cap/cone/com only
+    ["measure", "--check=moment", "--w=0.2", "--degree=3", "--n=4"],  # no check reads --n
     ["measure", "--check=star-angle", "--a=0.25", "--arc=0,1", "--n=16"],
     # cap options the check does not read
     ["measure", "--check=cone", "--point=0.1,0", "--half-angle=0.5", "--nappe=minus"],

@@ -3,7 +3,7 @@ the ``--data``, ``--domain``, ``--cap``/``--axis`` and ``--point`` grammars
 ends in exit 0, 2 or 3 (or argparse's own exit 2), never in an uncaught
 exception.  Most drawn values are well formed, so the solvers run; the rest
 are edge values (zero, NaN, infinities, huge or tiny numbers, wrong lengths,
-stray text).  Derandomised, with ``--n=64`` fixed, so the suite stays
+stray text).  Derandomised, with ``solve --n=64`` fixed, so the suite stays
 deterministic and quick; the cross-section operator and ``brownian`` are
 left out for their cost.  What Hypothesis draws still depends on the
 modules loaded (it mixes constants from loaded source into its strategies),
@@ -107,7 +107,6 @@ def solve_argv(draw):
 def measure_argv(draw):
     dim = draw(st.sampled_from([2, 3]))
     return ["measure", f"--check={draw(st.sampled_from(['cap', 'cone', 'com']))}",
-            "--n=64",
             *_maybe(draw, "dim", dim),
             *_maybe(draw, "point", _vec(draw, dim)),
             *draw(st.sampled_from([
@@ -129,7 +128,7 @@ def _run(argv) -> int:
             return 2
 
 
-CONE = ["measure", "--check=cone", "--n=64", "--dim=2", "--point=0.1,0.2"]
+CONE = ["measure", "--check=cone", "--dim=2", "--point=0.1,0.2"]
 SECTION = ["solve", "--operator=cross-section", "--dim=3", "--data=harm:2,2",
            "--point=0.1,0.2,0.3"]
 KNOWN_EXITS = [
@@ -182,7 +181,7 @@ BASE_CONFIGS = {
     "solve": {"operator": "harmonic", "dim": 2, "domain": "ball", "data": "harm:2,re",
               "point": "0.3,-0.1", "n": 64, "scheme": "uniform", "format": "csv"},
     "measure": {"check": "cap", "dim": 2, "point": "0.1,0.2", "axis": "1,0",
-                "half_angle": 0.7, "nappe": "plus", "n": 64, "format": "json"},
+                "half_angle": 0.7, "nappe": "plus", "format": "json"},
     "brownian": {"dim": 2, "point": "0.1,0.2", "arc": "0,1", "n": 1000, "seed": 7},
 }
 WRONG_TYPE = st.sampled_from(["abc", 300.5, [1, 2], {"a": 1}, True, None])

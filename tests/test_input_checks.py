@@ -84,9 +84,6 @@ _NOT_DATA_OR_RULE = {
     "cross_section_solve-rule-none": lambda: cm.cross_section_solve(
         BALL3, cm.harmonic_poly(3, 2, 1).boundary_data(), P3, None),
     "poisson_solve-bq-list": lambda: cm.poisson_solve(DISK, DATA, P, bq=[1, 2]),
-    "cap_measure_poisson-bq-string": lambda: cm.cap_measure_poisson(DISK, P, CAP, bq="x"),
-    "cone_identity_check-bq-list": lambda: cm.cone_identity_check(
-        DISK, P, AXIS, 0.6, bq=[1, 2]),
     "center_of_mass_check-bq-rule": lambda: cm.center_of_mass_check(
         DISK, P, AXIS, 0.6, bq=_rule(2)),
 }
@@ -129,6 +126,16 @@ _BAD_SEED = {
     for seed in (-1, 2 ** 64, 10 ** 400, math.nan, math.inf, 2.5, 7.0, "7")
 }
 
+# a direction scheme is one of the scheme names, checked before the
+# resolution ceiling is looked up by it
+_NOT_A_SCHEME = {
+    f"build_direction_quadrature-scheme-{kind}": lambda scheme=scheme:
+    cm.build_direction_quadrature(2, scheme, 16)
+    for kind, scheme in (("list", ["x"]), ("dict", {}), ("None", None), ("int", 3),
+                         ("bytes", b"uniform_angle_2d"), ("tuple", ("uniform_angle_2d",)),
+                         ("unknown-str", "uniform"))
+}
+
 CASES = [
     pytest.param(lambda: cm.chord_interpolant_max(DISK, DATA, P, _rule(3)), cm.DimMismatch,
                  id="chord_interpolant_max-3d-rule"),
@@ -147,6 +154,7 @@ CASES = [
 ] + [pytest.param(f, cm.BadParameter, id=name) for name, f in _NOT_DATA_OR_RULE.items()
 ] + [pytest.param(f, cm.BadResolution, id=name) for name, f in _NOT_AN_INT.items()
 ] + [pytest.param(f, cm.BadParameter, id=name) for name, f in _BAD_SEED.items()
+] + [pytest.param(f, cm.BadParameter, id=name) for name, f in _NOT_A_SCHEME.items()
 ] + [pytest.param(lambda f=f, d=d: f(d), cm.BadParameter, id=f"{name}-{kind}")
      for name, f in _NOT_A_BALL.items()
      for kind, d in (("ellipse", ELLIPSE), ("star", STAR))] + [
@@ -235,7 +243,6 @@ VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "0": 0,
           "float32-0.5": np.float32(0.5), "-0.0": -0.0, "1e-320": 1e-320}
 
 COUNT, OPTIONAL_COUNT, REAL, VECTOR = "count", "count or None", "real", "vector"
-SMALL_BQ = cm.build_boundary_quadrature(DISK, 256)
 GAUSS8 = cm.build_direction_quadrature(3, "gauss_product_3d", 8)
 MC16 = cm.build_direction_quadrature(2, "monte_carlo", 16, seed=1)
 HARM3 = cm.harmonic_poly(3, 2, 1).boundary_data()
@@ -298,9 +305,9 @@ PROBES = [
      lambda v: cm.CapSpec(P, (1.0, 0.0), v).half_angle),
     ("CapSpec", "axis", VECTOR, None, lambda v: cm.CapSpec(P, (v, 0.0), 0.5).axis),
     ("cone_identity_check", "half_angle", REAL, cm.BadParameter,
-     lambda v: cm.cone_identity_check(DISK, P, AXIS, v, bq=SMALL_BQ)),
+     lambda v: cm.cone_identity_check(DISK, P, AXIS, v)),
     ("center_of_mass_check", "half_angle", REAL, cm.BadParameter,
-     lambda v: cm.center_of_mass_check(DISK, P, AXIS, v, bq=SMALL_BQ)[1]),
+     lambda v: cm.center_of_mass_check(DISK, P, AXIS, v)[1]),
     ("arc_cap", "theta1", REAL, cm.BadParameter,
      lambda v: cm.arc_cap(DISK, P, v, 1.0).half_angle),
     ("arc_cap", "theta2", REAL, cm.BadParameter,

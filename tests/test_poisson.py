@@ -192,8 +192,6 @@ def test_nested_cap_measures_are_monotone():
     rng = np.random.default_rng(3)
     for dim in (2, 3):
         ball = cm.BallDomain(center=np.zeros(dim), radius=1.0)
-        bq = build_boundary_quadrature(ball,
-                                       resolution=8192 if dim == 2 else 96)
         for _ in range(50):
             d = rng.standard_normal(dim)
             p = rng.uniform(0.0, 0.7) * d / np.linalg.norm(d)
@@ -202,9 +200,9 @@ def test_nested_cap_measures_are_monotone():
             inner = rng.uniform(0.2, 1.0)
             outer = inner + rng.uniform(0.1, 1.2)
             w_inner = cm.cap_measure_poisson(
-                ball, p, cm.CapSpec(vertex=p, axis=axis, half_angle=inner), bq).value
+                ball, p, cm.CapSpec(vertex=p, axis=axis, half_angle=inner)).value
             w_outer = cm.cap_measure_poisson(
-                ball, p, cm.CapSpec(vertex=p, axis=axis, half_angle=outer), bq).value
+                ball, p, cm.CapSpec(vertex=p, axis=axis, half_angle=outer)).value
             assert w_outer >= w_inner - 1e-12
 
 
@@ -213,6 +211,27 @@ def test_cap_measure_requires_matching_vertex():
     cap = cm.CapSpec(vertex=(0.2, 0.0), axis=(1.0, 0.0), half_angle=0.5)
     with pytest.raises(cm.BadParameter):
         cm.cap_measure_poisson(disk, (0.0, 0.0), cap)
+
+
+@pytest.mark.parametrize("p", [(0.3, -0.2), (0.0, 0.5), (0.3, -0.2, 0.1), (0.0, 0.0, 0.0)])
+def test_cap_vertex_may_differ_from_the_point_by_the_allclose_tolerances(p):
+    # a vertex within 1e-8 + 1e-5 |p| of P in every coordinate is P, as
+    # np.allclose(vertex, p) has it; 0.1% past that bound it is refused
+    p = np.array(p)
+    ball = cm.BallDomain(center=np.zeros(p.size), radius=1.0)
+    bound = 1e-8 + 1e-5 * np.abs(p)
+    for k in range(p.size):
+        for sign in (1.0, -1.0):
+            for factor, accepted in ((0.999, True), (1.001, False)):
+                vertex = p.copy()
+                vertex[k] += sign * factor * bound[k]
+                assert np.allclose(vertex, p) == accepted
+                cap = cm.CapSpec(vertex=vertex, axis=np.eye(p.size)[0], half_angle=0.5)
+                if accepted:
+                    assert cm.cap_measure_ratio(ball, p, cap) > 0.0
+                else:
+                    with pytest.raises(cm.BadParameter):
+                        cm.cap_measure_ratio(ball, p, cap)
 
 
 def _spoiled(marks):
