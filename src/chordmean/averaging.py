@@ -7,14 +7,14 @@ extension; on ellipses and star domains the residual against the exact
 solution is the converse diagnostic.  A cross-section variant averages exact
 2-D solves over planes through P in a 3-ball.
 
-Even uniform-angle rules and Gauss products hold exact antipodal pairs, and
-a chord average over them solves and evaluates each chord once
-(``_interpolant_values``): the values equal those of evaluating every
-direction, bit for bit.  The biharmonic solver runs through the same kernel
-with its Hermite term.  A cross section over paired normals solves each
-plane once, since normals nu and -nu give the same plane, and splits the
-planes into contiguous chunks that ``geometry._in_parallel`` solves on the
-usable CPUs, with the bits of one serial solve.
+A solve is one pass over its rule's plan (``geometry.rule_plan``): the chords
+of the rule and of its half rule, one per antipodal pair on even uniform-angle
+rules and Gauss products, all solved by one ``chord_roots`` call, with both
+ends of every chord in one block of the thread's scratch and one data call.
+The values equal those of two passes over every direction, bit for bit.  The
+biharmonic solver runs through the same kernel with its Hermite term.  A cross
+section solves each plane once (nu and -nu give the same plane), in contiguous
+chunks that ``geometry._in_parallel`` solves with the bits of one serial solve.
 """
 
 from __future__ import annotations
@@ -34,9 +34,13 @@ from .geometry import (
     _circle_nodes,
     _count,
     _in_parallel,
+    _independent,
     _parallel_blocks,
+    borrow,
     interior_point,
+    park,
     plane_sections,
+    rule_plan,
     star_hits_batch,  # noqa: F401  (also looked up as averaging.star_hits_batch)
 )
 from .poisson import (
@@ -67,48 +71,46 @@ class ChordAverageResult:
         return abs(self.report.value - self.oracle_value)
 
 
-def _antipodal_half(dirs: np.ndarray) -> int | None:
-    """N/2 when the last N/2 rows of ``dirs`` are the first N/2 negated bit
-    for bit (even uniform-angle rules, Gauss products), else None."""
-    n = dirs.shape[0]
-    h = n // 2
-    if n % 2 or not np.array_equal(dirs[h], -dirs[0]):     # cheap reject first
-        return None
-    return h if dirs[h:].tobytes() == (-dirs[:h]).tobytes() else None
+def _at_ends(fn, ends: np.ndarray):
+    """``fn`` at the q1 and q2 chord ends: one call on a base point's
+    (2, M, dim) ends, as (2, M) values or (2, M, dim) gradients; a call per
+    end on the (K, 2, M, dim) ends of K cross sections, as two (K, M) arrays."""
+    if ends.ndim > 3:
+        return tuple(np.asarray(fn(ends[:, end]), dtype=float) for end in (0, 1))
+    f = np.asarray(fn(ends.reshape(-1, ends.shape[-1])), dtype=float)
+    return f.reshape(ends.shape[:-1] + f.shape[1:])
 
 
-def _linear_term(data: BoundaryData, q1, q2, r1, r2, e) -> np.ndarray:
+def _linear_term(data: BoundaryData, ends, r1, r2, e) -> np.ndarray:
     """Linear interpolant at the chord base: (r1 f2 + r2 f1) / (r1 + r2)."""
-    f1 = np.asarray(data.value(q1), dtype=float)
-    f2 = np.asarray(data.value(q2), dtype=float)
+    f1, f2 = _at_ends(data.value, ends)
     return (r1 * f2 + r2 * f1) / (r1 + r2)
 
 
-def _interpolant_values(domain, data: BoundaryData, p: np.ndarray,
-                        dirs: np.ndarray, term=_linear_term) -> np.ndarray:
-    """``term(data, q1, q2, r1, r2, e)`` at p along each row e of ``dirs``,
-    for the chord with ends q1 = p - r1 e and q2 = p + r2 e: (N,) values for
-    a point p, (K, N) for one base point per row of a (K, dim) p.
-
-    On an antipodal direction set each chord is solved and evaluated once:
-    the chord along -e is the one along e with its ends swapped, and both
-    terms (linear, Hermite) are the same bit for bit under that swap.
+def _chord_values(domain, data: BoundaryData, p: np.ndarray, dirs: np.ndarray,
+                  cols: np.ndarray, term=_linear_term) -> np.ndarray:
+    """``term(data, ends, r1, r2, e)`` at p along each row e of ``dirs``, whose
+    columns are ``cols``, for the chords q1 = p - r1 e to q2 = p + r2 e, all
+    solved by one ``chord_roots`` call with their ends in one scratch block:
+    (M,) values for a point p, (K, M) for one base point per row of a (K, dim) p.
     """
-    h = _antipodal_half(dirs)
-    half = dirs if h is None else dirs[:h]
-    a, b = domain.chord_roots(p, half)
-    values = term(data, _chord_ends(p, a, half), _chord_ends(p, b, half), -a, b, half)
-    return values if h is None else np.concatenate([values, values], axis=-1)
+    a, b = domain.chord_roots(p, dirs)
+    block = borrow("ends", cols.shape[:1] + a.shape[:-1] + (2, a.shape[-1]))
+    values = term(data, _chord_ends(block, p, a, b, cols), -a, b, dirs)
+    park("ends", block)
+    return values
 
 
-def _chord_ends(p: np.ndarray, t: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """p[..., None, :] + t[..., None] * dirs bit for bit, in C order, filled
-    a column at a time: arithmetic over rows of 2 or 3 values is slow."""
-    out = np.empty(t.shape + dirs.shape[-1:])
-    for j in range(dirs.shape[-1]):
-        col = np.multiply(t, dirs[:, j], out=out[..., j])
-        col += p[..., j, np.newaxis]
-    return out
+def _chord_ends(block: np.ndarray, p: np.ndarray, a: np.ndarray, b: np.ndarray,
+                cols: np.ndarray) -> np.ndarray:
+    """The chord ends p + a e (index 0) and p + b e (index 1) as the
+    (..., 2, M, dim) view of ``block`` (dim, ..., 2, M), filled a coordinate
+    at a time with the bits of p[..., None, :] + t[..., None] * e."""
+    for j, col in enumerate(cols):
+        for end, t in enumerate((a, b)):
+            coord = np.multiply(t, col, out=block[j, ..., end, :])
+            coord += p[..., j, np.newaxis]
+    return block.transpose(*range(1, block.ndim), 0)
 
 
 def _oracle(data: BoundaryData, p: np.ndarray) -> float | None:
@@ -119,8 +121,9 @@ def _oracle(data: BoundaryData, p: np.ndarray) -> float | None:
 
 def _average(domain, data, p, dq: DirectionQuadrature,
              term=_linear_term) -> ChordAverageResult:
-    report = half_rule_report(
-        dq, lambda q: (_interpolant_values(domain, data, p, q.directions, term),))
+    plan = rule_plan(dq)
+    report = half_rule_report(dq, (_chord_values(domain, data, p, plan.dirs, plan.cols, term),),
+                              plan.chord_parts)
     return ChordAverageResult(report=report, oracle_value=_oracle(data, p))
 
 
@@ -153,7 +156,9 @@ def chord_interpolant_max(domain, data: BoundaryData, P,
     the chord average computed with the same node set."""
     p = interior_point(domain, (BallDomain, Ellipse2D, StarDomain2D), P, dq)
     require_data(data)
-    return float(np.max(_interpolant_values(domain, data, p, dq.directions)))
+    plan = rule_plan(dq)
+    n = plan.chord_parts[0][0]        # the rule's own chords; a pair's value counts twice
+    return float(np.max(_chord_values(domain, data, p, plan.dirs[:n], plan.cols[:, :n])))
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +177,9 @@ def _section_values(ball: BallDomain, data: BoundaryData, p: np.ndarray,
     """Exact 2-D solve at p in the section of the ball by each plane through p
     with a normal row, using the inner circle's nodes in every section.
 
-    On antipodal normals each plane is solved once, for the first half: the
-    section for -nu has the same centre, radius and u with v negated, so its
-    solve differs only by mirrored circle nodes (by rounding).  The planes
-    are solved in contiguous chunks of at least _SECTION_ROWS rows, one per
-    usable CPU, each row as in one call on all of them.
+    The planes are solved in contiguous chunks of at least _SECTION_ROWS
+    rows, one per usable CPU, each row as in one call on all of them.
     """
-    h = _antipodal_half(normals)
-    if h is not None:
-        half = _section_values(ball, data, p, normals[:h], circle, inner_solver)
-        return np.concatenate([half, half])
     chunks = _in_parallel(
         functools.partial(_section_sums, ball, data, p, normals[rows], circle, inner_solver)
         for rows in _parallel_blocks(len(normals), _SECTION_ROWS))
@@ -211,7 +209,10 @@ def _section_sums(ball: BallDomain, data: BoundaryData, p: np.ndarray,
     if inner_solver == "poisson":
         terms = values(circle[np.newaxis]) * kernel_values(_UNIT_DISK, z, circle)
     else:
-        terms = _interpolant_values(_UNIT_DISK, BoundaryData(values), z, circle)
+        rows, paired = _independent(circle)
+        terms = _chord_values(_UNIT_DISK, BoundaryData(values), z, rows, rows.T.copy())
+        if paired:
+            terms = np.concatenate([terms, terms], axis=-1)
     bad = np.size(terms) - np.count_nonzero(np.isfinite(terms))
     return (None if bad else fixed_row_sums(terms)), bad
 
@@ -239,8 +240,8 @@ def cross_section_solve(ball: BallDomain, data: BoundaryData, P,
     inner_resolution = _count(inner_resolution, "inner_resolution", 1, MAX_INNER_RESOLUTION)
     circle = _circle_nodes(inner_resolution)
 
+    plan = rule_plan(normal_dq)
     report = half_rule_report(
-        normal_dq, lambda dq: (_section_values(ball, data, p, dq.directions, circle,
-                                               inner_solver),),
-        nodes_used=len(normal_dq) * inner_resolution)
+        normal_dq, (_section_values(ball, data, p, plan.dirs, circle, inner_solver),),
+        plan.chord_parts, nodes_used=len(normal_dq) * inner_resolution)
     return ChordAverageResult(report=report, oracle_value=_oracle(data, p))

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BadBracket, BadDegree, GradientRequired, NumericalError
 from .boundary import BoundaryData, require_data
 from .geometry import BallDomain, DirectionQuadrature, _count, _real, interior_point, row_dot
-from .averaging import ChordAverageResult, _average
+from .averaging import ChordAverageResult, _at_ends, _average
 
 MAX_MONOMIAL_DEGREE = 12
 
@@ -60,14 +60,13 @@ def hermite_monomial_at_zero(m: int, a: float, b: float) -> tuple[float, float]:
     return _monomial_remainder_at_zero(m, a, b)
 
 
-def _hermite_term(data: BoundaryData, q1, q2, r1, r2, e) -> np.ndarray:
+def _hermite_term(data: BoundaryData, ends, r1, r2, e) -> np.ndarray:
     """Hermite cubic of values and slopes d = <grad f, e> at the chord base,
     L = r1 + r2: [(r2 + 3 r1) r2^2 f1 + (r1 + 3 r2) r1^2 f2] / L^3
-    + r1 r2 (r2 d1 - r1 d2) / L^2, the same bit for bit under e -> -e."""
-    f1 = np.asarray(data.value(q1), dtype=float)
-    f2 = np.asarray(data.value(q2), dtype=float)
-    d1 = row_dot(np.asarray(data.gradient(q1), dtype=float), e)
-    d2 = row_dot(np.asarray(data.gradient(q2), dtype=float), e)
+    + r1 r2 (r2 d1 - r1 d2) / L^2, the same bit for bit under e -> -e.
+    One ``value`` and one ``gradient`` call take both ends of every chord."""
+    f1, f2 = _at_ends(data.value, ends)
+    d1, d2 = row_dot(_at_ends(data.gradient, ends), e)
     length = r1 + r2
     return (((r2 + 3.0 * r1) * (r2 * r2) * f1 + (r1 + 3.0 * r2) * (r1 * r1) * f2)
             / length ** 3

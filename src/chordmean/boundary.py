@@ -27,7 +27,8 @@ from .errors import (
     DimMismatch,
     UnsupportedDegree,
 )
-from .geometry import BallDomain, _count, _real, as_point, check_unit, interior_point, row_dot
+from .geometry import (BallDomain, _count, _real, as_point, borrow, check_unit, interior_point,
+                       park, row_dot)
 
 MAX_DEGREE = 6
 
@@ -55,21 +56,8 @@ class _Poly:
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
-        return self.on_table(_power_table(pts, self.top), pts.shape[:-1])
-
-    def on_table(self, table, shape) -> np.ndarray:
-        """Value on the points whose power table (covering ``top``) is given."""
-        out = np.zeros(shape)
-        term = np.empty(shape)
-        for c, factors in self._plan:
-            if not factors:
-                out += c
-                continue
-            (j, k), *rest = factors
-            np.multiply(c, table[j][k], out=term)
-            for j, k in rest:
-                np.multiply(term, table[j][k], out=term)
-            out += term
+        out = np.empty(pts.shape[:-1])
+        _evaluate(pts, self.top, [(self, out)])
         return out
 
     def partial(self, j: int) -> "_Poly":
@@ -108,17 +96,31 @@ class _Poly:
         return _Poly(self.dim, terms)
 
 
-def _power_table(pts: np.ndarray, top) -> list:
-    """Row j holds x_j^e at index e = 1..top[j] for x_j = pts[..., j], each
-    power the previous one times x_j (index 0 is unused)."""
-    table = []
-    for j, m in enumerate(top):
-        x = pts[..., j]
-        row = [None, x]
-        for _ in range(m - 1):
-            row.append(row[-1] * x)
-        table.append(row)
-    return table
+def _evaluate(pts: np.ndarray, top, targets) -> None:
+    """Write each polynomial of the (poly, out) pairs ``targets`` at pts into
+    its out, from one power table in the thread's scratch: x_j^e for e up to
+    top[j], each power the previous one times x_j."""
+    shape = pts.shape[:-1]
+    blocks = [borrow(("powers", j), (max(m - 1, 0),) + shape) for j, m in enumerate(top)]
+    table = [[None, pts[..., j]] for j in range(len(top))]      # index 0 is unused
+    for row, block in zip(table, blocks):
+        for i in range(len(block)):                         # block[i, ...] stays an array
+            row.append(np.multiply(row[-1], row[1], out=block[i, ...]))
+    term = borrow("term", shape)
+    for poly, out in targets:
+        out[...] = 0.0
+        for c, factors in poly._plan:
+            if not factors:
+                out += c
+                continue
+            (j, k), *rest = factors
+            np.multiply(c, table[j][k], out=term)
+            for j, k in rest:
+                np.multiply(term, table[j][k], out=term)
+            out += term
+    park("term", term)
+    for j, block in enumerate(blocks):
+        park(("powers", j), block)
 
 
 def _circle_power(k: int):
@@ -267,9 +269,9 @@ class _PolynomialData:
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
         # a partial's exponents never exceed the polynomial's: one table serves all
-        table = _power_table(pts, self._poly.top)
-        return np.stack([g.on_table(table, pts.shape[:-1]) for g in self._grads],
-                        axis=-1)
+        out = np.empty(pts.shape)
+        _evaluate(pts, self._poly.top, [(g, out[..., j]) for j, g in enumerate(self._grads)])
+        return out
 
     def boundary_data(self) -> BoundaryData:
         return BoundaryData(self.value, self.gradient, exact_solution=self.value)

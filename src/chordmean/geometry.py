@@ -542,15 +542,76 @@ class DirectionQuadrature:
     def half_resolution(self) -> "DirectionQuadrature":
         """Coarser companion rule used for a-posteriori error estimates: the
         ``half_nodes`` with equal weights when set, else the rule built at
-        half the resolution."""
-        nodes = self.half_nodes
-        if nodes is None:
-            return _build(self.dim, self.scheme, max(self.resolution // 2, 2), self.seed)
-        dirs = self.directions[nodes]
-        n = len(dirs)
-        resolution = n // 6 if self.scheme == "monte_carlo_design" else n
-        return read_only(DirectionQuadrature(dirs, np.full(n, 1.0 / n), self.scheme,
-                                             resolution, self.seed))
+        half the resolution.  A read-only rule returns one object."""
+        half, nodes = self.__dict__.get("_half"), self.half_nodes
+        if half is None and nodes is None:
+            half = _build(self.dim, self.scheme, max(self.resolution // 2, 2), self.seed)
+        elif half is None:
+            n = len(self.directions[nodes])
+            half = read_only(DirectionQuadrature(
+                self.directions[nodes], np.full(n, 1.0 / n), self.scheme,
+                n // 6 if self.scheme == "monte_carlo_design" else n, self.seed))
+        return _keep(self, "_half", half)
+
+
+def _keep(rule: DirectionQuadrature, name: str, value):
+    """``value``, kept on a read-only rule as ``name`` unless it holds one
+    (two threads that build it at once get the one kept first); a writeable
+    rule, which may change between calls, keeps nothing."""
+    if rule.directions.flags.writeable or rule.weights.flags.writeable:
+        return value
+    return rule.__dict__.setdefault(name, value)
+
+
+def _independent(dirs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The rows of ``dirs`` whose chords must be solved, and whether they are
+    the first half of an antipodal set: the last N/2 rows the first N/2
+    negated bit for bit (even uniform-angle rules, Gauss products)."""
+    h = len(dirs) // 2
+    paired = (len(dirs) % 2 == 0 and np.array_equal(dirs[h], -dirs[0])   # cheap reject
+              and dirs[h:].tobytes() == (-dirs[:h]).tobytes())
+    return (dirs[:h], True) if paired else (dirs, False)
+
+
+class RulePlan:
+    """What a one-pass solve on a rule reads besides the rule (``rule_plan``):
+    its ``half`` rule; ``dirs``, the chord directions of the rule and then of
+    the half rule unless it nests, each antipodally reduced (``_independent``),
+    as rows and as coordinate columns ``cols``; ``nodes``, every node of the
+    same rules as columns; and their layouts ``chord_parts`` and ``point_parts``.
+    """
+
+    def __init__(self, rule: DirectionQuadrature):
+        self.nested, self.half = rule.half_nodes, rule.half_resolution()
+        rules = (rule,) if self.nested is not None else (rule, self.half)
+        reduced = [_independent(q.directions) for q in rules]
+        self.dirs = np.concatenate([rows for rows, _ in reduced])
+        self.cols = self.dirs.T.copy()
+        self.nodes = np.concatenate([q.directions for q in rules]).T.copy()
+        self.chord_parts = [(len(rows), paired) for rows, paired in reduced]
+        self.point_parts = [(len(q), False) for q in rules]
+        for shared in (self.dirs, self.cols, self.nodes):      # data callables see nodes
+            shared.flags.writeable = False
+        self.nbytes = (self.dirs.nbytes + self.cols.nbytes + self.nodes.nbytes
+                       + (0 if self.nested is None else self.half.weights.nbytes))
+
+    def split(self, values: np.ndarray, parts) -> list[np.ndarray]:
+        """[on the rule's nodes, on the half rule's] from values laid out by
+        ``parts`` (count, paired) along the last axis; a paired part's values
+        count for both directions of each antipodal pair."""
+        out, start = [], 0
+        for count, paired in parts:
+            v = values[..., start:start + count]
+            out.append(np.concatenate([v, v], axis=-1) if paired else v)
+            start += count
+        return out if self.nested is None else out + [out[0][..., self.nested]]
+
+
+def rule_plan(rule: DirectionQuadrature) -> RulePlan:
+    """The rule's plan, kept on a read-only rule (``_keep``); the rule cache
+    counts its bytes from the rule's next build on."""
+    plan = rule.__dict__.get("_plan")
+    return _keep(rule, "_plan", RulePlan(rule)) if plan is None else plan
 
 
 _MC_SCHEMES = ("monte_carlo", "monte_carlo_design")
@@ -689,14 +750,28 @@ def _monte_carlo_design(n_rotations: int, seed: int) -> DirectionQuadrature:
                                n_rotations, seed)
 
 
-# Built rules are shared: the builders return the same read-only rule for the
-# same key from a small least-recently-used cache.
-RULE_CACHE_SIZE = 16
+# Built rules are shared while cached; the newest rule stays even when it alone
+# is over RULE_CACHE_BYTES (see ``build_direction_quadrature``).
+RULE_CACHE_BYTES = 2 ** 26
+_RULES: collections.OrderedDict = collections.OrderedDict()    # key -> (rule, bytes)
+_RULES_BYTES = 0                    # their sum, each rule's with its plan when last built
+_RULES_LOCK = threading.Lock()
 
 
-@functools.lru_cache(maxsize=RULE_CACHE_SIZE)
 def _build(dim, scheme, resolution, seed) -> DirectionQuadrature:
-    return read_only(_construct(dim, scheme, resolution, seed))
+    global _RULES_BYTES
+    key = (dim, scheme, resolution, seed)
+    rule = _RULES.get(key, (None,))[0]
+    rule = read_only(_construct(*key)) if rule is None else rule
+    with _RULES_LOCK:
+        rule, old = _RULES.pop(key, (rule, 0))      # one another thread kept first wins
+        size = (rule.directions.nbytes + rule.weights.nbytes
+                + getattr(rule.__dict__.get("_plan"), "nbytes", 0))
+        _RULES[key] = rule, size
+        _RULES_BYTES += size - old
+        while _RULES_BYTES > RULE_CACHE_BYTES and len(_RULES) > 1:
+            _RULES_BYTES -= _RULES.popitem(last=False)[1][1]
+    return rule
 
 
 def _construct(dim, scheme, resolution, seed) -> DirectionQuadrature:
@@ -735,10 +810,10 @@ def build_direction_quadrature(dim: int, scheme: str, resolution: int,
     BadParameter, a resolution below 4 or above ``MAX_RESOLUTION[scheme]``
     BadResolution.
 
-    The rule is shared, not copied: the last RULE_CACHE_SIZE rules built are
-    kept by (dim, scheme, resolution, seed), and their arrays are read-only.
-    The cache is bounded by count, not bytes: one 512-polar 3-D rule is
-    16.8 MB, and 16 rules of that size would hold about 270 MB.
+    The rule is shared, not copied: the rules last built or asked for are
+    kept by (dim, scheme, resolution, seed) while they fit, with their plans
+    (``rule_plan``), in RULE_CACHE_BYTES (64 MiB), and their arrays are
+    read-only.
     """
     dim = _count(dim, "dim", 2, 3, DimMismatch)
     resolution = _count(resolution, "resolution", 4, MAX_RESOLUTION[_known_scheme(scheme)])
@@ -858,6 +933,38 @@ def plane_section(ball: BallDomain, P, normal) -> PlaneSections:
     if ball.dim != 3:
         raise DimMismatch("plane_section requires a 3-dimensional ball")
     return plane_sections(ball, p, check_unit(normal, 3)[np.newaxis, :])
+
+
+# ---------------------------------------------------------------------------
+# Per-thread scratch buffers
+# ---------------------------------------------------------------------------
+
+# A solve borrows its chord ends and power tables from its thread's parked
+# buffers and parks them again, so its next solve reuses their pages.  A thread
+# parks at most SCRATCH_BYTES, in buffers of at most an eighth of that, so the
+# five a 3-D solve uses always fit; larger ones, from cross sections, would add
+# to the peak of every later call.
+SCRATCH_BYTES = 2 ** 21
+_SCRATCH = threading.local()        # ``buffers``: the thread's parked buffers by key
+
+
+def borrow(key, shape) -> np.ndarray:
+    """An uninitialised float array of ``shape``: the buffer this thread parked
+    under ``key``, or a view of it, when it is large enough, else a new one.
+    Until it is parked again the key holds nothing: a nested borrow gets its own."""
+    buf = vars(_SCRATCH).setdefault("buffers", {}).pop(key, None)
+    if buf is None or buf.size < math.prod(shape):
+        return np.empty(shape)
+    return buf if buf.shape == shape else buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def park(key, arr: np.ndarray) -> None:
+    """Keep the buffer of ``arr``, from ``borrow``, for this thread's next
+    borrow of ``key`` while its parked bytes stay within SCRATCH_BYTES."""
+    parked, buf = vars(_SCRATCH).setdefault("buffers", {}), arr if arr.base is None else arr.base
+    if key not in parked and buf.nbytes <= min(SCRATCH_BYTES // 8, SCRATCH_BYTES - sum(
+            b.nbytes for b in parked.values())):
+        parked[key] = buf
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ bit-reproducible.  Both split the values exactly into parts that numpy adds
 without rounding (one shared ``_fold``) and round once at the end; small
 arrays and the special cases go to ``math.fsum`` itself.
 
-Solves report |full - half| as their error estimate (``half_rule_report``;
-a half rule made of the rule's own nodes reuses their values), cap measures
-their distance from ``cap_measure_ratio``.  Cap measures integrate the cap
+Solves report |full - half| as their error estimate (``half_rule_report``),
+from one pass over the nodes of the rule and its half rule (``RulePlan``), cap
+measures their distance from ``cap_measure_ratio``.  Cap measures integrate the cap
 indicator times the kernel on a rule fitted to each nappe's cap, whose edge
 is the cap's edge, so they are exact to rounding with a few thousand nodes
 where a rule on the whole sphere sees the edge only to its node spacing.
@@ -49,6 +49,7 @@ from .geometry import (
     interior_point,
     measure_rule,
     row_dot,
+    rule_plan,
 )
 
 
@@ -190,44 +191,32 @@ class SolveReport:
     clamp_applied: float = 0.0
 
 
-def half_rule_report(rule, factors, nodes_used: int | None = None) -> SolveReport:
+def half_rule_report(rule, values, parts, nodes_used: int | None = None) -> SolveReport:
     """The integral over ``rule`` with |full - half rule| as its error estimate.
 
-    ``factors(q)`` returns the integrand on the nodes of rule ``q`` as a tuple
-    of per-node arrays, and each integral is fixed_sum(q.weights * f1 * f2 ...)
-    multiplied in that order.  When the half rule's nodes are some of the
-    rule's own (``rule.half_nodes``), its values are taken from the full
-    evaluation instead of being computed again.  A non-finite term (data
-    returning nan or inf) raises NumericalError before anything is summed.
+    ``values`` holds the integrand's factors, each on the nodes of the rule's
+    plan (``geometry.rule_plan``) as ``parts`` lays them out (``RulePlan.split``),
+    and each integral is fixed_sum(q.weights * f1 * f2 ...) multiplied in that
+    order.  A non-finite term (data returning nan or inf) raises
+    NumericalError before anything is summed.
     """
-    values = factors(rule)
-    value = _weighted_sum(rule, values)
-    half = rule.half_resolution()
-    nested = rule.half_nodes
-    if nested is None:
-        half_values = factors(half)
-    else:
-        half_values = tuple(v if np.ndim(v) == 0 else v[nested] for v in values)
-    error = abs(value - _weighted_sum(half, half_values))
+    plan = rule_plan(rule)
+    full, half = zip(*(plan.split(v, parts) for v in values))
+    value = _weighted_sum(rule, full)
+    error = abs(value - _weighted_sum(plan.half, half))
     return SolveReport(value=value, error_estimate=error,
                        nodes_used=len(rule) if nodes_used is None else nodes_used)
 
 
 def _weighted_sum(rule, factors) -> float:
-    return fixed_sum(require_finite(functools.reduce(operator.mul, factors, rule.weights)))
-
-
-def require_finite(terms: np.ndarray) -> np.ndarray:
-    """The terms of a sum, checked to be finite: NumericalError names how
-    many are not (data returning nan or inf), before anything is summed."""
-    require_finite_count(np.size(terms) - np.count_nonzero(np.isfinite(terms)),
-                         np.size(terms))
-    return terms
+    terms = functools.reduce(operator.mul, factors, rule.weights)
+    require_finite_count(np.size(terms) - np.count_nonzero(np.isfinite(terms)), np.size(terms))
+    return fixed_sum(terms)
 
 
 def require_finite_count(bad: int, size: int) -> None:
-    """``require_finite``'s NumericalError for ``bad`` of ``size`` terms, if
-    any is not finite: for terms checked in pieces."""
+    """The terms of a sum must be finite: NumericalError names how many are
+    not (data returning nan or inf), before anything is summed."""
     if bad:
         raise NumericalError(f"{bad} of {size} integrand values are not finite")
 
@@ -331,13 +320,15 @@ def poisson_kernel(ball: BallDomain, x, y) -> float:
 
 def poisson_solve(ball: BallDomain, data: BoundaryData, x,
                   bq: BoundaryQuadrature | None = None) -> SolveReport:
-    """Poisson integral of the boundary data at interior x."""
+    """Poisson integral of the boundary data at interior x: the data and the
+    kernel are evaluated once, on the columns of the rule's ``RulePlan.nodes``."""
     p = interior_point(ball, BallDomain, x)
     require_data(data)
-    return half_rule_report(
-        _placed_rule(ball, bq, build_boundary_quadrature), lambda q: (
-            np.asarray(data.value(_boundary_points(ball, q.directions)), dtype=float),
-            kernel_values(ball, p, q.directions)))
+    rule = _placed_rule(ball, bq, build_boundary_quadrature)
+    plan = rule_plan(rule)
+    nodes = plan.nodes.T
+    f = np.asarray(data.value(_boundary_points(ball, nodes)), dtype=float)
+    return half_rule_report(rule, (f, kernel_values(ball, p, nodes)), plan.point_parts)
 
 
 # The Brownian samplers and hit counts (``brownian``) take their draws

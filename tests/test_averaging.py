@@ -187,14 +187,15 @@ def test_cross_section_matches_per_section_loop():
 
 
 @pytest.mark.parametrize("normals,planes", [
-    (cm.build_direction_quadrature(3, "gauss_product_3d", 16), [256, 64]),
+    (cm.build_direction_quadrature(3, "gauss_product_3d", 16), [256 + 64]),
     (cm.build_direction_quadrature(3, "monte_carlo_design", 11, seed=2), [66]),
 ], ids=["gauss", "design"])
 def test_cross_section_solves_each_plane_once(monkeypatch, normals, planes):
     """Normals nu and -nu give one plane: antipodal (Gauss) normals solve
-    their first half, for the full and the half rule, and design normals,
-    which hold no antipodes, solve every row of their nested rule once.  On
-    one CPU each solve is one chunk (``test_parallel`` covers the chunks)."""
+    their first half, for the full and the half rule in one pass, and design
+    normals, which hold no antipodes, solve every row of their nested rule
+    once.  On one CPU the pass is one chunk (``test_parallel`` covers the
+    chunks)."""
     monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
     seen, evaluated = [], []
     sections = averaging.plane_sections
@@ -307,16 +308,20 @@ def test_cross_section_requires_3d():
 
 @pytest.mark.parametrize("dim, n", [(2, 2048), (3, 4096)])
 def test_chord_ends_equal_the_broadcast_form_byte_for_byte(dim, n):
-    # column by column, p + t e has the bits and the row-major layout of
-    # p[..., None, :] + t[..., None] * dirs, for one point and for rows of them
+    # column by column, p + t e has the bits of p[..., None, :] + t[..., None]
+    # * dirs, for one point and for rows of them; the ends of both roots share
+    # one coordinate-major block, so every coordinate column is contiguous
     rng = np.random.default_rng(dim)
     dirs = geometry.uniform_directions(rng, n, dim)
     for p in (rng.uniform(-0.5, 0.5, dim), rng.uniform(-0.5, 0.5, (4, dim))):
-        t = rng.uniform(-2.0, 2.0, p.shape[:-1] + (n,))
-        got = averaging._chord_ends(p, t, dirs)
-        want = p[..., np.newaxis, :] + t[..., np.newaxis] * dirs
-        assert got.flags.c_contiguous and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        a, b = (rng.uniform(-2.0, 2.0, p.shape[:-1] + (n,)) for _ in range(2))
+        block = np.empty((dim,) + p.shape[:-1] + (2, n))
+        got = averaging._chord_ends(block, p, a, b, dirs.T.copy())
+        assert got.shape == p.shape[:-1] + (2, n, dim) and np.shares_memory(got, block)
+        for end, t in enumerate((a, b)):
+            want = p[..., np.newaxis, :] + t[..., np.newaxis] * dirs
+            assert np.ascontiguousarray(got[..., end, :, :]).tobytes() == want.tobytes()
+            assert all(got[..., end, :, j].strides[-1] == 8 for j in range(dim))
 
 
 # The degree count of Malmheden's formula.  Along e, f(P + t e) is a

@@ -405,3 +405,21 @@ def test_cone_cosines_equal_the_broadcast_difference_byte_for_byte(shape):
         v = np.subtract(np.asarray(layout, dtype=float), vertex, order="C")
         broadcast = (v @ axis) / np.sqrt(row_dot(v, v))
         assert _cone_cosines(vertex, axis, layout).tobytes() == broadcast.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polynomial_data_keeps_its_bits_at_one_point_and_in_any_layout(dim):
+    """Values and gradients come from power tables in the thread's scratch: at
+    one point, on column-major points and after a larger batch has left its
+    buffers parked, they are the rows of a batch evaluation, bit for bit, and
+    in new arrays."""
+    pair = ((5, "re"), (3, "im")) if dim == 2 else ((5, 2), (3, -2))
+    u = cm.almansi_assemble(*(cm.harmonic_poly(dim, m, k) for m, k in pair))
+    pts = np.random.default_rng(dim).uniform(-1.0, 1.0, (64, dim))
+    for fn in (u.value, u.gradient):
+        batch = fn(pts)
+        fn(np.tile(pts, (8, 1)))                    # parks larger buffers
+        assert fn(np.asfortranarray(pts)).tobytes() == batch.tobytes()
+        rows = [fn(x) for x in pts]
+        assert all(np.asarray(r).tobytes() == b.tobytes() for r, b in zip(rows, batch))
+        assert not np.shares_memory(fn(pts), fn(pts))

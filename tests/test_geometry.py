@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import chordmean as cm
-from chordmean.averaging import _antipodal_half, star_hits_batch
+from chordmean.averaging import star_hits_batch
 from chordmean.geometry import (
     _STAR_MAX_RHO,
+    _independent,
     _circle_nodes,
     _gauss_product_3d,
     as_point,
@@ -518,7 +519,8 @@ def test_gauss_product_holds_exact_antipodes(n):
     dq = _gauss_product_3d(n)
     dirs, weights = dq.directions, dq.weights
     h = n * n
-    assert len(dq) == 2 * h and _antipodal_half(dirs) == h
+    assert len(dq) == 2 * h and _independent(dirs)[0].tobytes() == dirs[:h].tobytes()
+    assert _independent(dirs)[1]
     assert_array_equal(_bits(weights[h:]), _bits(weights[:h]))
     assert abs(fixed_sum(weights) - 1.0) <= 2 * 2.0 ** -52
 
@@ -564,7 +566,8 @@ def test_gauss_product_integrates_monomials(n):
 def test_default_rules_and_their_halves_are_antipodal(rule):
     """The chord solves pair every default rule and its half rule."""
     for dq in (rule, rule.half_resolution()):
-        assert _antipodal_half(dq.directions) == len(dq) // 2
+        rows, paired = _independent(dq.directions)
+        assert paired and len(rows) == len(dq) // 2
 
 
 def test_mobius_examples():

@@ -192,11 +192,12 @@ def test_cross_section_in_chunks_equals_one_serial_solve(monkeypatch, workers, d
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("normals,halves", [("gauss", [256, 64]), ("design", [66])])
-def test_cross_section_chunks_cover_each_plane_once(monkeypatch, workers, normals, halves):
-    """In parallel, the chunks of each solve (full rule, then the half rule
-    unless it is nested) are contiguous, more than one, and hold each plane
-    of the serial solve once."""
+@pytest.mark.parametrize("normals,planes", [("gauss", 256 + 64), ("design", 66)])
+def test_cross_section_chunks_cover_each_plane_once(monkeypatch, workers, normals, planes):
+    """In parallel, the chunks of the one solve over the plan's normals (the
+    full rule's, then the half rule's unless it is nested, each antipodally
+    reduced) are contiguous, more than one, and hold each of those planes
+    once."""
     _cpus(monkeypatch, workers)
     monkeypatch.setattr(averaging, "_SECTION_ROWS", 16)
     seen = []
@@ -209,11 +210,10 @@ def test_cross_section_chunks_cover_each_plane_once(monkeypatch, workers, normal
     monkeypatch.setattr(averaging, "plane_sections", counted_sections)
     rule = NORMALS[normals]
     cm.cross_section_solve(BALL, cm.constant_data(1.0), P3, rule, 64)
-    rules = [rule, rule.half_resolution()][:len(halves)]
-    expected = [r.directions[:h] for r, h in zip(rules, halves)]
-    assert len(seen) == sum(min(workers, h // 16) for h in halves) > len(halves)
-    assert (sorted(row.tobytes() for chunk in seen for row in chunk)
-            == sorted(row.tobytes() for rows in expected for row in rows))
+    expected = geometry.rule_plan(rule).dirs
+    assert len(expected) == planes
+    assert len(seen) == min(workers, planes // 16) > 1
+    assert b"".join(chunk.tobytes() for chunk in seen) == expected.tobytes()
 
 
 def test_non_finite_data_in_one_chunk_raises_the_serial_error(monkeypatch):
@@ -225,8 +225,9 @@ def test_non_finite_data_in_one_chunk_raises_the_serial_error(monkeypatch):
 
     data = cm.BoundaryData(value)
     circle = geometry._circle_nodes(64)
-    chunks = geometry._row_blocks(256, 128)
-    bad = [averaging._section_sums(BALL, data, np.array(P3), rule.directions[rows],
+    normals = geometry.rule_plan(rule).dirs         # 256 planes, then the half rule's 64
+    chunks = geometry._row_blocks(320, 160)
+    bad = [averaging._section_sums(BALL, data, np.array(P3), normals[rows],
                                    circle, "poisson")[1] for rows in chunks]
     assert bad[0] == 0 < bad[1]
     messages = []
@@ -235,7 +236,7 @@ def test_non_finite_data_in_one_chunk_raises_the_serial_error(monkeypatch):
         with pytest.raises(cm.NumericalError) as err:
             cm.cross_section_solve(BALL, data, P3, rule, 64)
         messages.append(str(err.value))
-    assert messages[0] == messages[1] == f"{bad[1]} of {256 * 64} integrand values are not finite"
+    assert messages[0] == messages[1] == f"{bad[1]} of {320 * 64} integrand values are not finite"
 
 
 # ---------------------------------------------------------------------------
