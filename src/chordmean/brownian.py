@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poisson
 from .errors import BadParameter
 from .boundary import CapSpec, cap_indicator
 from .geometry import (
@@ -43,6 +42,9 @@ from .poisson import cap_measure_ratio
 # Samples per traveler at most: a 3-D comparison at the ceiling peaks at
 # about 120 MB of arrays, as the largest direction rules do.
 MAX_SAMPLES = 2 ** 20
+# The samplers and hit counts take their draws _BLOCK_ROWS rows at a time, so
+# that their temporaries stay small enough to be reused rather than mapped afresh.
+_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def exits_full_batch(ball: BallDomain, p: np.ndarray, rng: np.random.Generator,
     3-D: by inversion, the exit cosine about e = (p - c)/|p - c| is
     ``_exit_cosines`` of a uniform draw and the azimuth about e is uniform, in
     the frame of the plane section normal to e (any e at the center), taken
-    ``poisson._BLOCK_ROWS`` draws at a time, each as in one call on all.  The
+    ``_BLOCK_ROWS`` draws at a time, each as in one call on all.  The
     second value, the share of draws used, is 1.0 since nothing is rejected;
     it stays so that callers that unpack (points, rate), such as
     ``bench/tracer.py``, keep working.
@@ -118,7 +120,7 @@ def exits_full_batch(ball: BallDomain, p: np.ndarray, rng: np.random.Generator,
     phi = _uniform_angles(rng, n)
     frame = plane_sections(ball, p, e[np.newaxis, :])
     out = np.empty((3, n))              # one contiguous column per coordinate
-    for rows in _row_blocks(n, poisson._BLOCK_ROWS):
+    for rows in _row_blocks(n, _BLOCK_ROWS):
         t, _, r = _exit_cosines(rho, u[rows])
         r_cos, r_sin = r * np.cos(phi[rows]), r * np.sin(phi[rows])
         for k, col in enumerate(out[:, rows]):
@@ -145,12 +147,12 @@ def exits_plane_batch(ball: BallDomain, p: np.ndarray,
                       rng: np.random.Generator, n: int):
     """n samples of the plane traveler: uniform normals, then uniform angles
     for the exact in-plane disk exits, mapped back through each section's
-    frame.  The frames are built ``poisson._BLOCK_ROWS`` rows at a time, each
+    frame.  The frames are built ``_BLOCK_ROWS`` rows at a time, each
     row as in one call on all of them.  Returns (points, normals)."""
     normals = uniform_directions(rng, n, 3)
     angles = _uniform_angles(rng, n)
     out = np.empty((3, n))                  # one contiguous column per coordinate
-    for rows in _row_blocks(n, poisson._BLOCK_ROWS):
+    for rows in _row_blocks(n, _BLOCK_ROWS):
         secs = plane_sections(ball, p, normals[rows])
         t = _disk_exits((secs.base2d[:, 0] + 1j * secs.base2d[:, 1]) / secs.radius,
                         angles[rows])
@@ -162,12 +164,12 @@ def exits_line_batch(ball: BallDomain, p: np.ndarray,
                      rng: np.random.Generator, n: int):
     """n samples of the line traveler: uniform direction, then the forward
     endpoint with probability r1/(r1+r2) (the 1-D exit law).  Returns
-    (points, directions).  The chords are taken ``poisson._BLOCK_ROWS``
+    (points, directions).  The chords are taken ``_BLOCK_ROWS``
     rows at a time, each row as in one call on all of them."""
     dirs = uniform_directions(rng, n, ball.dim)
     u = rng.random(n)
     out = np.empty((ball.dim, n))           # one contiguous column per coordinate
-    for rows in _row_blocks(n, poisson._BLOCK_ROWS):
+    for rows in _row_blocks(n, _BLOCK_ROWS):
         a, b = ball_chord_roots(ball, p, dirs[rows])
         t = np.where(u[rows] < (-a) / (b - a), b, a)
         for k, col in enumerate(out[:, rows]):
@@ -189,10 +191,10 @@ def _sigma(freq: float, se: float, target: float) -> float:
 def _hits(sample, ball: BallDomain, p: np.ndarray, rng: np.random.Generator,
           n: int, indicator) -> int:
     """Cap hits among the n exits that ``sample`` draws from rng, counted
-    ``poisson._BLOCK_ROWS`` exits at a time."""
+    ``_BLOCK_ROWS`` exits at a time."""
     pts = sample(ball, p, rng, n)[0]
     return sum(int(np.count_nonzero(np.asarray(indicator(pts[rows])) == 1.0))
-               for rows in _row_blocks(n, poisson._BLOCK_ROWS))
+               for rows in _row_blocks(n, _BLOCK_ROWS))
 
 
 def compare_exit_distributions(ball: BallDomain, P, cap: CapSpec, N: int,

@@ -3,17 +3,19 @@ and the worker threads that run independent pieces of one call.
 
 All points and directions are plain numpy float arrays; helpers accept any
 sequence of reals. Everything here is a pure function of immutable inputs,
-except the worker pool behind ``_in_parallel``.
+except three pieces of shared state: the cache of built rules, the buffers
+each thread parks (``borrow``, ``park``) and the worker pool behind
+``_in_parallel``.
 """
 
 from __future__ import annotations
 
 import cmath
 import collections
-import functools
 import math
 import operator
 import os
+import queue
 import threading
 from dataclasses import dataclass
 
@@ -993,68 +995,22 @@ def _parallel_blocks(n: int, min_rows: int) -> list[slice]:
     return _row_blocks(n, max(min_rows, n // _usable_cpus()))
 
 
-class _Task:
-    """A no-argument callable, run once by whichever thread claims it first."""
-
-    __slots__ = ("fn", "claimed", "done", "result", "error")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.claimed = threading.Lock()
-        self.done = threading.Event()
-        self.result = self.error = None
-
-    def run(self) -> None:
-        if not self.claimed.acquire(blocking=False):
-            return                          # another thread has it
-        try:
-            self.result = self.fn()
-        except BaseException as exc:        # raised again by _in_parallel's caller
-            self.error = exc
-        finally:
-            self.fn = None
-            self.done.set()
-
-
-def _run_unclaimed(tasks) -> None:
-    for task in tasks:
-        task.run()
-
-
-class _Pool:
-    """Daemon threads that run queued jobs in the order they were queued."""
-
-    def __init__(self):
-        self.jobs = collections.deque()
-        self.queued = threading.Semaphore(0)
-        self.threads = 0
-
-    def grow(self, n: int) -> None:
-        while self.threads < n:
-            threading.Thread(target=self._work, name="chordmean-worker",
-                             daemon=True).start()
-            self.threads += 1
-
-    def submit(self, job) -> None:
-        self.jobs.append(job)
-        self.queued.release()
-
-    def _work(self) -> None:
-        _WORKER.inside = True
-        while True:
-            self.queued.acquire()
-            self.jobs.popleft()()
-
-
+_JOBS = queue.SimpleQueue()     # no-argument jobs for the pool's workers, in the order queued
 _WORKER = threading.local()     # ``inside`` is set on the pool's own threads
-_POOL: _Pool | None = None
+_POOL: list[threading.Thread] | None = None     # the workers, started on first use
 _POOL_LOCK = threading.Lock()
 
 
+def _work() -> None:
+    _WORKER.inside = True
+    while True:
+        _JOBS.get()()
+
+
 def _forget_pool() -> None:
-    """In a forked child: the parent's workers do not exist there."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+    """In a forked child: the parent's workers and queued jobs do not exist there."""
+    global _JOBS, _POOL, _POOL_LOCK
+    _JOBS, _POOL, _POOL_LOCK = queue.SimpleQueue(), None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -1080,17 +1036,33 @@ def _in_parallel(tasks) -> list:
     if workers < 1 or getattr(_WORKER, "inside", False):
         return [task() for task in tasks]
     with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = _Pool()
-        _POOL.grow(workers)
-        pool = _POOL
-    claims = [_Task(task) for task in tasks]
+        _POOL = _POOL or []
+        for _ in range(len(_POOL), workers):
+            _POOL.append(threading.Thread(target=_work, name="chordmean-worker", daemon=True))
+            _POOL[-1].start()
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    for item in enumerate(tasks[1:], 1):
+        todo.put(item)
+
+    def drain(index=None, task=None):
+        while True:
+            if task is None:
+                try:
+                    index, task = todo.get_nowait()
+                except queue.Empty:
+                    return
+            try:
+                outcome = index, task(), None
+            except BaseException as exc:        # raised again by _in_parallel's caller
+                outcome = index, None, exc
+            task = None                         # a worker holds no task once its outcome is in
+            done.put(outcome)
+
     for _ in range(workers):
-        pool.submit(functools.partial(_run_unclaimed, claims[1:]))
-    _run_unclaimed(claims)
-    for claim in claims:
-        claim.done.wait()
-    for claim in claims:
-        if claim.error is not None:
-            raise claim.error
-    return [claim.result for claim in claims]
+        _JOBS.put(drain)
+    drain(0, tasks[0])
+    outcomes = sorted((done.get() for _ in tasks), key=operator.itemgetter(0))
+    for _, _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for _, result, _ in outcomes]

@@ -107,43 +107,29 @@ def fixed_sum(values: np.ndarray) -> float:
     adding and subtracting a power-of-two multiple splits every value into a
     high part on a common grid, which ``np.sum`` adds without rounding, and
     an exact remainder, which is split again.  ``math.fsum`` then rounds the
-    few exact partial sums (``_exact_parts``) once.  The result is therefore
-    independent of the order of the values.
+    few exact partial sums once.  The result is therefore independent of the
+    order of the values.
 
     ``math.fsum`` itself is used, with its results and exceptions, for fewer
     than 1024 values, for non-finite input, for an exactly zero total (the
     sign of zero) and where a partial sum could overflow.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
-    total = math.fsum(_exact_parts(arr))
-    if total == 0.0:
-        return math.fsum(arr.tolist())
-    return total
-
-
-def _exact_parts(arr: np.ndarray) -> list[float]:
-    """Floats with the exact sum of the 1-D array ``arr``: each chunk's fold
-    sums and remainders, or, where ``fixed_sum`` falls back to ``math.fsum``,
-    the values themselves.  That sum does not depend on how the values are
-    cut, so ``math.fsum`` of the parts of the pieces is the whole's sum."""
     if arr.size < _FSUM_CUTOFF:
-        return arr.tolist()
+        return math.fsum(arr.tolist())
     parts: list[float] = []
     for start in range(0, arr.size, _CHUNK):
         chunk = arr[start:start + _CHUNK]
         largest = max(float(chunk.max()), -float(chunk.min()))
-        if not math.isfinite(largest):                  # inf or nan
-            return arr.tolist()
-        if largest == 0.0:
-            continue
         top = math.frexp(largest)[1]                    # largest < 2^top
-        if top + arr.size.bit_length() >= _OVERFLOW_EXP:
-            return arr.tolist()
-        sums, rest = _fold(chunk, top)
-        parts += sums
-        if rest is not None:
-            parts += rest[rest != 0.0].tolist()
-    return parts
+        if not math.isfinite(largest) or top + arr.size.bit_length() >= _OVERFLOW_EXP:
+            return math.fsum(arr.tolist())
+        if largest > 0.0:
+            sums, rest = _fold(chunk, top)
+            parts += sums
+            if rest is not None:
+                parts += rest[rest != 0.0].tolist()
+    return math.fsum(parts) or math.fsum(arr.tolist())     # fsum's sign of an exact zero
 
 
 def fixed_row_sums(terms: np.ndarray) -> np.ndarray:
@@ -331,12 +317,6 @@ def poisson_solve(ball: BallDomain, data: BoundaryData, x,
     return half_rule_report(rule, (f, kernel_values(ball, p, nodes)), plan.point_parts)
 
 
-# The Brownian samplers and hit counts (``brownian``) take their draws
-# _BLOCK_ROWS rows at a time, so that their temporaries stay small enough to
-# be reused rather than mapped afresh.
-_BLOCK_ROWS = 16384
-
-
 def _clamp_unit(value: float) -> float:
     """A measure clamped into [0, 1]."""
     return min(max(value, 0.0), 1.0)
@@ -370,13 +350,11 @@ def _cap_integrals(ball: BallDomain, p: np.ndarray, cap: CapSpec, moments: bool 
     are xs minus the complement's, since the Poisson integral of e is xs =
     (p - c) / R; both nappes past pi / 2 cover the sphere.
     """
-    _require_cap_dim(ball)
+    axes = _nappe_axes(ball, cap)
     xs = (p - ball.center) / ball.radius
     whole = [1.0, *xs.tolist()][:1 + ball.dim * moments]    # over the whole sphere
-    if cap.nappe == "both" and cap.half_angle >= 0.5 * math.pi:
+    if not axes:
         return whole, 0
-    axes = {"plus": (cap.axis,), "minus": (-cap.axis,),
-            "both": (cap.axis, -cap.axis)}[cap.nappe]
     half, sign = cap.half_angle, 1.0
     if half > 0.5 * math.pi:
         axes, half, sign = tuple(-a for a in axes), math.pi - half, -1.0
@@ -393,10 +371,16 @@ def _cap_integrals(ball: BallDomain, p: np.ndarray, cap: CapSpec, moments: bool 
     return [fixed_sum(np.hstack(q)) for q in sums], nodes
 
 
-def _require_cap_dim(ball: BallDomain) -> None:
-    """Cap measures are defined for disks and 3-balls only."""
+def _nappe_axes(ball: BallDomain, cap: CapSpec) -> tuple[np.ndarray, ...]:
+    """The axes of the nappes of ``cap``: -axis for the minus nappe, both
+    for "both", or none when both nappes, at a half-angle of pi / 2 or more,
+    cover the sphere.  Cap measures are defined for disks and 3-balls only."""
     if ball.dim not in (2, 3):
         raise DimMismatch(f"cap measures exist in dimension 2 and 3, not {ball.dim}")
+    if cap.nappe == "both" and cap.half_angle >= 0.5 * math.pi:
+        return ()
+    return {"plus": (cap.axis,), "minus": (-cap.axis,),
+            "both": (cap.axis, -cap.axis)}[cap.nappe]
 
 
 # Nodes of a cap's rule: in 2-D _ARC_ORDER Gauss-Legendre nodes per panel,
@@ -596,10 +580,8 @@ def cap_measure_ratio(ball: BallDomain, P, cap: CapSpec) -> float:
     vertex = interior_point(ball, BallDomain, cap.vertex)
     if not np.all(np.abs(vertex - p) <= 1e-8 + 1e-5 * np.abs(p)):   # np.allclose's test
         raise BadParameter("cap vertex must coincide with the evaluation point")
-    _require_cap_dim(ball)
-    if cap.nappe == "both" and cap.half_angle >= 0.5 * math.pi:
+    axes = _nappe_axes(ball, cap)
+    if not axes:
         return 1.0                      # the two nappes cover every direction
-    axes = {"plus": (cap.axis,), "minus": (-cap.axis,),
-            "both": (cap.axis, -cap.axis)}[cap.nappe]
     xs = (p - ball.center) / ball.radius
     return fixed_sum(np.concatenate([_nappe_terms(xs, a, cap.half_angle) for a in axes]))

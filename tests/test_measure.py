@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import chordmean as cm
+from chordmean import brownian
 from chordmean import measure as measure_module
 from chordmean import poisson as poisson_module
 from chordmean import selftest
@@ -353,13 +354,13 @@ _MOVED = {2: cm.BallDomain(center=(0.4, -1.3), radius=2.5),
           3: cm.BallDomain(center=(-0.7, 0.2, 1.1), radius=0.6)}
 
 # The Brownian hit counts (``brownian._hits``) take the cap indicator on
-# blocks of poisson._BLOCK_ROWS exits; the check below also runs with 64-row
+# blocks of brownian._BLOCK_ROWS exits; the check below also runs with 64-row
 # blocks, so that the odd rules span many blocks and end in a merged tail.
 SMALL_BLOCKS = 64
 
 
 @pytest.mark.parametrize("dim, resolution", [(2, 65537), (3, 511)])
-@pytest.mark.parametrize("rows", [SMALL_BLOCKS, poisson_module._BLOCK_ROWS])
+@pytest.mark.parametrize("rows", [SMALL_BLOCKS, brownian._BLOCK_ROWS])
 def test_cone_cosines_in_merged_tail_blocks_equal_the_whole_array_call(dim, resolution, rows):
     # v @ axis rounds a lone short tail of rows unlike the call on the whole
     # array; blocks with the tail merged into the last one round like it

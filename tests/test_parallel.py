@@ -4,9 +4,10 @@ result equals that of a serial run bit for bit.
 
 The worker count is ``geometry._usable_cpus()``, monkeypatched here to 1, 2
 and 3 whatever the machine; lowering ``averaging._SECTION_ROWS`` and
-``poisson._BLOCK_ROWS`` forces many chunks and blocks on small inputs.
+``brownian._BLOCK_ROWS`` forces many chunks and blocks on small inputs.
 """
 
+import gc
 import math
 import subprocess
 import sys
@@ -14,12 +15,13 @@ import textwrap
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import chordmean as cm
-from chordmean import averaging, brownian, geometry, poisson
+from chordmean import averaging, brownian, geometry
 from chordmean.geometry import _in_parallel, philox_stream
 
 BALL = cm.BallDomain(center=(0.0, 0.0, 0.0), radius=1.0)
@@ -161,6 +163,81 @@ def test_forked_child_runs_a_cross_section_solve_on_its_own_workers(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+class Halt(BaseException):
+    """Raised by a task: not an Exception, as KeyboardInterrupt is not."""
+
+
+def test_a_base_exception_on_a_worker_reaches_the_caller_and_keeps_the_worker(monkeypatch):
+    # the caller waits in the first task until the second, on a worker, has
+    # raised; a worker that died of it would leave the barrier call short
+    _cpus(monkeypatch, 3)
+    raised = threading.Event()
+
+    def halt():
+        raised.set()
+        raise Halt(getattr(geometry._WORKER, "inside", False))
+
+    def calls():
+        try:
+            _in_parallel([lambda: raised.wait(JOIN_S), halt])
+        except Halt as exc:
+            out.append(exc.args)
+        barrier = threading.Barrier(3, timeout=JOIN_S)
+        out.append(sorted(_in_parallel([barrier.wait] * 3)))
+
+    out = []
+    caller = threading.Thread(target=calls, daemon=True)
+    caller.start()
+    caller.join(JOIN_S)
+    assert not caller.is_alive()
+    assert out == [(True,), [0, 1, 2]]
+
+
+def test_a_returned_call_holds_none_of_its_tasks(monkeypatch):
+    # every worker is held busy, so the caller runs all four tasks itself and
+    # its jobs for the workers are still queued when it returns: they must
+    # not keep the tasks, which carry large arrays in cross-section chunks
+    cpus = max(3, 1 + sum(t.name == "chordmean-worker" for t in threading.enumerate()))
+    _cpus(monkeypatch, cpus)
+    busy, release = threading.Barrier(cpus + 1, timeout=JOIN_S), threading.Event()
+
+    def hold():
+        busy.wait()
+        release.wait(JOIN_S)
+
+    holder = threading.Thread(target=lambda: _in_parallel([hold] * cpus), daemon=True)
+    holder.start()
+    busy.wait()
+
+    def tasks(refs):
+        payload = np.ones(1000)
+        refs.append(weakref.ref(payload))
+        return [lambda: float(payload.sum())] * 4
+
+    refs = []
+    try:
+        assert _in_parallel(tasks(refs)) == [1000.0] * 4
+        gc.collect()
+        assert refs[0]() is None
+    finally:
+        release.set()
+        holder.join(JOIN_S)
+    assert not holder.is_alive()
+
+
+def test_a_script_ends_with_the_workers_still_running(tmp_path):
+    # the workers are daemon threads: a script that has used them exits
+    script = tmp_path / "one_call.py"
+    script.write_text(textwrap.dedent("""
+        from chordmean import geometry
+        geometry._usable_cpus = lambda: 4
+        assert geometry._in_parallel([lambda k=k: k for k in range(4)]) == [0, 1, 2, 3]
+    """))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=JOIN_S)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # Cross sections in chunks of planes
 # ---------------------------------------------------------------------------
@@ -256,7 +333,7 @@ def test_travelers_at_once_and_in_blocks_equal_one_serial_run(monkeypatch, worke
     _cpus(monkeypatch, 1)
     serial = repr(cm.compare_exit_distributions(ball, p, cap, 3001, seed=19))
     _cpus(monkeypatch, workers)
-    monkeypatch.setattr(poisson, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(brownian, "_BLOCK_ROWS", 64)
     assert repr(cm.compare_exit_distributions(ball, p, cap, 3001, seed=19)) == serial
 
 
@@ -267,15 +344,15 @@ SAMPLERS = [(brownian.exits_full_batch, DISK, (0.5, 0.0)),
             (brownian.exits_line_batch, OFF_BALL, (0.5, -0.25, 1.75))]
 
 
-@pytest.mark.parametrize("rows, n", [(64, 1001), (poisson._BLOCK_ROWS, 40000)])
+@pytest.mark.parametrize("rows, n", [(64, 1001), (brownian._BLOCK_ROWS, 40000)])
 @pytest.mark.parametrize("sampler, ball, p", SAMPLERS,
                          ids=[f"{s.__name__}-{b.dim}d" for s, b, _ in SAMPLERS])
 def test_samplers_in_blocks_keep_the_whole_array_points(monkeypatch, rows, n, sampler,
                                                         ball, p):
     p = np.asarray(p, dtype=float)
-    monkeypatch.setattr(poisson, "_BLOCK_ROWS", n)
+    monkeypatch.setattr(brownian, "_BLOCK_ROWS", n)
     whole = sampler(ball, p, philox_stream(7, 5), n)
-    monkeypatch.setattr(poisson, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(brownian, "_BLOCK_ROWS", rows)
     blocked = sampler(ball, p, philox_stream(7, 5), n)
     assert blocked[0].tobytes() == whole[0].tobytes()
     assert all(c.flags.c_contiguous for c in blocked[0].T)      # one column per coordinate
